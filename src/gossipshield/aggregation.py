@@ -1,9 +1,9 @@
 """Clipped self-centered aggregation and the plain gossip baseline.
 
 Per-agent reference implementations operate on an Inbox (what one agent
-holds at the end of a communication round); the *_round helpers apply the
-same rules to a whole message matrix at once and are what the engine runs.
-Matrix and per-agent paths are equivalence-tested against each other.
+holds at the end of a communication round); the *_edges helpers apply the
+same rules to a whole round's edge list at once and are what the engine
+runs. Edge and per-agent paths are equivalence-tested against each other.
 
 Silent peers are represented by zero vectors in the inbox; that
 substitution happens at delivery time, before aggregation sees anything.
@@ -132,83 +132,98 @@ def tau_remark4(
     return max(float(tau), TAU_FLOOR)
 
 
-# --- whole-round matrix forms -------------------------------------------------
+# --- whole-round edge forms ---------------------------------------------------
 #
-# messages[i, j] = model of agent j as delivered to agent i (already
-# zero-substituted for silence); shape (A, A) for scalar states or
-# (A, A, d) in general. The diagonal is ignored: the self term always uses
-# self_models. weights is the full (A, A) mixing matrix.
+# One round is an edge list: messages[e] is the model that agent send[e]
+# delivered to agent recv[e] (already zero-substituted for silence), shape
+# (E,) for scalar states or (E, d) in general. Self terms always use
+# self_models; edge_w[e] is the receiver's mixing weight for that edge.
+# Each rule is gather -> clip -> per-receiver sum, never an (A, A) array.
 
 
-def _diff_norms(messages: np.ndarray, self_models: np.ndarray):
-    if messages.ndim == 2:
-        diffs = messages - self_models[:, None]
+def receiver_sum(recv: np.ndarray, values: np.ndarray, n_agents: int) -> np.ndarray:
+    """Sum per-edge values at each receiver; receivers with no edge get 0.
+
+    recv must be sorted, as every edge list taken from Network is. Vector
+    values are summed one contiguous segment of edges per receiver, which
+    measured several times faster than a bincount per column at d = 10.
+    """
+    if values.ndim == 1:
+        return np.bincount(recv, values, minlength=n_agents)
+    counts = np.bincount(recv, minlength=n_agents)
+    has = counts > 0
+    out = np.zeros((n_agents, values.shape[1]))
+    out[has] = np.add.reduceat(values, (np.cumsum(counts) - counts)[has], axis=0)
+    return out
+
+
+def _edge_diffs(messages: np.ndarray, self_models: np.ndarray, recv: np.ndarray):
+    # take plus an in-place subtract allocates one (E, d) array, not two;
+    # fresh arrays of that size cost page faults that dominated at d = 10
+    diffs = self_models.take(recv, axis=0)
+    np.subtract(messages, diffs, out=diffs)
+    if diffs.ndim == 1:
         return diffs, np.abs(diffs)
-    diffs = messages - self_models[:, None, :]
-    return diffs, np.sqrt(np.sum(diffs * diffs, axis=2))
+    return diffs, np.sqrt(np.einsum("ed,ed->e", diffs, diffs))
 
 
-def scc_round(
+def scc_edges(
     messages: np.ndarray,
     self_models: np.ndarray,
-    weights: np.ndarray,
+    recv: np.ndarray,
+    edge_w: np.ndarray,
     taus: np.ndarray,
 ) -> np.ndarray:
-    """scc_aggregate for every row at once; taus is one radius per agent."""
+    """scc_aggregate for every receiver at once; taus is one radius per agent."""
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0.0):
         raise ValueError("clip thresholds must be positive")
-    diffs, norms = _diff_norms(messages, self_models)
-    col = taus[:, None]
+    diffs, norms = _edge_diffs(messages, self_models, recv)
+    tau_e = taus[recv]
     # where norms exceed tau they are strictly positive, so the division
     # inside the branch never sees zero
-    denom = np.where(norms > col, norms, 1.0)
-    factors = np.where(norms > col, col / denom, 1.0)
-    np.fill_diagonal(factors, 0.0)
-    if messages.ndim == 2:
-        return self_models + np.sum(weights * factors * diffs, axis=1)
-    return self_models + np.einsum("ij,ij,ijd->id", weights, factors, diffs)
+    over = norms > tau_e
+    scale = edge_w * np.where(over, tau_e / np.where(over, norms, 1.0), 1.0)
+    diffs *= scale if diffs.ndim == 1 else scale[:, None]
+    return self_models + receiver_sum(recv, diffs, len(self_models))
 
 
-def mean_round(
-    messages: np.ndarray, self_models: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """gossip_mean for every row at once."""
-    diffs, _ = _diff_norms(messages, self_models)
-    if messages.ndim == 2:
-        out = self_models + np.sum(weights * diffs, axis=1) - weights.diagonal() * diffs.diagonal()
-        return out
-    core = np.einsum("ij,ijd->id", weights, diffs)
-    core -= weights.diagonal()[:, None] * np.einsum("iid->id", diffs)
-    return self_models + core
-
-
-def tau_round(
+def mean_edges(
     messages: np.ndarray,
     self_models: np.ndarray,
-    weights: np.ndarray,
-    byz_mask: np.ndarray,
+    recv: np.ndarray,
+    edge_w: np.ndarray,
+) -> np.ndarray:
+    """gossip_mean for every receiver at once."""
+    diffs, _ = _edge_diffs(messages, self_models, recv)
+    diffs *= edge_w if diffs.ndim == 1 else edge_w[:, None]
+    return self_models + receiver_sum(recv, diffs, len(self_models))
+
+
+def tau_edges(
+    messages: np.ndarray,
+    self_models: np.ndarray,
+    recv: np.ndarray,
+    rel_w: np.ndarray,
+    byz_weight: np.ndarray,
     kind: str,
 ) -> np.ndarray:
-    """Oracle clipping radii for every agent from the full message matrix.
+    """Oracle clipping radii for every receiver from the round's edges.
 
-    kind 'corollary1' returns NaN where an agent has no Byzantine
-    neighbor; the engine substitutes its manual fallback there. kind
-    'remark4' never falls back.
+    rel_w is edge_w with every Byzantine-sender edge set to zero, and
+    byz_weight the total Byzantine weight at each receiver; both depend on
+    the network alone, so callers build them once. kind 'corollary1'
+    returns NaN where an agent has no Byzantine neighbor; the engine
+    substitutes its manual fallback there. kind 'remark4' never falls back
+    and ignores byz_weight.
     """
-    _, norms = _diff_norms(messages, self_models)
-    sq = norms * norms
-    rel_w = weights * ~byz_mask[None, :]
-    np.fill_diagonal(rel_w, 0.0)
-    num = np.sum(rel_w * sq, axis=1)
+    _, norms = _edge_diffs(messages, self_models, recv)
+    num = np.bincount(recv, rel_w * norms * norms, minlength=len(self_models))
     if kind == "remark4":
         return np.maximum(num, TAU_FLOOR)
     if kind != "corollary1":
         raise ValueError(f"unknown oracle radius kind: {kind}")
-    byz_w = weights * byz_mask[None, :]
-    np.fill_diagonal(byz_w, 0.0)
-    den = np.sum(byz_w, axis=1)
+    has_byz = byz_weight > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.sqrt(num / den)
-    tau = np.where(den > 0.0, tau, np.nan)
-    return np.where(den > 0.0, np.maximum(tau, TAU_FLOOR), np.nan)
+        tau = np.sqrt(num / byz_weight)
+    return np.where(has_byz, np.maximum(tau, TAU_FLOOR), np.nan)

@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 from scipy.special import ndtri
 
+from .aggregation import receiver_sum
 from .errors import ConfigError
 from .topology import Network
 
@@ -130,12 +131,16 @@ def perturbed_dup_msg(victim_state: np.ndarray, p_mult: float, p_add: float) -> 
 
 
 class AttackPlan:
-    """Per-network precomputation that fills Byzantine message columns.
+    """Per-network precomputation that falsifies Byzantine messages.
 
-    Built once per run; apply(messages, k, models) overwrites column b of
-    the round's message matrix for every Byzantine b. Entries at
-    weight-zero pairs are written too but never read by aggregation.
-    Everything is a pure function of (k, models), so replays are exact.
+    Built once per run; apply(messages, k, models) overwrites, in the
+    round's edge list (messages[e] travels from net.send[e] to
+    net.recv[e]), every edge whose sender is Byzantine and leaves the rest
+    alone. Edges into Byzantine receivers are written too but never read,
+    because those agents do not update under a real attack. Receiver
+    statistics are sums over reliable-sender edges, so nothing here is
+    (A, A). Everything is a pure function of (k, models), so replays are
+    exact.
     """
 
     def __init__(self, spec: AttackSpec, net: Network):
@@ -144,23 +149,24 @@ class AttackPlan:
         self.byz = list(net.byzantine)
         self.rel = list(net.reliable)
         n = net.n_agents
+        from_byz = net.byzantine_edges()
+        self._edges = np.flatnonzero(from_byz)
+        self._to = net.recv[self._edges]
 
-        # receiver's reliable closed neighborhood, row-normalized
-        rel_mask = np.zeros(n, dtype=bool)
-        rel_mask[self.rel] = True
-        closed = net.adjacency & rel_mask[None, :]
-        np.fill_diagonal(closed, rel_mask)
-        counts = closed.sum(axis=1)
-        self._nbhd_mean = closed / np.maximum(counts, 1)[:, None]
-
-        w_rel = net.weights * rel_mask[None, :]
-        np.fill_diagonal(w_rel, 0.0)
-        self._w_rel = w_rel
-        self._w_rel_sum = w_rel.sum(axis=1)
-        byz_mask = ~rel_mask
-        w_byz = net.weights * byz_mask[None, :]
-        np.fill_diagonal(w_byz, 0.0)
-        self._byz_wsum = w_byz.sum(axis=1)
+        # reliable-sender edges into receivers that hear a Byzantine agent:
+        # the only receivers whose statistics a falsified message reads
+        hears_byz = np.zeros(n, dtype=bool)
+        hears_byz[self._to] = True
+        stat_edges = np.flatnonzero(~from_byz & hears_byz[net.recv])
+        self._stat_recv = net.recv[stat_edges]
+        self._stat_send = net.send[stat_edges]
+        self._stat_w = net.edge_w[stat_edges]
+        self._rel_idx = np.array(self.rel, dtype=np.intp)
+        # size of each receiver's reliable closed neighborhood
+        count = np.bincount(self._stat_recv, minlength=n)
+        count[self._rel_idx] += 1
+        self._nbhd_count = np.maximum(count, 1)
+        self._byz_wsum = net.weight_split()[1]
 
         if spec.kind == "alie":
             self._alie_a = alie_coefficient(n, len(self.rel))
@@ -169,59 +175,60 @@ class AttackPlan:
         if spec.kind == "perturbed_dup":
             if spec.victim is not None and spec.victim not in self.rel:
                 raise ConfigError(f"fixed victim {spec.victim} is not reliable")
-            self._victims = {}
+            self._victims = []
             for b in self.byz:
                 members = sorted(set(net.neighbors(b)) & set(self.rel))
-                self._victims[b] = members if members else [b]
+                self._victims.append(members if members else [b])
+            # position of each overwritten edge's sender in self.byz
+            self._sender_pos = np.searchsorted(self.byz, net.send[self._edges])
+
+    def _nbhd_mean(self, values: np.ndarray) -> np.ndarray:
+        """Mean of values over each receiver's reliable closed neighborhood."""
+        n = self.net.n_agents
+        total = receiver_sum(self._stat_recv, values.take(self._stat_send, axis=0), n)
+        total[self._rel_idx] += values[self._rel_idx]
+        count = self._nbhd_count if values.ndim == 1 else self._nbhd_count[:, None]
+        return total / count
 
     def apply(self, messages: np.ndarray, k: int, models: np.ndarray) -> None:
         kind = self.spec.kind
         if kind == "none" or not self.byz:
             return
         if kind == "silent":
-            for b in self.byz:
-                messages[:, b] = 0.0
+            messages[self._edges] = 0.0
             return
         if kind == "sign_flip":
-            vals = -self.spec.s_b * (self._nbhd_mean @ models)
-            for b in self.byz:
-                messages[:, b] = vals
+            messages[self._edges] = -self.spec.s_b * self._nbhd_mean(models)[self._to]
             return
         if kind == "alie":
             if self._alie_global:
-                val = alie_msg(models[self.rel], self._alie_a)
-                for b in self.byz:
-                    messages[:, b] = val
+                messages[self._edges] = alie_msg(models[self.rel], self._alie_a)
             else:
-                mean = self._nbhd_mean @ models
-                second = self._nbhd_mean @ (models**2)
+                mean = self._nbhd_mean(models)[self._to]
+                second = self._nbhd_mean(models**2)[self._to]
                 std = np.sqrt(np.maximum(second - mean**2, 0.0))
-                vals = mean - self._alie_a * std
-                for b in self.byz:
-                    messages[:, b] = vals
+                messages[self._edges] = mean - self._alie_a * std
             return
         if kind == "dissensus":
-            safe = np.where(self._byz_wsum > 0.0, self._byz_wsum, 1.0)
-            scale = self.spec.d_r / safe
+            w = self._stat_w if models.ndim == 1 else self._stat_w[:, None]
+            pull = models.take(self._stat_send, axis=0)
+            pull -= models.take(self._stat_recv, axis=0)
+            pull *= w
+            drift = receiver_sum(self._stat_recv, pull, self.net.n_agents)[self._to]
+            # every receiver here hears a Byzantine agent, so its weight is positive
+            byz_w = self._byz_wsum[self._to]
             if models.ndim > 1:
-                drift = self._w_rel @ models - self._w_rel_sum[:, None] * models
-                vals = models - scale[:, None] * drift
-            else:
-                drift = self._w_rel @ models - self._w_rel_sum * models
-                vals = models - scale * drift
-            # receivers without Byzantine neighbors never read these entries
-            for b in self.byz:
-                messages[:, b] = vals
+                byz_w = byz_w[:, None]
+            messages[self._edges] = models[self._to] - self.spec.d_r * drift / byz_w
             return
         if kind == "perturbed_dup":
             p_mult = _value_at(self.spec.p_mult, k)
             p_add = _value_at(self.spec.p_add, k)
-            for b in self.byz:
-                if self.spec.victim is not None:
-                    victim = self.spec.victim
-                else:
-                    members = self._victims[b]
-                    victim = members[k % len(members)]
-                messages[:, b] = perturbed_dup_msg(models[victim], p_mult, p_add)
+            if self.spec.victim is not None:
+                victims = [self.spec.victim] * len(self.byz)
+            else:
+                victims = [members[k % len(members)] for members in self._victims]
+            vals = perturbed_dup_msg(models[victims], p_mult, p_add)
+            messages[self._edges] = vals[self._sender_pos]
             return
         raise ConfigError(f"unhandled attack kind {kind!r}")

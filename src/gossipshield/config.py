@@ -160,21 +160,34 @@ def apply_overrides(cfg: dict, overrides) -> dict:
 def _parse_topology(section: dict):
     path = "topology"
     _check_keys(
-        section, {"kind", "n_agents", "byz_fraction", "seed", "edge_p"}, path
+        section,
+        {"kind", "n_agents", "byz_fraction", "byzantine_ids", "seed", "edge_p"},
+        path,
     )
     kind = _need(section, "kind", path)
     n = _as_int(_need(section, "n_agents", path), f"{path}.n_agents")
     frac = _as_float(section.get("byz_fraction", 0.0), f"{path}.byz_fraction")
     seed = _as_int(section.get("seed", 0), f"{path}.seed")
     edge_p = _as_float(section.get("edge_p", 0.3), f"{path}.edge_p")
-    net = build_network(kind, n, byz_fraction=frac, seed=seed, edge_p=edge_p)
-    norm = {
-        "kind": kind,
-        "n_agents": n,
-        "byz_fraction": frac,
-        "seed": seed,
-        "edge_p": edge_p,
-    }
+    ids = None
+    if "byzantine_ids" in section:
+        if "byz_fraction" in section:
+            raise ConfigError(f"{path}: give either byz_fraction or byzantine_ids")
+        raw = section["byzantine_ids"]
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path}.byzantine_ids: expected a list of agent ids")
+        ids = [_as_int(b, f"{path}.byzantine_ids") for b in raw]
+    net = build_network(
+        kind, n, byz_fraction=frac, seed=seed, edge_p=edge_p, byzantine_ids=ids
+    )
+    # explicit ids replace the fraction; configs without them keep the
+    # normalized form, and so the hash, they always had
+    norm = {"kind": kind, "n_agents": n}
+    if ids is None:
+        norm["byz_fraction"] = frac
+    else:
+        norm["byzantine_ids"] = list(net.byzantine)
+    norm.update(seed=seed, edge_p=edge_p)
     return net, norm
 
 

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .aggregation import mean_round, scc_round, tau_round
+from .aggregation import mean_edges, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
 from .errors import BrokenOptimumError, ConfigError, RegimeError
 from .objectives import GlobalProblem
@@ -179,22 +179,13 @@ def validate_schedule(
     warnings.warn(f"running outside the theory regime: {message}", stacklevel=3)
 
 
-def dk_bound(
-    consts: TheoryConstants, d0: float, k, sched: StepSizeSchedule
-):
-    """Theoretical ceiling on the expected disagreement at round k.
-
-    Decaying schedules contract geometrically plus a 1/(k+k0)^2 tail;
-    constant schedules keep a residual floor proportional to the squared
-    step. Refuses outside the valid contraction regime.
-    """
+def _check_bound_inputs(consts: TheoryConstants, sched: StepSizeSchedule) -> None:
+    """Raise RegimeError wherever dk_bound is undefined for this pair."""
     if not consts.regime_valid:
         raise RegimeError(
             "disagreement bound undefined: contraction "
             f"{consts.rho} is not below {consts.rho_bar}"
         )
-    k = np.asarray(k, dtype=float)
-    decay = (1.0 - consts.phi) ** k * d0
     if isinstance(sched, DecayingSchedule):
         if sched.k0 * consts.phi <= 2.0:
             raise RegimeError(
@@ -204,6 +195,25 @@ def dk_bound(
             raise RegimeError(
                 f"step scale {sched.scale} exceeds the bound's step {consts.theta}"
             )
+    elif sched.scale > consts.theta * (1.0 + 1e-12):
+        raise RegimeError(
+            f"constant step {sched.scale} exceeds the bound's step {consts.theta}"
+        )
+
+
+def dk_bound(
+    consts: TheoryConstants, d0: float, k, sched: StepSizeSchedule
+):
+    """Theoretical ceiling on the expected disagreement at round k.
+
+    Decaying schedules contract geometrically plus a 1/(k+k0)^2 tail;
+    constant schedules keep a residual floor proportional to the squared
+    step. Refuses outside the valid contraction regime.
+    """
+    _check_bound_inputs(consts, sched)
+    k = np.asarray(k, dtype=float)
+    decay = (1.0 - consts.phi) ** k * d0
+    if isinstance(sched, DecayingSchedule):
         iota = (1.0 + 1.0 / sched.k0) ** 2
         tail = (
             2.0
@@ -214,10 +224,6 @@ def dk_bound(
             / (k + sched.k0) ** 2
         )
     else:
-        if sched.scale > consts.theta * (1.0 + 1e-12):
-            raise RegimeError(
-                f"constant step {sched.scale} exceeds the bound's step {consts.theta}"
-            )
         tail = consts.vartheta / consts.phi * sched.scale**2
     out = decay + tail
     return float(out) if out.ndim == 0 else out
@@ -304,15 +310,17 @@ def run(
     """Execute the full round loop and collect reliable-set metrics.
 
     Round order is fixed: sample and mask gradients, take the half-step,
-    publish, falsify Byzantine columns, aggregate. Byzantine agents under
-    a real attack never update their own state; under attack kind 'none'
-    they follow the honest protocol, which is what makes a labeled-but-
-    honest run comparable with an unlabeled one.
+    publish one message per directed edge (half[net.send]), falsify the
+    edges whose sender is Byzantine, aggregate per receiver. Byzantine
+    agents under a real attack never update their own state; under attack
+    kind 'none' they follow the honest protocol, which is what makes a
+    labeled-but-honest run comparable with an unlabeled one.
 
     Passing consts (or theory_mode, which derives them from the network
     and problem constants) adds the theoretical disagreement ceiling as a
     per-row column; theory_mode additionally enforces the step-size
-    regime instead of warning.
+    regime instead of warning. A bound column that dk_bound would refuse
+    raises RegimeError before the first round.
     """
     if net.n_agents != prob.n_agents:
         raise ConfigError(
@@ -345,17 +353,21 @@ def run(
         )
     if consts is not None:
         validate_schedule(sched, consts, strict=theory_mode)
+        _check_bound_inputs(consts, sched)
 
     a = net.n_agents
     rel = list(net.reliable)
-    byz_mask = np.zeros(a, dtype=bool)
-    byz_mask[list(net.byzantine)] = True
     honest_byz = attack.kind == "none"
     plan = AttackPlan(attack, net)
+    if agg == "scc" and tau.kind != "manual":
+        rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
+        byz_weight = net.weight_split()[1]
 
     x = _initial_states(seed, a, prob.dim, x0)
     scalar = x.ndim == 1
     fast = scalar and prob.u_coeffs is not None
+    # a chunk longer than the run would draw rounds nobody reads
+    chunk = max(1, min(chunk, n_rounds))
     streams = (
         _AgentStreams(seed, a, prob.u_std, prob.v_std, chunk) if fast else None
     )
@@ -424,22 +436,19 @@ def run(
             status, diverged_at = "diverged", k
             break
 
-        if scalar:
-            messages = np.repeat(half[None, :], a, axis=0)
-        else:
-            messages = np.repeat(half[None, :, :], a, axis=0)
+        messages = half.take(net.send, axis=0)
         plan.apply(messages, k, x)
 
         if agg == "mean":
-            new_states = mean_round(messages, half, net.weights)
+            new_states = mean_edges(messages, half, net.recv, net.edge_w)
         else:
             fallback = tau.value_at(k)
             if tau.kind == "manual":
                 taus = np.full(a, fallback)
             else:
-                taus = tau_round(messages, half, net.weights, byz_mask, tau.kind)
+                taus = tau_edges(messages, half, net.recv, rel_w, byz_weight, tau.kind)
                 taus = np.where(np.isnan(taus), fallback, taus)
-            new_states = scc_round(messages, half, net.weights, taus)
+            new_states = scc_edges(messages, half, net.recv, net.edge_w, taus)
 
         if honest_byz:
             x = new_states

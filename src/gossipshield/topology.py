@@ -82,6 +82,11 @@ class Network:
         byzantine: sorted agent ids that behave adversarially.
         adjacency: boolean (n, n) symmetric matrix, False on the diagonal.
         weights: Metropolis-Hastings mixing matrix, rows sum to one.
+        recv, send: directed edge list, one entry per nonzero of adjacency
+            in row-major order; edge e carries send[e]'s message to recv[e].
+            The order depends on the adjacency alone, never on the
+            Byzantine labels, so labeled and unlabeled runs sum alike.
+        edge_w: weights[recv, send], the mixing weight of each edge.
     """
 
     n_agents: int
@@ -89,12 +94,38 @@ class Network:
     adjacency: np.ndarray
     weights: np.ndarray
     reliable: tuple[int, ...] = field(init=False)
+    recv: np.ndarray = field(init=False, repr=False)
+    send: np.ndarray = field(init=False, repr=False)
+    edge_w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rel = tuple(i for i in range(self.n_agents) if i not in set(self.byzantine))
         object.__setattr__(self, "reliable", rel)
         self.adjacency.setflags(write=False)
         self.weights.setflags(write=False)
+        recv, send = (np.ascontiguousarray(v) for v in np.nonzero(self.adjacency))
+        edge_w = self.weights[recv, send]
+        for name, arr in (("recv", recv), ("send", send), ("edge_w", edge_w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def byzantine_edges(self) -> np.ndarray:
+        """Boolean mask over the edge list: True where the sender is Byzantine."""
+        byz = np.zeros(self.n_agents, dtype=bool)
+        byz[list(self.byzantine)] = True
+        return byz[self.send]
+
+    def weight_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per receiver, the total edge weight from reliable senders and
+        from Byzantine senders, each summed in edge order."""
+        from_byz = self.byzantine_edges()
+        w_rel = np.bincount(
+            self.recv, np.where(from_byz, 0.0, self.edge_w), minlength=self.n_agents
+        )
+        w_byz = np.bincount(
+            self.recv, np.where(from_byz, self.edge_w, 0.0), minlength=self.n_agents
+        )
+        return w_rel, w_byz
 
     def neighbors(self, i: int) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.adjacency[i])]
@@ -288,13 +319,9 @@ def rho_upper_bound(net: Network) -> float:
     sum of Byzantine-neighbor weights); zero exactly when no reliable agent
     has a Byzantine neighbor.
     """
-    byz = set(net.byzantine)
-    worst = 0.0
-    for i in net.reliable:
-        w_rel = sum(net.weights[i, j] for j in net.reliable_neighbors(i))
-        w_byz = sum(net.weights[i, j] for j in net.byzantine_neighbors(i))
-        worst = max(worst, math.sqrt(w_rel * w_byz))
-    return 4.0 * worst
+    w_rel, w_byz = net.weight_split()
+    rel = list(net.reliable)
+    return 4.0 * float(np.max(np.sqrt(w_rel[rel] * w_byz[rel]), initial=0.0))
 
 
 @dataclass(frozen=True)

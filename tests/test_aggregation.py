@@ -11,12 +11,13 @@ from gossipshield.aggregation import (
     Inbox,
     clip,
     gossip_mean,
-    mean_round,
+    mean_edges,
+    receiver_sum,
     scc_aggregate,
-    scc_round,
+    scc_edges,
     tau_corollary1,
+    tau_edges,
     tau_remark4,
-    tau_round,
 )
 
 HUGE = 1e18
@@ -123,15 +124,19 @@ def test_tau_remark4_examples():
     assert tau_remark4(0, inbox, w, reliable={1}) == TAU_FLOOR
 
 
-def _inboxes_from_matrix(messages, states, net):
-    boxes = {}
-    for i in range(net.n_agents):
-        nbrs = net.neighbors(i)
-        boxes[i] = Inbox(states[i], {j: messages[i, j] for j in nbrs})
-    return boxes
+def _inboxes_from_edges(messages, states, net):
+    received = {i: {} for i in range(net.n_agents)}
+    for e, (i, j) in enumerate(zip(net.recv, net.send)):
+        received[int(i)][int(j)] = messages[e]
+    return {i: Inbox(states[i], received[i]) for i in range(net.n_agents)}
 
 
-def test_matrix_forms_match_reference():
+def _edge_weight_split(net):
+    rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
+    return rel_w, net.weight_split()[1]
+
+
+def test_edge_forms_match_reference():
     rng = np.random.default_rng(8)
     for dim in (1, 3):
         for _ in range(20):
@@ -139,18 +144,18 @@ def test_matrix_forms_match_reference():
                 "random", int(rng.integers(4, 9)), 0.3, seed=int(rng.integers(1 << 30)), edge_p=0.8
             )
             a = net.n_agents
+            e = len(net.recv)
             states = rng.normal(size=(a, dim)) if dim > 1 else rng.normal(size=a)
-            messages = rng.normal(scale=3.0, size=(a, a, dim) if dim > 1 else (a, a))
+            messages = rng.normal(scale=3.0, size=(e, dim) if dim > 1 else e)
             taus = rng.uniform(0.1, 3.0, a)
-            byz_mask = np.zeros(a, dtype=bool)
-            byz_mask[list(net.byzantine)] = True
+            rel_w, byz_weight = _edge_weight_split(net)
 
-            got_scc = scc_round(messages, states, net.weights, taus)
-            got_mean = mean_round(messages, states, net.weights)
-            got_tau = tau_round(messages, states, net.weights, byz_mask, "corollary1")
-            got_r4 = tau_round(messages, states, net.weights, byz_mask, "remark4")
+            got_scc = scc_edges(messages, states, net.recv, net.edge_w, taus)
+            got_mean = mean_edges(messages, states, net.recv, net.edge_w)
+            got_tau = tau_edges(messages, states, net.recv, rel_w, byz_weight, "corollary1")
+            got_r4 = tau_edges(messages, states, net.recv, rel_w, byz_weight, "remark4")
 
-            for i, inbox in _inboxes_from_matrix(messages, states, net).items():
+            for i, inbox in _inboxes_from_edges(messages, states, net).items():
                 ref = scc_aggregate(i, inbox, net.weights[i], taus[i])
                 assert np.allclose(np.atleast_1d(got_scc[i]), ref, atol=1e-12)
                 ref_m = gossip_mean(i, inbox, net.weights[i])
@@ -164,12 +169,27 @@ def test_matrix_forms_match_reference():
                 assert got_r4[i] == pytest.approx(ref_r4, rel=1e-12)
 
 
+def test_receiver_sum_against_loop():
+    rng = np.random.default_rng(12)
+    for shape in ((), (3,)):
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            recv = np.sort(rng.integers(0, n, size=int(rng.integers(0, 15))))
+            values = rng.normal(size=(len(recv),) + shape)
+            expect = np.zeros((n,) + shape)
+            for r, v in zip(recv, values):
+                expect[r] += v
+            got = receiver_sum(recv, values, n)
+            assert got.shape == expect.shape
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
 def test_unclipped_round_reproduces_virtual_mixing():
     rng = np.random.default_rng(10)
     net = build_network("random", 8, 0.0, seed=5, edge_p=0.7)
     states = rng.normal(size=8)
-    messages = np.tile(states, (8, 1)) * net.adjacency  # broadcast over edges
-    out = scc_round(messages, states, net.weights, np.full(8, HUGE))
+    messages = states[net.send]  # every sender broadcasts its state
+    out = scc_edges(messages, states, net.recv, net.edge_w, np.full(8, HUGE))
     vm = virtual_matrix(net)
     assert np.allclose(out, vm.matrix @ states, atol=1e-12)
 

@@ -86,9 +86,18 @@ def test_spec_validation():
     AttackSpec(kind="sign_flip", s_b=0.0)  # zero deviation allowed
 
 
+def _delivered(net, messages):
+    """Per-edge messages keyed by (receiver, sender)."""
+    return {(int(i), int(j)): messages[e] for e, (i, j) in enumerate(zip(net.recv, net.send))}
+
+
+def _from(net, messages, j):
+    """Messages sender j delivered, in receiver order."""
+    return messages[net.send == j]
+
+
 def _plan_messages(net, spec, models, k=0):
-    a = net.n_agents
-    messages = np.tile(models, (a, 1))
+    messages = models[net.send]
     plan = AttackPlan(spec, net)
     plan.apply(messages, k, models)
     return messages
@@ -98,24 +107,26 @@ def test_plan_silent_and_none():
     net = build_network("complete", 6, byzantine_ids=(1, 4))
     models = np.arange(6.0)
     silent = _plan_messages(net, AttackSpec(kind="silent"), models)
-    assert np.array_equal(silent[:, 1], np.zeros(6))
-    assert np.array_equal(silent[:, 4], np.zeros(6))
-    assert np.array_equal(silent[:, 0], np.full(6, 0.0))
-    assert np.array_equal(silent[:, 2], np.full(6, 2.0))
+    assert np.array_equal(_from(net, silent, 1), np.zeros(5))
+    assert np.array_equal(_from(net, silent, 4), np.zeros(5))
+    assert np.array_equal(_from(net, silent, 0), np.full(5, 0.0))
+    assert np.array_equal(_from(net, silent, 2), np.full(5, 2.0))
     honest = _plan_messages(net, AttackSpec(kind="none"), models)
-    assert np.array_equal(honest, np.tile(models, (6, 1)))
+    assert np.array_equal(honest, models[net.send])
 
 
 def test_plan_sign_flip_star():
     net = build_network("star", 6, byzantine_ids=(0,))  # hub is index 5
     models = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    out = _plan_messages(net, AttackSpec(kind="sign_flip", s_b=2.0), models)
-    # leaf 1's reliable closed neighborhood is {1, hub}
-    assert out[1, 0] == pytest.approx(-2.0 * (1.0 + 5.0) / 2.0)
-    # hub's reliable closed neighborhood excludes the Byzantine leaf 0
+    msgs = _plan_messages(net, AttackSpec(kind="sign_flip", s_b=2.0), models)
+    out = _delivered(net, msgs)
+    # leaf 0's only receiver is the hub, whose reliable closed neighborhood
+    # excludes the Byzantine leaf 0
+    assert [key for key in out if key[1] == 0] == [(5, 0)]
     assert out[5, 0] == pytest.approx(-2.0 * (1.0 + 2.0 + 3.0 + 4.0 + 5.0) / 5.0)
-    # honest columns untouched
-    assert np.array_equal(out[:, 2], np.full(6, 2.0))
+    # honest edges untouched
+    honest = net.send != 0
+    assert np.array_equal(msgs[honest], models[net.send[honest]])
 
 
 def test_plan_alie_broadcasts_population_statistic():
@@ -123,23 +134,23 @@ def test_plan_alie_broadcasts_population_statistic():
     models = np.array([0.0, 2.0, 50.0, 0.0, 2.0])
     spec = AttackSpec(kind="alie")
     plan = AttackPlan(spec, net)
-    messages = np.tile(models, (5, 1))
+    messages = models[net.send]
     plan.apply(messages, 3, models)
     rel = np.array([0.0, 2.0, 0.0, 2.0])
     expect = rel.mean() - plan._alie_a * rel.std()
-    assert np.allclose(messages[:, 2], expect)
+    assert np.allclose(_from(net, messages, 2), expect)
     local = AttackSpec(kind="alie", omniscient=False)
-    local_msgs = np.tile(models, (5, 1))
+    local_msgs = models[net.send]
     AttackPlan(local, net).apply(local_msgs, 3, models)
     # complete graph: local view equals the global reliable view
-    assert np.allclose(local_msgs[:, 2], expect)
+    assert np.allclose(_from(net, local_msgs, 2), expect)
 
 
 def test_plan_dissensus_hand_value():
     net = build_network("complete", 4, byzantine_ids=(3,))
     # receiver 0 sees reliable 1, 2 and Byzantine 3, all with weight 1/4
     models = np.array([0.0, 1.0, 1.0, 9.0])
-    out = _plan_messages(net, AttackSpec(kind="dissensus", d_r=1.0), models)
+    out = _delivered(net, _plan_messages(net, AttackSpec(kind="dissensus", d_r=1.0), models))
     drift = 0.25 * (1.0 - 0.0) + 0.25 * (1.0 - 0.0)
     assert out[0, 3] == pytest.approx(0.0 - drift / 0.25)
     assert out[1, 3] == pytest.approx(1.0 - (0.25 * (0.0 - 1.0)) / 0.25)
@@ -155,13 +166,13 @@ def test_plan_perturbed_dup_round_robin_and_fixed():
     )
     plan = AttackPlan(spec, net)
     for k, victim_state in ((0, 10.0), (1, 20.0), (2, 30.0), (3, 10.0)):
-        messages = np.tile(models, (4, 1))
+        messages = models[net.send]
         plan.apply(messages, k, models)
-        assert np.allclose(messages[:, 3], 1.01 * victim_state + 1.0 / (k + 10))
+        assert np.allclose(_from(net, messages, 3), 1.01 * victim_state + 1.0 / (k + 10))
     fixed = AttackSpec(kind="perturbed_dup", p_mult=2.0, p_add=0.5, victim=1)
-    msgs = np.tile(models, (4, 1))
+    msgs = models[net.send]
     AttackPlan(fixed, net).apply(msgs, 7, models)
-    assert np.allclose(msgs[:, 3], 2.0 * 20.0 + 0.5)
+    assert np.allclose(_from(net, msgs, 3), 2.0 * 20.0 + 0.5)
     with pytest.raises(ConfigError):
         AttackPlan(AttackSpec(kind="perturbed_dup", victim=3), net)
 
@@ -169,12 +180,10 @@ def test_plan_perturbed_dup_round_robin_and_fixed():
 def test_plan_multidim_states():
     net = build_network("complete", 4, byzantine_ids=(3,))
     models = np.arange(8.0).reshape(4, 2)
-    messages = np.tile(models, (4, 1, 1))
-    AttackPlan(AttackSpec(kind="sign_flip", s_b=1.0), net).apply(messages, 0, models)
+    messages = _delivered(net, _plan_messages(net, AttackSpec(kind="sign_flip", s_b=1.0), models))
     expect = -models[:3].mean(axis=0)
     assert np.allclose(messages[0, 3], expect)
-    d_msgs = np.tile(models, (4, 1, 1))
-    AttackPlan(AttackSpec(kind="dissensus", d_r=0.5), net).apply(d_msgs, 0, models)
+    d_msgs = _delivered(net, _plan_messages(net, AttackSpec(kind="dissensus", d_r=0.5), models))
     drift0 = 0.25 * (models[1] - models[0]) + 0.25 * (models[2] - models[0])
     assert np.allclose(d_msgs[0, 3], models[0] - 0.5 * drift0 / 0.25)
 
@@ -184,13 +193,13 @@ def test_plan_deterministic_replay():
     models = np.random.default_rng(5).normal(size=10)
     for kind in ("sign_flip", "alie", "dissensus", "perturbed_dup", "silent"):
         spec = AttackSpec(kind=kind)
-        a = np.tile(models, (10, 1))
-        b = np.tile(models, (10, 1))
+        a = models[net.send]
+        b = models[net.send]
         AttackPlan(spec, net).apply(a, 11, models)
         AttackPlan(spec, net).apply(b, 11, models)
         assert np.array_equal(a, b)
     # attacks never mutate the model snapshot
     snap = models.copy()
-    m = np.tile(models, (10, 1))
+    m = models[net.send]
     AttackPlan(AttackSpec(kind="dissensus"), net).apply(m, 2, models)
     assert np.array_equal(models, snap)

@@ -223,6 +223,32 @@ def test_privacy_trace_section():
         build_experiment(cfg)
 
 
+def test_topology_byzantine_ids():
+    cfg = _base_cfg()
+    del cfg["topology"]["byz_fraction"]
+    cfg["topology"]["byzantine_ids"] = [5, 0]
+    exp = build_experiment(cfg)
+    assert exp.net.byzantine == (0, 5)
+    assert exp.prob.reliable == exp.net.reliable
+    assert exp.normalized["topology"] == {
+        "kind": "random", "n_agents": 10, "byzantine_ids": [0, 5], "seed": 3, "edge_p": 0.5,
+    }
+    # configs without the key keep the hash they had before it existed
+    assert build_experiment(_base_cfg()).config_hash == (
+        "ae330a10a81576e17a6c6421ba17c91993e85c41163dc671d6d428f6e59b0bf3"
+    )
+    both = _base_cfg()
+    both["topology"]["byzantine_ids"] = [0, 5]
+    with pytest.raises(ConfigError, match="either byz_fraction or byzantine_ids"):
+        build_experiment(both)
+    cfg["topology"]["byzantine_ids"] = 5
+    with pytest.raises(ConfigError, match="byzantine_ids"):
+        build_experiment(cfg)
+    cfg["topology"]["byzantine_ids"] = [0, 2.5]
+    with pytest.raises(ConfigError, match="byzantine_ids"):
+        build_experiment(cfg)
+
+
 def test_bound_column_builds_constants():
     cfg = _base_cfg()
     cfg["topology"]["byz_fraction"] = 0.0

@@ -31,6 +31,19 @@ from gossipshield import (
     theory_constants,
     validate_schedule,
 )
+from gossipshield.aggregation import (
+    Inbox,
+    gossip_mean,
+    scc_aggregate,
+    tau_corollary1,
+)
+from gossipshield.attacks import (
+    alie_coefficient,
+    alie_msg,
+    dissensus_msg,
+    perturbed_dup_msg,
+    sign_flip_msg,
+)
 
 
 def _quad_objective(agent: int) -> LocalObjective:
@@ -451,3 +464,120 @@ def test_run_ensemble_curves():
     )
     with pytest.raises(ConfigError):
         run_ensemble(net, prob, sched, 5, [], agg="mean")
+
+
+def test_out_of_regime_bound_column_refuses_before_first_round():
+    calls = []
+
+    def counted(agent):
+        def sample_gradient(x, rng):
+            calls.append(agent)
+            return 2.0 * x
+
+        return dataclasses.replace(_quad_objective(agent), sample_gradient=sample_gradient)
+
+    net = build_network("complete", 6, byzantine_ids=(2,))
+    prob = custom_problem([counted(i) for i in range(6)], net.byzantine)
+    sched = DecayingSchedule(scale=0.01, k0=10)
+    # a Byzantine neighbor at weight 1/6 puts rho far above rho_bar
+    out_of_regime = theory_constants(net, rho_upper_bound(net), 2.0, 2.0, 0.0, 0.0, 0.0, 1)
+    assert not out_of_regime.regime_valid
+    valid = _valid_consts()
+    for consts, bad in (
+        (out_of_regime, sched),
+        (valid, DecayingSchedule(scale=valid.theta, k0=14)),  # k0 * phi = 2
+        (valid, DecayingSchedule(scale=2 * valid.theta, k0=15)),
+        (valid, ConstantSchedule(2 * valid.theta)),
+    ):
+        with pytest.raises(RegimeError), pytest.warns(UserWarning):
+            run(net, prob, bad, 20, 1, agg="mean", consts=consts)
+        with pytest.raises(RegimeError), pytest.warns(UserWarning):
+            run_ensemble(net, prob, bad, 20, [1, 2], consts=consts, agg="mean")
+    assert calls == []
+    # an admissible pair still runs every round
+    log = run(net, prob, DecayingSchedule(scale=valid.theta, k0=15), 3, 1, agg="mean", consts=valid)
+    assert log.status == "completed" and len(calls) == 3 * 6
+
+
+def _vec_quad_objective(agent: int, centre: np.ndarray) -> LocalObjective:
+    # deterministic |x - c|^2 / 2 oracle in three dimensions
+    return LocalObjective(
+        agent=agent,
+        family="vquad",
+        expected_value=lambda x: 0.5 * float(np.sum((x - centre) ** 2)),
+        expected_gradient=lambda x: x - centre,
+        sample_value=lambda x, u, v: 0.5 * float(np.sum((x - centre) ** 2)),
+        sample_gradient=lambda x, rng: x - centre,
+    )
+
+
+def _oracle_message(spec, net, models, k, i, b):
+    """What Byzantine b sends reliable receiver i in round k, from the
+    per-message attack functions."""
+    w = net.weights
+    rel_nbrs = net.reliable_neighbors(i)
+    if spec.kind == "silent":
+        return np.zeros_like(models[b])
+    if spec.kind == "sign_flip":
+        return sign_flip_msg(models[[i] + rel_nbrs], spec.s_b)
+    if spec.kind == "alie":
+        pool = models[[i] + rel_nbrs] if spec.alie_local else models[list(net.reliable)]
+        return alie_msg(pool, alie_coefficient(net.n_agents, len(net.reliable)))
+    if spec.kind == "dissensus":
+        byz_w = sum(w[i, j] for j in net.byzantine_neighbors(i))
+        return dissensus_msg(models[i], models[rel_nbrs], w[i, rel_nbrs], byz_w, spec.d_r)
+    if spec.kind == "perturbed_dup":
+        members = sorted(set(net.neighbors(b)) & set(net.reliable))
+        return perturbed_dup_msg(models[members[k % len(members)]], spec.p_mult, spec.p_add)
+    raise AssertionError(spec.kind)
+
+
+def test_edge_round_matches_inbox_references():
+    rng = np.random.default_rng(40)
+    net = build_network("random", 12, byz_fraction=0.25, seed=8, edge_p=0.5)
+    byz = set(net.byzantine)
+    assert any(net.byzantine_neighbors(i) for i in net.reliable)
+    scalar = benchmark_problem(byzantine=net.byzantine, n_agents=12, family_of=[i % 10 + 1 for i in range(12)])
+    centres = rng.normal(size=(12, 3))
+    vector = custom_problem(
+        [_vec_quad_objective(i, centres[i]) for i in range(12)], net.byzantine,
+        dim=3, f_star=0.0, pl_constant=1.0, smoothness=1.0,
+    )
+    specs = [
+        AttackSpec(kind="none"),
+        AttackSpec(kind="sign_flip", s_b=1.5),
+        AttackSpec(kind="alie"),
+        AttackSpec(kind="alie", alie_local=True),
+        AttackSpec(kind="dissensus", d_r=0.7),
+        AttackSpec(kind="perturbed_dup", p_mult=1.2, p_add=0.3),
+        AttackSpec(kind="silent"),
+    ]
+    fallback = 2.0
+    n_rounds = 4
+    for prob in (scalar, vector):
+        for spec in specs:
+            for agg, tau in (("scc", TauSpec("corollary1", fallback)), ("mean", None)):
+                log = run(
+                    net, prob, DecayingSchedule(scale=0.5, k0=10), n_rounds, 3,
+                    noise=1e-3, attack=spec, agg=agg, tau=tau, record_traces=True,
+                )
+                assert log.rounds_completed == n_rounds
+                for k in range(n_rounds):
+                    x, half, x_next = log.traces[k], log.half_traces[k], log.traces[k + 1]
+                    for i in net.reliable:
+                        received = {
+                            j: half[j] if spec.kind == "none" or j not in byz
+                            else _oracle_message(spec, net, x, k, i, j)
+                            for j in net.neighbors(i)
+                        }
+                        inbox = Inbox(half[i], received)
+                        if agg == "mean":
+                            ref = gossip_mean(i, inbox, net.weights[i])
+                        else:
+                            radius = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+                            radius = fallback if radius is None else radius
+                            ref = scc_aggregate(i, inbox, net.weights[i], radius)
+                        np.testing.assert_allclose(
+                            np.atleast_1d(x_next[i]), ref, rtol=0, atol=1e-12,
+                            err_msg=f"{spec} {agg} dim {prob.dim} round {k} agent {i}",
+                        )

@@ -7,6 +7,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from gossipshield import (
+    Network,
     TopologyError,
     build_network,
     constants_from_mixing,
@@ -139,6 +140,53 @@ def test_rho_upper_bound_zero_without_byzantine_neighbors():
     # star with Byzantine leaves: only the hub borders them
     star = build_network("star", 10, byzantine_ids=(0,))
     assert rho_upper_bound(star) > 0.0
+
+
+def _rho_upper_bound_loop(net):
+    # per-agent reference: the formula's sums taken neighbor by neighbor
+    worst = 0.0
+    for i in net.reliable:
+        w_rel = sum(net.weights[i, j] for j in net.reliable_neighbors(i))
+        w_byz = sum(net.weights[i, j] for j in net.byzantine_neighbors(i))
+        worst = max(worst, math.sqrt(w_rel * w_byz))
+    return 4.0 * worst
+
+
+def test_rho_upper_bound_matches_per_agent_loop():
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(2, 30))
+        kind = ["star", "random", "complete"][checked % 3]
+        try:
+            net = build_network(
+                kind, n, float(rng.uniform(0.0, 0.5)), seed=int(rng.integers(1 << 30)),
+                edge_p=float(rng.uniform(0.2, 1.0)),
+            )
+        except TopologyError:
+            continue
+        assert rho_upper_bound(net) == _rho_upper_bound_loop(net)
+        checked += 1
+
+
+def test_edge_list_independent_of_labels():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(2, 15))
+        upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+        adj = upper | upper.T
+        w = metropolis_weights(adj)
+        byz = tuple(int(b) for b in rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+        labeled = Network(n_agents=n, byzantine=tuple(sorted(byz)), adjacency=adj, weights=w)
+        plain = Network(n_agents=n, byzantine=(), adjacency=adj.copy(), weights=w.copy())
+        for name in ("recv", "send", "edge_w"):
+            assert np.array_equal(getattr(labeled, name), getattr(plain, name))
+        assert np.array_equal(labeled.edge_w, w[labeled.recv, labeled.send])
+        assert len(labeled.recv) == int(adj.sum())
+    star_b = build_network("star", 12, byz_fraction=0.25, seed=5)
+    star_0 = build_network("star", 12, byz_fraction=0.0, seed=5)
+    for name in ("recv", "send", "edge_w"):
+        assert np.array_equal(getattr(star_b, name), getattr(star_0, name))
 
 
 def test_constants_hand_check():
