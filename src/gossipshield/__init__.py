@@ -61,7 +61,6 @@ from .engine import (
     consensus_error,
     dk_bound,
     optimal_gap_series,
-    pre_agg_disagreement,
     run,
     run_ensemble,
     validate_schedule,

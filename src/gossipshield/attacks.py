@@ -45,9 +45,8 @@ class AttackSpec:
     p_mult and p_add accept a constant or any schedule object with an
     alpha(k) method, so perturbations can decay over rounds. victim None
     rotates over the sender's reliable neighbors round-robin; an explicit
-    id pins it. omniscient=False withholds the global model view, which
-    demotes the population statistics attack to its neighborhood-local
-    variant.
+    id pins it. alie_local=True demotes the population statistics attack
+    from the global reliable view to each receiver's neighborhood.
     """
 
     kind: str = "none"
@@ -57,7 +56,6 @@ class AttackSpec:
     p_add: float | object = 0.0
     victim: int | None = None
     alie_local: bool = False
-    omniscient: bool = True
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -170,7 +168,7 @@ class AttackPlan:
 
         if spec.kind == "alie":
             self._alie_a = alie_coefficient(n, len(self.rel))
-            self._alie_global = spec.omniscient and not spec.alie_local
+            self._alie_global = not spec.alie_local
 
         if spec.kind == "perturbed_dup":
             if spec.victim is not None and spec.victim not in self.rel:

@@ -2,15 +2,18 @@
 
 Determinism contract: every random draw comes from a per-agent stream
 seeded by (master seed, agent id, purpose tag), where purpose 0 is the
-initial state, 1 the gradient sampling pair, and 2 the masking noise.
+initial state, 1 the gradient sampling, and 2 the masking noise.
 Because streams are keyed per agent and the noise stream only advances
 when masking is on, toggling the Byzantine set, the attack, or the noise
 variance never perturbs anyone else's draws; several equivalence
 invariants in the test suite lean on exactly this.
 
-Gradient streams are consumed in (u, v) pairs per round. The vectorized
-path pre-draws them in chunks; chunking batches the same stream values in
-the same order, so chunked and call-by-call runs are bit-identical.
+Every problem takes the same path: the problem's gradient sampler draws
+each round's gradients from the purpose-1 streams, and the masking noise
+is a block of standard normals from the purpose-2 streams, scaled by the
+noise standard deviation. Both are drawn in chunks of rounds that batch
+the same stream values in the same order, so a run is a prefix of any
+longer run with the same inputs.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 from .aggregation import mean_edges, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
 from .errors import BrokenOptimumError, ConfigError, RegimeError
-from .objectives import GlobalProblem
-from .privacy import NoiseSpec, mask_gradient
+from .objectives import GlobalProblem, normal_blocks
+from .privacy import NoiseSpec
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .topology import Network, TheoryConstants, rho_upper_bound, theory_constants
 
@@ -35,7 +38,6 @@ __all__ = [
     "run",
     "run_ensemble",
     "consensus_error",
-    "pre_agg_disagreement",
     "dk_bound",
     "optimal_gap_series",
     "validate_schedule",
@@ -93,9 +95,6 @@ class MetricsLog:
     final_x: np.ndarray | None = None
     traces: np.ndarray | None = None
     half_traces: np.ndarray | None = None
-    draws_u: np.ndarray | None = None
-    draws_v: np.ndarray | None = None
-    draws_noise: np.ndarray | None = None
 
     @property
     def rounds_completed(self) -> int:
@@ -130,11 +129,6 @@ def consensus_error(models: np.ndarray) -> float:
         raise ConfigError("need at least one reliable agent")
     centered = models - models.mean(axis=0)
     return float(np.sum(centered * centered))
-
-
-def pre_agg_disagreement(half_steps: np.ndarray) -> float:
-    """consensus_error measured on half-steps, before aggregation."""
-    return consensus_error(half_steps)
 
 
 def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
@@ -229,55 +223,20 @@ def dk_bound(
     return float(out) if out.ndim == 0 else out
 
 
-class _AgentStreams:
-    """Chunked per-agent draws for the vectorized scalar path."""
-
-    def __init__(self, seed: int, n_agents: int, u_std: float, v_std: float, chunk: int):
-        self._grad = [
-            np.random.default_rng(np.random.SeedSequence([seed, i, 1]))
-            for i in range(n_agents)
-        ]
-        self._noise = [
-            np.random.default_rng(np.random.SeedSequence([seed, i, 2]))
-            for i in range(n_agents)
-        ]
-        self._u_std = u_std
-        self._v_std = v_std
-        self._chunk = chunk
-        self._uv: np.ndarray | None = None
-        self._nz: np.ndarray | None = None
-        self._uv_pos = chunk
-        self._nz_pos = chunk
-
-    def next_uv(self):
-        if self._uv_pos >= self._chunk:
-            z = np.stack([r.standard_normal((self._chunk, 2)) for r in self._grad], axis=1)
-            self._uv = z
-            self._uv_pos = 0
-        z = self._uv[self._uv_pos]
-        self._uv_pos += 1
-        return 1.0 + self._u_std * z[:, 0], self._v_std * z[:, 1]
-
-    def next_noise(self):
-        if self._nz_pos >= self._chunk:
-            self._nz = np.stack([r.standard_normal(self._chunk) for r in self._noise], axis=1)
-            self._nz_pos = 0
-        z = self._nz[self._nz_pos]
-        self._nz_pos += 1
-        return z
+def _agent_rngs(seed: int, n_agents: int, purpose: int) -> list:
+    """One generator per agent, keyed by (seed, agent, purpose)."""
+    return [
+        np.random.default_rng(np.random.SeedSequence([seed, i, purpose]))
+        for i in range(n_agents)
+    ]
 
 
 def _initial_states(
     seed: int, n_agents: int, dim: int, x0
 ) -> np.ndarray:
     if x0 is None:
-        draws = [
-            np.random.default_rng(np.random.SeedSequence([seed, i, 0])).uniform(
-                -5.0, 5.0, size=dim
-            )
-            for i in range(n_agents)
-        ]
-        arr = np.array(draws)
+        rngs = _agent_rngs(seed, n_agents, 0)
+        arr = np.array([rng.uniform(-5.0, 5.0, size=dim) for rng in rngs])
         return arr[:, 0] if dim == 1 else arr
     arr = np.asarray(x0, dtype=float)
     if arr.ndim == 0:
@@ -304,8 +263,6 @@ def run(
     consts: TheoryConstants | None = None,
     theory_mode: bool = False,
     record_traces: bool = False,
-    record_draws: bool = False,
-    chunk: int = 512,
 ) -> MetricsLog:
     """Execute the full round loop and collect reliable-set metrics.
 
@@ -364,21 +321,11 @@ def run(
         byz_weight = net.weight_split()[1]
 
     x = _initial_states(seed, a, prob.dim, x0)
-    scalar = x.ndim == 1
-    fast = scalar and prob.u_coeffs is not None
-    # a chunk longer than the run would draw rounds nobody reads
-    chunk = max(1, min(chunk, n_rounds))
-    streams = (
-        _AgentStreams(seed, a, prob.u_std, prob.v_std, chunk) if fast else None
-    )
-    slow_grad_rngs = slow_noise_rngs = None
-    if not fast:
-        slow_grad_rngs = [
-            np.random.default_rng(np.random.SeedSequence([seed, i, 1])) for i in range(a)
-        ]
-        slow_noise_rngs = [
-            np.random.default_rng(np.random.SeedSequence([seed, i, 2])) for i in range(a)
-        ]
+    sample = prob.gradient_sampler(_agent_rngs(seed, a, 1), n_rounds)
+    masked = noise.variance > 0.0
+    if masked:
+        noise_blocks = normal_blocks(_agent_rngs(seed, a, 2), n_rounds, x.shape[1:])
+        noise_std = np.sqrt(noise.variance)
 
     n_rows = n_rounds + 1
     col_consensus = np.empty(n_rows)
@@ -386,9 +333,6 @@ def run(
     col_f = np.empty(n_rows)
     traces = np.empty((n_rows,) + x.shape) if record_traces else None
     half_traces = np.empty((n_rounds,) + x.shape) if record_traces else None
-    d_u = np.empty((n_rounds, a)) if record_draws and fast else None
-    d_v = np.empty((n_rounds, a)) if record_draws and fast else None
-    d_n = np.empty((n_rounds, a)) if record_draws and fast else None
 
     status = "completed"
     diverged_at = None
@@ -405,29 +349,12 @@ def run(
             break
 
         alpha = float(sched.alpha(k))
-        if fast:
-            u, v = streams.next_uv()
-            grads = u * prob.agent_cores(x)
-            if noise.variance > 0.0:
-                z = streams.next_noise()
-                if d_n is not None:
-                    d_n[k] = np.sqrt(noise.variance) * z
-                grads = grads + np.sqrt(noise.variance) * z
-            elif d_n is not None:
-                d_n[k] = 0.0
-            if d_u is not None:
-                d_u[k], d_v[k] = u, v
-        else:
-            grads = np.empty_like(x)
-            for i in range(a):
-                g = np.atleast_1d(
-                    np.asarray(prob.objectives[i].sample_gradient(x[i], slow_grad_rngs[i]))
-                )
-                g = mask_gradient(g, noise, slow_noise_rngs[i])
-                grads[i] = g if not scalar else g[0]
+        grads = sample(x)
+        if masked:
+            grads = grads + noise_std * next(noise_blocks)
 
         half = x - alpha * grads
-        col_pre[k] = pre_agg_disagreement(half[rel])
+        col_pre[k] = consensus_error(half[rel])
         if half_traces is not None:
             half_traces[k] = half
         n_half = k + 1
@@ -482,9 +409,6 @@ def run(
         final_x=x.copy(),
         traces=None if traces is None else traces[:rows].copy(),
         half_traces=None if half_traces is None else half_traces[:n_half].copy(),
-        draws_u=None if d_u is None else d_u[:n_half].copy(),
-        draws_v=None if d_v is None else d_v[:n_half].copy(),
-        draws_noise=None if d_n is None else d_n[:n_half].copy(),
     )
 
 

@@ -10,6 +10,9 @@ covers.
 
 Every family is a linear combination of eight basis terms; coefficient
 rows live in _U_COEFFS and make batched evaluation a matrix product.
+
+GlobalProblem.gradient_sampler is the one place that knows how a round's
+stochastic gradients are drawn from the per-agent streams.
 """
 
 from __future__ import annotations
@@ -54,6 +57,30 @@ _U_COEFFS = np.array(
 )
 # Additive v draw: present in every family except the first.
 _V_COEFFS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+# Elements in one pre-drawn block buffer (8 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=()):
+    """Yield n_rounds blocks of standard normals, each (len(rngs),) + shape.
+
+    Row i of every block comes from rngs[i], in stream order. Rounds are
+    drawn in chunks of up to 512 that batch the same values in the same
+    order, so the chunk length never changes a draw. A yielded block is a
+    view that the next chunk overwrites.
+    """
+    n = len(rngs)
+    chunk = max(1, min(512, n_rounds, _BLOCK_ELEMENTS // (n * math.prod(shape))))
+    buf = np.empty((n, chunk) + shape)
+    left = n_rounds
+    while left > 0:
+        m = min(chunk, left)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=buf[i, :m])
+        for k in range(m):
+            yield buf[:, k]
+        left -= m
 
 
 def _basis_values(x):
@@ -193,7 +220,8 @@ class GlobalProblem:
     u_std: float
     v_std: float
     # (n_agents, 8) family coefficients when every objective is a benchmark
-    # family; None disables the vectorized paths.
+    # family; with None, gradients and values come from each agent's own
+    # LocalObjective callables.
     u_coeffs: np.ndarray | None = None
     mean_u_coeffs: np.ndarray | None = None
 
@@ -231,13 +259,39 @@ class GlobalProblem:
     def agent_cores(self, x_per_agent: np.ndarray) -> np.ndarray:
         """Expected gradient of each agent's objective at that agent's point.
 
-        Scalar problems only; the engine multiplies by the u draws.
+        Scalar problems only; gradient_sampler multiplies by the u draws.
         """
         if self.u_coeffs is not None:
             return np.einsum("ab,ba->a", self.u_coeffs, _basis_cores(x_per_agent))
         return np.array(
             [obj.expected_gradient(x) for obj, x in zip(self.objectives, x_per_agent)]
         )
+
+    def gradient_sampler(self, rngs: Sequence[np.random.Generator], n_rounds: int):
+        """Per-round stochastic gradients of every agent, as x -> grads.
+
+        Agent i draws from rngs[i] exactly what its own sample_gradient
+        would: for the benchmark families one (u, v) pair per round, batched
+        by normal_blocks, with gradient u times the agent's core. Call the
+        returned function once per round, at most n_rounds times.
+        """
+        if self.u_coeffs is not None:
+            blocks = normal_blocks(rngs, n_rounds, (2,))
+
+            def sample(x):
+                u = 1.0 + self.u_std * next(blocks)[:, 0]
+                return u * self.agent_cores(x)
+
+            return sample
+
+        def sample(x):
+            grads = np.empty_like(x)
+            for i, rng in enumerate(rngs):
+                g = np.atleast_1d(np.asarray(self.objectives[i].sample_gradient(x[i], rng)))
+                grads[i] = g[0] if x.ndim == 1 else g
+            return grads
+
+        return sample
 
     def agent_values(self, x_per_agent: np.ndarray) -> np.ndarray:
         if self.u_coeffs is not None:

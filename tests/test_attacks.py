@@ -139,7 +139,7 @@ def test_plan_alie_broadcasts_population_statistic():
     rel = np.array([0.0, 2.0, 0.0, 2.0])
     expect = rel.mean() - plan._alie_a * rel.std()
     assert np.allclose(_from(net, messages, 2), expect)
-    local = AttackSpec(kind="alie", omniscient=False)
+    local = AttackSpec(kind="alie", alie_local=True)
     local_msgs = models[net.send]
     AttackPlan(local, net).apply(local_msgs, 3, models)
     # complete graph: local view equals the global reliable view

@@ -24,7 +24,6 @@ from gossipshield import (
     custom_problem,
     dk_bound,
     optimal_gap_series,
-    pre_agg_disagreement,
     rho_upper_bound,
     run,
     run_ensemble,
@@ -70,7 +69,6 @@ def test_consensus_error_examples():
     # multi-dim: rows (0,0) and (2,0) have mean (1,0), each 1 away
     two_d = np.array([[0.0, 0.0], [2.0, 0.0]])
     assert consensus_error(two_d) == pytest.approx(2.0, abs=1e-15)
-    assert pre_agg_disagreement(np.array([0.0, 2.0])) == pytest.approx(2.0)
     with pytest.raises(ConfigError):
         consensus_error(np.empty((0, 3)))
     rng = np.random.default_rng(0)
@@ -177,30 +175,44 @@ def test_run_bit_identical_repeat():
     assert np.isnan(a.pre_agg[-1])
 
 
+def _stream_normals(seed, purpose, n_agents, n_rounds, shape=()):
+    """Standard normals of every agent's (seed, agent, purpose) stream,
+    drawn one agent and one round at a time: (n_rounds, n_agents) + shape."""
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([seed, i, purpose]))
+        for i in range(n_agents)
+    ]
+    return np.array([[r.standard_normal(shape) for r in rngs] for _ in range(n_rounds)])
+
+
 def test_half_step_replay_and_metric_definitions():
     net, prob = _small_setup()
     sched = DecayingSchedule(scale=2.0, k0=10)
+    # 520 rounds cross the first 512-round chunk of pre-drawn normals
+    seed, n_rounds, variance = 11, 520, 1e-4
     log = run(
         net,
         prob,
         sched,
-        40,
-        11,
-        noise=1e-4,
+        n_rounds,
+        seed,
+        noise=variance,
         attack=AttackSpec(kind="alie"),
         agg="scc",
         tau=TauSpec("manual", 0.5),
         record_traces=True,
-        record_draws=True,
     )
+    # each round draws a (u, v) pair per agent and masks with one normal
+    u = 1.0 + prob.u_std * _stream_normals(seed, 1, 20, n_rounds, (2,))[..., 0]
+    z = _stream_normals(seed, 2, 20, n_rounds)
     rel = list(net.reliable)
-    for k in range(40):
+    for k in range(n_rounds):
         x = log.traces[k]
         alpha = sched.scale / (k + sched.k0)
-        grads = log.draws_u[k] * prob.agent_cores(x) + log.draws_noise[k]
+        grads = u[k] * prob.agent_cores(x) + math.sqrt(variance) * z[k]
         half = x - alpha * grads
         assert np.array_equal(half, log.half_traces[k]), f"round {k}"
-        assert log.pre_agg[k] == pre_agg_disagreement(half[rel])
+        assert log.pre_agg[k] == consensus_error(half[rel])
         assert log.consensus[k] == consensus_error(x[rel])
         assert log.f_bar[k] == float(prob.f(x[rel].mean()))
 
@@ -294,25 +306,84 @@ def test_fast_and_generic_paths_agree():
     np.testing.assert_allclose(fast.traces, generic.traces, rtol=0, atol=1e-12)
 
 
-def test_chunk_size_independence():
+def _noisy_quad_objective(agent: int, centre: np.ndarray) -> LocalObjective:
+    # u/2 |x - c|^2 at a draw u ~ N(1, 0.1^2) from the agent's stream
+    return LocalObjective(
+        agent=agent,
+        family="noisy-quad",
+        expected_value=lambda x: 0.5 * float(np.sum((x - centre) ** 2)),
+        expected_gradient=lambda x: x - centre,
+        sample_value=lambda x, u, v: 0.5 * u * float(np.sum((x - centre) ** 2)),
+        sample_gradient=lambda x, rng: rng.normal(1.0, 0.1) * (x - centre),
+    )
+
+
+def _noisy_vector_setup(n=12, dim=3):
+    net = build_network("random", n, byz_fraction=0.25, seed=8, edge_p=0.5)
+    centres = np.random.default_rng(41).normal(size=(n, dim))
+    prob = custom_problem(
+        [_noisy_quad_objective(i, centres[i]) for i in range(n)], net.byzantine,
+        dim=dim, f_star=0.0, pl_constant=1.0, smoothness=1.1,
+    )
+    return net, prob, centres
+
+
+def test_run_is_prefix_of_longer_run():
+    # the 600-round run draws its streams in chunks that end inside the
+    # run; the 45-round run draws them in one chunk of 45
     net, prob = _small_setup()
+    vnet, vprob, _ = _noisy_vector_setup()
     sched = DecayingSchedule(scale=2.0, k0=10)
-    kw = dict(noise=1e-4, agg="scc", tau=TauSpec("manual", 0.5))
-    a = run(net, prob, sched, 45, 11, chunk=7, **kw)
-    b = run(net, prob, sched, 45, 11, chunk=512, **kw)
-    assert np.array_equal(a.final_x, b.final_x)
-    assert np.array_equal(a.consensus, b.consensus)
+    for net, prob in ((net, prob), (vnet, vprob)):
+        kw = dict(
+            noise=1e-4, attack=AttackSpec(kind="sign_flip"), agg="scc",
+            tau=TauSpec("manual", 0.5), record_traces=True,
+        )
+        short = run(net, prob, sched, 45, 11, **kw)
+        long = run(net, prob, sched, 600, 11, **kw)
+        assert long.rounds_completed == 600
+        assert np.array_equal(short.traces, long.traces[:46]), f"dim {prob.dim}"
+        assert np.array_equal(short.half_traces, long.half_traces[:45])
 
 
 def test_noise_toggle_leaves_gradient_draws_alone():
     net, prob = _small_setup(n=10, byz_fraction=0.0)
     sched = ConstantSchedule(0.02)
-    a = run(net, prob, sched, 20, 3, noise=0.0, agg="mean", record_draws=True)
-    b = run(net, prob, sched, 20, 3, noise=1e-4, agg="mean", record_draws=True)
-    assert np.array_equal(a.draws_u, b.draws_u)
-    assert np.array_equal(a.draws_v, b.draws_v)
-    assert np.all(a.draws_noise == 0.0)
-    assert np.any(b.draws_noise != 0.0)
+    seed, n_rounds = 3, 20
+    u = 1.0 + prob.u_std * _stream_normals(seed, 1, 10, n_rounds, (2,))[..., 0]
+    z = _stream_normals(seed, 2, 10, n_rounds)
+    halves = {}
+    for variance in (0.0, 1e-4):
+        log = run(
+            net, prob, sched, n_rounds, seed, noise=variance, agg="mean", record_traces=True
+        )
+        for k in range(n_rounds):
+            x = log.traces[k]
+            # both runs take the same u draws; only the masked one adds z
+            grads = u[k] * prob.agent_cores(x)
+            if variance > 0.0:
+                grads = grads + math.sqrt(variance) * z[k]
+            assert np.array_equal(x - 0.02 * grads, log.half_traces[k]), (variance, k)
+        halves[variance] = log.half_traces
+    assert not np.array_equal(halves[0.0], halves[1e-4])
+
+
+def test_custom_vector_masking_replays_keyed_streams():
+    net, prob, centres = _noisy_vector_setup()
+    sched = DecayingSchedule(scale=0.5, k0=10)
+    seed, n_rounds, variance = 5, 520, 1e-3
+    log = run(
+        net, prob, sched, n_rounds, seed, noise=variance,
+        attack=AttackSpec(kind="dissensus"), agg="mean", record_traces=True,
+    )
+    # the oracle draws u with rng.normal(1, 0.1): one normal per round
+    u = 1.0 + 0.1 * _stream_normals(seed, 1, 12, n_rounds)
+    z = _stream_normals(seed, 2, 12, n_rounds, (3,))
+    for k in range(n_rounds):
+        x = log.traces[k]
+        grads = u[k][:, None] * (x - centres) + math.sqrt(variance) * z[k]
+        half = x - sched.alpha(k) * grads
+        assert np.array_equal(half, log.half_traces[k]), f"round {k}"
 
 
 def test_theory_mode_bound_column():
