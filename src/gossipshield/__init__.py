@@ -49,7 +49,6 @@ from .privacy import (
     GlobalDpReport,
     NoiseSpec,
     global_epsilon,
-    mask_gradient,
     required_variance_local,
     sensitivity_default,
 )

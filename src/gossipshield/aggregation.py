@@ -1,9 +1,12 @@
 """Clipped self-centered aggregation and the plain gossip baseline.
 
 Per-agent reference implementations operate on an Inbox (what one agent
-holds at the end of a communication round); the *_edges helpers apply the
-same rules to a whole round's edge list at once and are what the engine
-runs. Edge and per-agent paths are equivalence-tested against each other.
+holds at the end of a communication round). The engine runs one edge
+kernel over a whole round's edge list instead: edge_diffs takes every
+edge's difference and norm once, tau_edges turns the norms into oracle
+radii, and scc_edges clips and sums. The plain mean is scc_edges with an
+unbounded radius. Edge and per-agent paths are equivalence-tested
+against each other, gossip_mean included.
 
 Silent peers are represented by zero vectors in the inbox; that
 substitution happens at delivery time, before aggregation sees anything.
@@ -138,7 +141,8 @@ def tau_remark4(
 # delivered to agent recv[e] (already zero-substituted for silence), shape
 # (E,) for scalar states or (E, d) in general. Self terms always use
 # self_models; edge_w[e] is the receiver's mixing weight for that edge.
-# Each rule is gather -> clip -> per-receiver sum, never an (A, A) array.
+# A round is one difference pass -> radii -> clip -> per-receiver sum,
+# never an (A, A) array.
 
 
 def receiver_sum(recv: np.ndarray, values: np.ndarray, n_agents: int) -> np.ndarray:
@@ -157,7 +161,10 @@ def receiver_sum(recv: np.ndarray, values: np.ndarray, n_agents: int) -> np.ndar
     return out
 
 
-def _edge_diffs(messages: np.ndarray, self_models: np.ndarray, recv: np.ndarray):
+def edge_diffs(messages: np.ndarray, self_models: np.ndarray, recv: np.ndarray):
+    """Per-edge differences messages[e] - self_models[recv[e]] and their
+    norms: the one pass over the round's edges that both the oracle radii
+    and the clip-and-sum read."""
     # take plus an in-place subtract allocates one (E, d) array, not two;
     # fresh arrays of that size cost page faults that dominated at d = 10
     diffs = self_models.take(recv, axis=0)
@@ -168,17 +175,22 @@ def _edge_diffs(messages: np.ndarray, self_models: np.ndarray, recv: np.ndarray)
 
 
 def scc_edges(
-    messages: np.ndarray,
+    diffs: np.ndarray,
+    norms: np.ndarray,
     self_models: np.ndarray,
     recv: np.ndarray,
     edge_w: np.ndarray,
     taus: np.ndarray,
 ) -> np.ndarray:
-    """scc_aggregate for every receiver at once; taus is one radius per agent."""
+    """scc_aggregate for every receiver at once; taus is one radius per agent.
+
+    diffs and norms come from edge_diffs, and diffs is overwritten. An
+    infinite radius clips nothing, which makes this gossip_mean: the
+    engine runs the mean baseline through here with taus = +inf.
+    """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0.0):
         raise ValueError("clip thresholds must be positive")
-    diffs, norms = _edge_diffs(messages, self_models, recv)
     tau_e = taus[recv]
     # where norms exceed tau they are strictly positive, so the division
     # inside the branch never sees zero
@@ -188,37 +200,23 @@ def scc_edges(
     return self_models + receiver_sum(recv, diffs, len(self_models))
 
 
-def mean_edges(
-    messages: np.ndarray,
-    self_models: np.ndarray,
-    recv: np.ndarray,
-    edge_w: np.ndarray,
-) -> np.ndarray:
-    """gossip_mean for every receiver at once."""
-    diffs, _ = _edge_diffs(messages, self_models, recv)
-    diffs *= edge_w if diffs.ndim == 1 else edge_w[:, None]
-    return self_models + receiver_sum(recv, diffs, len(self_models))
-
-
 def tau_edges(
-    messages: np.ndarray,
-    self_models: np.ndarray,
+    norms: np.ndarray,
     recv: np.ndarray,
     rel_w: np.ndarray,
     byz_weight: np.ndarray,
     kind: str,
 ) -> np.ndarray:
-    """Oracle clipping radii for every receiver from the round's edges.
+    """Oracle clipping radii for every receiver from the round's edge norms.
 
-    rel_w is edge_w with every Byzantine-sender edge set to zero, and
-    byz_weight the total Byzantine weight at each receiver; both depend on
-    the network alone, so callers build them once. kind 'corollary1'
-    returns NaN where an agent has no Byzantine neighbor; the engine
-    substitutes its manual fallback there. kind 'remark4' never falls back
-    and ignores byz_weight.
+    norms come from edge_diffs. rel_w is edge_w with every Byzantine-sender
+    edge set to zero, and byz_weight the total Byzantine weight at each
+    receiver; both depend on the network alone, so callers build them
+    once. kind 'corollary1' returns NaN where an agent has no Byzantine
+    neighbor; the engine substitutes its manual fallback there. kind
+    'remark4' never falls back and ignores byz_weight.
     """
-    _, norms = _edge_diffs(messages, self_models, recv)
-    num = np.bincount(recv, rel_w * norms * norms, minlength=len(self_models))
+    num = np.bincount(recv, rel_w * norms * norms, minlength=len(byz_weight))
     if kind == "remark4":
         return np.maximum(num, TAU_FLOOR)
     if kind != "corollary1":

@@ -22,6 +22,7 @@ from scipy.special import ndtri
 
 from .aggregation import receiver_sum
 from .errors import ConfigError
+from .schedules import value_at
 from .topology import Network
 
 __all__ = [
@@ -64,13 +65,6 @@ class AttackSpec:
             )
         if self.kind == "sign_flip" and self.s_b < 0:
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
-
-
-def _value_at(param, k: int) -> float:
-    alpha = getattr(param, "alpha", None)
-    if callable(alpha):
-        return float(alpha(k))
-    return float(param)
 
 
 def sign_flip_msg(neighborhood_states: np.ndarray, s_b: float) -> np.ndarray:
@@ -220,8 +214,8 @@ class AttackPlan:
             messages[self._edges] = models[self._to] - self.spec.d_r * drift / byz_w
             return
         if kind == "perturbed_dup":
-            p_mult = _value_at(self.spec.p_mult, k)
-            p_add = _value_at(self.spec.p_add, k)
+            p_mult = value_at(self.spec.p_mult, k)
+            p_add = value_at(self.spec.p_add, k)
             if self.spec.victim is not None:
                 victims = [self.spec.victim] * len(self.byz)
             else:

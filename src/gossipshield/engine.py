@@ -23,12 +23,12 @@ import warnings
 
 import numpy as np
 
-from .aggregation import mean_edges, scc_edges, tau_edges
+from .aggregation import edge_diffs, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
 from .errors import BrokenOptimumError, ConfigError, RegimeError
 from .objectives import GlobalProblem, normal_blocks
 from .privacy import NoiseSpec
-from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
+from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule, value_at
 from .topology import Network, TheoryConstants, rho_upper_bound, theory_constants
 
 __all__ = [
@@ -64,12 +64,6 @@ class TauSpec:
             raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
         if not callable(getattr(self.value, "alpha", None)) and float(self.value) <= 0:
             raise ConfigError("clipping radius must be positive")
-
-    def value_at(self, k: int) -> float:
-        alpha = getattr(self.value, "alpha", None)
-        if callable(alpha):
-            return float(alpha(k))
-        return float(self.value)
 
 
 @dataclasses.dataclass
@@ -223,6 +217,10 @@ def dk_bound(
     return float(out) if out.ndim == 0 else out
 
 
+def _diverged(states: np.ndarray) -> bool:
+    return not np.all(np.isfinite(states)) or np.max(np.abs(states)) > DIVERGENCE_LIMIT
+
+
 def _agent_rngs(seed: int, n_agents: int, purpose: int) -> list:
     """One generator per agent, keyed by (seed, agent, purpose)."""
     return [
@@ -268,7 +266,8 @@ def run(
 
     Round order is fixed: sample and mask gradients, take the half-step,
     publish one message per directed edge (half[net.send]), falsify the
-    edges whose sender is Byzantine, aggregate per receiver. Byzantine
+    edges whose sender is Byzantine, aggregate per receiver. agg='mean' is
+    SCC with an unbounded radius, so tau is ignored there. Byzantine
     agents under a real attack never update their own state; under attack
     kind 'none' they follow the honest protocol, which is what makes a
     labeled-but-honest run comparable with an unlabeled one.
@@ -291,11 +290,13 @@ def run(
         noise = NoiseSpec(float(noise), prob.dim)
     if attack is None:
         attack = AttackSpec(kind="none")
-    if agg == "scc":
-        if tau is None:
-            raise ConfigError("resilient aggregation needs a clipping radius policy")
-        if not isinstance(tau, TauSpec):
-            tau = TauSpec(kind="manual", value=tau)
+    if agg == "mean":
+        # the plain mean is SCC with a radius that clips nothing
+        tau = TauSpec(kind="manual", value=np.inf)
+    elif tau is None:
+        raise ConfigError("resilient aggregation needs a clipping radius policy")
+    elif not isinstance(tau, TauSpec):
+        tau = TauSpec(kind="manual", value=tau)
 
     if consts is None and theory_mode:
         consts = theory_constants(
@@ -316,7 +317,7 @@ def run(
     rel = list(net.reliable)
     honest_byz = attack.kind == "none"
     plan = AttackPlan(attack, net)
-    if agg == "scc" and tau.kind != "manual":
+    if tau.kind != "manual":
         rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
         byz_weight = net.weight_split()[1]
 
@@ -359,23 +360,21 @@ def run(
             half_traces[k] = half
         n_half = k + 1
 
-        if not np.all(np.isfinite(half)) or np.max(np.abs(half)) > DIVERGENCE_LIMIT:
+        if _diverged(half):
             status, diverged_at = "diverged", k
             break
 
         messages = half.take(net.send, axis=0)
         plan.apply(messages, k, x)
 
-        if agg == "mean":
-            new_states = mean_edges(messages, half, net.recv, net.edge_w)
+        diffs, norms = edge_diffs(messages, half, net.recv)
+        fallback = value_at(tau.value, k)
+        if tau.kind == "manual":
+            taus = np.full(a, fallback)
         else:
-            fallback = tau.value_at(k)
-            if tau.kind == "manual":
-                taus = np.full(a, fallback)
-            else:
-                taus = tau_edges(messages, half, net.recv, rel_w, byz_weight, tau.kind)
-                taus = np.where(np.isnan(taus), fallback, taus)
-            new_states = scc_edges(messages, half, net.recv, net.edge_w, taus)
+            taus = tau_edges(norms, net.recv, rel_w, byz_weight, tau.kind)
+            taus = np.where(np.isnan(taus), fallback, taus)
+        new_states = scc_edges(diffs, norms, half, net.recv, net.edge_w, taus)
 
         if honest_byz:
             x = new_states
@@ -383,7 +382,7 @@ def run(
             x = x.copy()
             x[rel] = new_states[rel]
 
-        if not np.all(np.isfinite(x[rel])) or np.max(np.abs(x[rel])) > DIVERGENCE_LIMIT:
+        if _diverged(x[rel]):
             status, diverged_at = "diverged", k
             rows = k + 1
             break

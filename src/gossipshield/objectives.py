@@ -229,10 +229,6 @@ class GlobalProblem:
     def n_agents(self) -> int:
         return len(self.objectives)
 
-    @property
-    def locals(self) -> tuple:
-        return tuple(self.objectives[i] for i in self.reliable)
-
     def f(self, x):
         """Average expected value over reliable agents."""
         if self.mean_u_coeffs is not None:
@@ -292,13 +288,6 @@ class GlobalProblem:
             return grads
 
         return sample
-
-    def agent_values(self, x_per_agent: np.ndarray) -> np.ndarray:
-        if self.u_coeffs is not None:
-            return np.einsum("ab,ba->a", self.u_coeffs, _basis_values(x_per_agent))
-        return np.array(
-            [obj.expected_value(x) for obj, x in zip(self.objectives, x_per_agent)]
-        )
 
 
 def _assign_families(n_agents: int, family_of: Sequence[int] | None) -> list:

@@ -1,18 +1,17 @@
 """Gradient masking noise and the differential-privacy calculators.
 
-The mechanism itself is one line (add Gaussian noise to the sampled
-gradient before transmitting the half-step); everything else here turns
-(epsilon, delta) budgets into variance requirements and back. Two views
-are provided: a per-iteration guarantee for a single masked gradient, and
-an end-to-end loss over a whole run under a gradient bound.
+The mechanism itself is one line of the round loop: engine.run adds
+Gaussian noise at the NoiseSpec variance to each sampled gradient before
+the half-step. Everything else here turns (epsilon, delta) budgets into
+variance requirements and back. Two views are provided: a per-iteration
+guarantee for a single masked gradient, and an end-to-end loss over a
+whole run under a gradient bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-
-import numpy as np
 
 from .errors import ConfigError
 from .schedules import DecayingSchedule, StepSizeSchedule
@@ -21,7 +20,6 @@ __all__ = [
     "NoiseSpec",
     "DpBudget",
     "GlobalDpReport",
-    "mask_gradient",
     "required_variance_local",
     "global_epsilon",
     "sensitivity_default",
@@ -40,18 +38,6 @@ class NoiseSpec:
             raise ConfigError(f"noise variance must be nonnegative, got {self.variance}")
         if self.dim < 1:
             raise ConfigError(f"dimension must be at least 1, got {self.dim}")
-
-
-def mask_gradient(g: np.ndarray, spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """g plus zero-mean Gaussian noise at the spec variance.
-
-    Zero variance is the exact identity and consumes no draws, so runs
-    with and without masking share their gradient randomness.
-    """
-    g = np.asarray(g, dtype=float)
-    if spec.variance == 0.0:
-        return g.copy()
-    return g + rng.normal(0.0, math.sqrt(spec.variance), size=g.shape)
 
 
 def sensitivity_default(grad_bound: float) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["DecayingSchedule", "ConstantSchedule", "StepSizeSchedule"]
+__all__ = ["DecayingSchedule", "ConstantSchedule", "StepSizeSchedule", "value_at"]
 
 
 def _as_steps(k):
@@ -54,3 +54,11 @@ class ConstantSchedule:
 
 
 StepSizeSchedule = DecayingSchedule | ConstantSchedule
+
+
+def value_at(param, k: int) -> float:
+    """param at round k: a constant, or any schedule with an alpha(k) method."""
+    alpha = getattr(param, "alpha", None)
+    if callable(alpha):
+        return float(alpha(k))
+    return float(param)

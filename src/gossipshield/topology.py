@@ -8,7 +8,6 @@ contraction budget) that the disagreement bounds consume.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -157,18 +156,6 @@ class Network:
             raise TopologyError("weight support must match the edge set")
         if not _bfs_connected(a, list(self.reliable)):
             raise TopologyError("reliable agents do not form a connected subgraph")
-
-    def to_csv(self, path) -> None:
-        """Export the weighted edge list (plus self-weights) for inspection."""
-        byz = set(self.byzantine)
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "weight", "i_byzantine", "j_byzantine"])
-            for i in range(self.n_agents):
-                writer.writerow([i, i, repr(float(self.weights[i, i])), int(i in byz), int(i in byz)])
-                for j in self.neighbors(i):
-                    if j > i:
-                        writer.writerow([i, j, repr(float(self.weights[i, j])), int(i in byz), int(j in byz)])
 
 
 def _star_adjacency(n: int) -> np.ndarray:

@@ -10,8 +10,8 @@ from gossipshield.aggregation import (
     TAU_FLOOR,
     Inbox,
     clip,
+    edge_diffs,
     gossip_mean,
-    mean_edges,
     receiver_sum,
     scc_aggregate,
     scc_edges,
@@ -150,10 +150,12 @@ def test_edge_forms_match_reference():
             taus = rng.uniform(0.1, 3.0, a)
             rel_w, byz_weight = _edge_weight_split(net)
 
-            got_scc = scc_edges(messages, states, net.recv, net.edge_w, taus)
-            got_mean = mean_edges(messages, states, net.recv, net.edge_w)
-            got_tau = tau_edges(messages, states, net.recv, rel_w, byz_weight, "corollary1")
-            got_r4 = tau_edges(messages, states, net.recv, rel_w, byz_weight, "remark4")
+            diffs, norms = edge_diffs(messages, states, net.recv)
+            got_tau = tau_edges(norms, net.recv, rel_w, byz_weight, "corollary1")
+            got_r4 = tau_edges(norms, net.recv, rel_w, byz_weight, "remark4")
+            # scc_edges overwrites diffs, so each call gets its own copy
+            got_scc = scc_edges(diffs.copy(), norms, states, net.recv, net.edge_w, taus)
+            got_mean = scc_edges(diffs, norms, states, net.recv, net.edge_w, np.full(a, np.inf))
 
             for i, inbox in _inboxes_from_edges(messages, states, net).items():
                 ref = scc_aggregate(i, inbox, net.weights[i], taus[i])
@@ -189,7 +191,9 @@ def test_unclipped_round_reproduces_virtual_mixing():
     net = build_network("random", 8, 0.0, seed=5, edge_p=0.7)
     states = rng.normal(size=8)
     messages = states[net.send]  # every sender broadcasts its state
-    out = scc_edges(messages, states, net.recv, net.edge_w, np.full(8, HUGE))
+    out = scc_edges(
+        *edge_diffs(messages, states, net.recv), states, net.recv, net.edge_w, np.full(8, HUGE)
+    )
     vm = virtual_matrix(net)
     assert np.allclose(out, vm.matrix @ states, atol=1e-12)
 

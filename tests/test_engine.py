@@ -35,6 +35,7 @@ from gossipshield.aggregation import (
     gossip_mean,
     scc_aggregate,
     tau_corollary1,
+    tau_remark4,
 )
 from gossipshield.attacks import (
     alie_coefficient,
@@ -43,6 +44,7 @@ from gossipshield.attacks import (
     perturbed_dup_msg,
     sign_flip_msg,
 )
+from gossipshield.schedules import value_at
 
 
 def _quad_objective(agent: int) -> LocalObjective:
@@ -431,6 +433,34 @@ def test_divergence_truncates_log():
     assert len(log.consensus) == len(log.f_bar) == len(log.gap) == len(log.k)
 
 
+def test_non_finite_half_step_diverges_before_aggregation():
+    objs = [_quad_objective(i) for i in range(3)]
+    objs.append(dataclasses.replace(_quad_objective(3), sample_gradient=lambda x, rng: math.nan))
+    net = build_network("complete", 4, byz_fraction=0.0, seed=0)
+    log = run(net, custom_problem(objs), ConstantSchedule(0.1), 10, 1, agg="mean", record_traces=True)
+    assert log.status == "diverged" and log.diverged_at == 0
+    assert len(log.k) == 1 and len(log.half_traces) == 1
+    assert math.isnan(log.half_traces[0][3])
+    # the round stopped before aggregating, so the models never took the NaN
+    assert np.all(np.isfinite(log.final_x))
+
+
+def test_aggregated_blow_up_diverges_and_clipping_contains_it():
+    net = build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    rel = list(net.reliable)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=10)
+    spec = AttackSpec(kind="perturbed_dup", p_add=1e15)
+    sched = ConstantSchedule(0.05)
+    mean = run(net, prob, sched, 20, 1, attack=spec, agg="mean", record_traces=True)
+    assert mean.status == "diverged" and mean.diverged_at == 0 and len(mean.k) == 1
+    # the half-step was fine; the mean of the perturbed copies was not
+    assert np.max(np.abs(mean.half_traces[0])) < 10.0
+    assert np.max(np.abs(mean.final_x[rel])) > 1e12
+    scc = run(net, prob, sched, 20, 1, attack=spec, agg="scc", tau=1.0)
+    assert scc.status == "completed" and scc.rounds_completed == 20
+    assert np.max(np.abs(scc.final_x[rel])) == pytest.approx(1.94, abs=0.01)
+
+
 def test_identical_agents_identical_start_stay_agreed():
     objs = [_quad_objective(i) for i in range(5)]
     prob = custom_problem(objs)
@@ -457,8 +487,9 @@ def test_tau_fallback_covers_missing_oracle():
 
 def test_manual_tau_accepts_schedules():
     spec = TauSpec("manual", DecayingSchedule(scale=1.0, k0=5))
-    assert spec.value_at(0) == pytest.approx(0.2)
-    assert spec.value_at(15) == pytest.approx(0.05)
+    assert value_at(spec.value, 0) == pytest.approx(0.2)
+    assert value_at(spec.value, 15) == pytest.approx(0.05)
+    assert value_at(0.5, 15) == 0.5
     net, prob = _small_setup(n=10, byz_fraction=0.0)
     sched = ConstantSchedule(0.05)
     a = run(net, prob, sched, 15, 2, agg="scc", tau=TauSpec("manual", ConstantSchedule(0.5)))
@@ -625,9 +656,16 @@ def test_edge_round_matches_inbox_references():
     ]
     fallback = 2.0
     n_rounds = 4
+    radius_schedule = DecayingSchedule(scale=1.0, k0=2)
+    policies = (
+        ("scc", TauSpec("corollary1", fallback)),
+        ("scc", TauSpec("remark4", fallback)),
+        ("scc", TauSpec("manual", radius_schedule)),
+        ("mean", None),
+    )
     for prob in (scalar, vector):
         for spec in specs:
-            for agg, tau in (("scc", TauSpec("corollary1", fallback)), ("mean", None)):
+            for agg, tau in policies:
                 log = run(
                     net, prob, DecayingSchedule(scale=0.5, k0=10), n_rounds, 3,
                     noise=1e-3, attack=spec, agg=agg, tau=tau, record_traces=True,
@@ -645,10 +683,15 @@ def test_edge_round_matches_inbox_references():
                         if agg == "mean":
                             ref = gossip_mean(i, inbox, net.weights[i])
                         else:
-                            radius = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
-                            radius = fallback if radius is None else radius
+                            if tau.kind == "corollary1":
+                                radius = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+                                radius = fallback if radius is None else radius
+                            elif tau.kind == "remark4":
+                                radius = tau_remark4(i, inbox, net.weights[i], net.reliable)
+                            else:
+                                radius = radius_schedule.alpha(k)
                             ref = scc_aggregate(i, inbox, net.weights[i], radius)
                         np.testing.assert_allclose(
                             np.atleast_1d(x_next[i]), ref, rtol=0, atol=1e-12,
-                            err_msg=f"{spec} {agg} dim {prob.dim} round {k} agent {i}",
+                            err_msg=f"{spec} {agg} {tau} dim {prob.dim} round {k} agent {i}",
                         )

@@ -219,9 +219,6 @@ def test_agent_cores_fast_path_matches_loop():
     fast = p.agent_cores(xs)
     slow = np.array([p.objectives[i].expected_gradient(x) for i, x in enumerate(xs)])
     assert np.allclose(fast, slow, atol=1e-12)
-    vals_fast = p.agent_values(xs)
-    vals_slow = np.array([p.objectives[i].expected_value(x) for i, x in enumerate(xs)])
-    assert np.allclose(vals_fast, vals_slow, atol=1e-12)
 
 
 def test_custom_problem_requires_constants_beyond_dim_one():
