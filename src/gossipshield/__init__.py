@@ -17,13 +17,11 @@ from .errors import (
 from .topology import (
     Network,
     TheoryConstants,
-    VirtualMatrix,
     build_network,
     constants_from_mixing,
-    metropolis_weights,
+    mixing_sq,
     rho_upper_bound,
     theory_constants,
-    virtual_matrix,
 )
 from .objectives import (
     GlobalProblem,

@@ -189,8 +189,8 @@ def scc_edges(
     engine runs the mean baseline through here with taus = +inf.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus <= 0.0):
-        raise ValueError("clip thresholds must be positive")
+    if not np.all(taus > 0.0):
+        raise ValueError("clip thresholds must be positive, and not NaN")
     tau_e = taus[recv]
     # where norms exceed tau they are strictly positive, so the division
     # inside the branch never sees zero

@@ -167,10 +167,7 @@ class AttackPlan:
         if spec.kind == "perturbed_dup":
             if spec.victim is not None and spec.victim not in self.rel:
                 raise ConfigError(f"fixed victim {spec.victim} is not reliable")
-            self._victims = []
-            for b in self.byz:
-                members = sorted(set(net.neighbors(b)) & set(self.rel))
-                self._victims.append(members if members else [b])
+            self._victims = [net.reliable_neighbors(b) or [b] for b in self.byz]
             # position of each overwritten edge's sender in self.byz
             self._sender_pos = np.searchsorted(self.byz, net.send[self._edges])
 

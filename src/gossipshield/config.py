@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import yaml
@@ -307,6 +308,8 @@ def _parse_aggregation(section: dict):
     _check_keys(sub, {"kind", "value"}, f"{path}.tau")
     tau_kind = sub.get("kind", "manual")
     value = _scalar_or_schedule(_need(sub, "value", f"{path}.tau"), f"{path}.tau.value")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}.tau.value: expected a finite radius, got {value!r}")
     if tau_kind in ("corollary1", "remark4") and not allow_oracle:
         raise ConfigError(
             f"{path}.tau.kind {tau_kind!r} reads ground-truth labels; "

@@ -62,8 +62,9 @@ class TauSpec:
     def __post_init__(self):
         if self.kind not in ("manual", "corollary1", "remark4"):
             raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
-        if not callable(getattr(self.value, "alpha", None)) and float(self.value) <= 0:
-            raise ConfigError("clipping radius must be positive")
+        # written so that NaN fails too; +inf (clip nothing) passes
+        if not callable(getattr(self.value, "alpha", None)) and not float(self.value) > 0:
+            raise ConfigError(f"clipping radius must be positive, got {self.value!r}")
 
 
 @dataclasses.dataclass

@@ -32,8 +32,8 @@ from gossipshield import (
     run,
     run_ensemble,
     theory_constants,
-    virtual_matrix,
 )
+from dense_reference import dense_adjacency, dense_weights, virtual_dense
 from gossipshield.aggregation import TAU_FLOOR, Inbox, scc_aggregate, tau_corollary1
 from gossipshield.cli import privacy_trace, run_experiment
 from gossipshield.config import load_config
@@ -132,10 +132,11 @@ def test_clipped_aggregation_separates_from_plain_mean_under_sign_flip():
     s_b = 30.0
     net = build_network("random", 100, byz_fraction=0.1, seed=1, edge_p=0.5)
     rel, byz = list(net.reliable), list(net.byzantine)
-    closed = net.adjacency[np.ix_(rel, rel)] | np.eye(len(rel), dtype=bool)
+    adj, w = dense_adjacency(net), dense_weights(net)
+    closed = adj[np.ix_(rel, rel)] | np.eye(len(rel), dtype=bool)
     nbhd_mean = closed / closed.sum(axis=1, keepdims=True)
-    beta = net.weights[np.ix_(rel, byz)].sum(axis=1)
-    linear_mean_map = net.weights[np.ix_(rel, rel)] - s_b * beta[:, None] * nbhd_mean
+    beta = w[np.ix_(rel, byz)].sum(axis=1)
+    linear_mean_map = w[np.ix_(rel, rel)] - s_b * beta[:, None] * nbhd_mean
     assert np.abs(np.linalg.eigvals(linear_mean_map)).max() > 1.0
 
     prob = benchmark_problem(net.byzantine, 100)
@@ -172,8 +173,8 @@ def test_contraction_inequality_on_random_inboxes():
         if not net.byzantine:
             continue
         rho = rho_upper_bound(net)
-        vm = virtual_matrix(net)
-        rel = list(vm.reliable)
+        w, block = dense_weights(net), virtual_dense(net)
+        rel = list(net.reliable)
         states = rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
         for i_pos, i in enumerate(rel):
             inbox = Inbox(
@@ -187,11 +188,11 @@ def test_contraction_inequality_on_random_inboxes():
                     for j in net.neighbors(i)
                 },
             )
-            tau = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+            tau = tau_corollary1(i, inbox, w[i], net.byzantine)
             if tau is None or tau <= TAU_FLOOR:
                 continue
-            out = scc_aggregate(i, inbox, net.weights[i], tau)
-            target = float(vm.matrix[i_pos] @ states[rel])
+            out = scc_aggregate(i, inbox, w[i], tau)
+            target = float(block[i_pos] @ states[rel])
             spread = max(
                 abs(states[j] - target) for j in list(net.reliable_neighbors(i)) + [i]
             )

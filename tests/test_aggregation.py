@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gossipshield import build_network, rho_upper_bound, virtual_matrix
+from dense_reference import dense_weights, virtual_dense
+from gossipshield import build_network, rho_upper_bound
 from gossipshield.aggregation import (
     TAU_FLOOR,
     Inbox,
@@ -157,18 +158,30 @@ def test_edge_forms_match_reference():
             got_scc = scc_edges(diffs.copy(), norms, states, net.recv, net.edge_w, taus)
             got_mean = scc_edges(diffs, norms, states, net.recv, net.edge_w, np.full(a, np.inf))
 
+            w = dense_weights(net)
             for i, inbox in _inboxes_from_edges(messages, states, net).items():
-                ref = scc_aggregate(i, inbox, net.weights[i], taus[i])
+                ref = scc_aggregate(i, inbox, w[i], taus[i])
                 assert np.allclose(np.atleast_1d(got_scc[i]), ref, atol=1e-12)
-                ref_m = gossip_mean(i, inbox, net.weights[i])
+                ref_m = gossip_mean(i, inbox, w[i])
                 assert np.allclose(np.atleast_1d(got_mean[i]), ref_m, atol=1e-12)
-                ref_t = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+                ref_t = tau_corollary1(i, inbox, w[i], net.byzantine)
                 if ref_t is None:
                     assert math.isnan(got_tau[i])
                 else:
                     assert got_tau[i] == pytest.approx(ref_t, rel=1e-12)
-                ref_r4 = tau_remark4(i, inbox, net.weights[i], net.reliable)
+                ref_r4 = tau_remark4(i, inbox, w[i], net.reliable)
                 assert got_r4[i] == pytest.approx(ref_r4, rel=1e-12)
+
+
+def test_scc_edges_rejects_nan_radius():
+    net = build_network("random", 8, 0.0, seed=5, edge_p=0.7)
+    states = np.linspace(-1.0, 1.0, 8)
+    taus = np.full(8, 1.0)
+    taus[3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        scc_edges(
+            *edge_diffs(states[net.send], states, net.recv), states, net.recv, net.edge_w, taus
+        )
 
 
 def test_receiver_sum_against_loop():
@@ -194,8 +207,7 @@ def test_unclipped_round_reproduces_virtual_mixing():
     out = scc_edges(
         *edge_diffs(messages, states, net.recv), states, net.recv, net.edge_w, np.full(8, HUGE)
     )
-    vm = virtual_matrix(net)
-    assert np.allclose(out, vm.matrix @ states, atol=1e-12)
+    assert np.allclose(out, virtual_dense(net) @ states, atol=1e-12)
 
 
 def test_contraction_inequality():
@@ -214,8 +226,8 @@ def test_contraction_inequality():
         if not net.byzantine:
             continue
         rho = rho_upper_bound(net)
-        vm = virtual_matrix(net)
-        rel = list(vm.reliable)
+        w, block = dense_weights(net), virtual_dense(net)
+        rel = list(net.reliable)
         states = rng.normal(scale=rng.uniform(0.1, 10.0), size=n)
         for i_pos, i in enumerate(rel):
             inbox = Inbox(
@@ -229,11 +241,11 @@ def test_contraction_inequality():
                     for j in net.neighbors(i)
                 },
             )
-            tau = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+            tau = tau_corollary1(i, inbox, w[i], net.byzantine)
             if tau is None or tau <= TAU_FLOOR:
                 continue
-            out = scc_aggregate(i, inbox, net.weights[i], tau)
-            target = float(vm.matrix[i_pos] @ states[rel])
+            out = scc_aggregate(i, inbox, w[i], tau)
+            target = float(block[i_pos] @ states[rel])
             spread = max(
                 abs(states[j] - target) for j in list(net.reliable_neighbors(i)) + [i]
             )

@@ -149,6 +149,15 @@ def test_aggregation_rules():
     assert build_experiment(cfg).tau.kind == "corollary1"
 
 
+def test_tau_value_must_be_finite():
+    # YAML spells NaN and infinity .nan and .inf; neither is a radius, and
+    # a NaN radius would clip nothing, silently turning SCC into the mean
+    for raw in (".nan", ".inf", "-.inf"):
+        cfg = apply_overrides(_base_cfg(), [f"aggregation.tau.value={raw}"])
+        with pytest.raises(ConfigError, match="aggregation.tau.value"):
+            build_experiment(cfg)
+
+
 def test_noise_from_local_budget():
     cfg = _base_cfg()
     cfg["noise"] = {

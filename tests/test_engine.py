@@ -30,6 +30,7 @@ from gossipshield import (
     theory_constants,
     validate_schedule,
 )
+from dense_reference import dense_adjacency, dense_weights
 from gossipshield.aggregation import (
     Inbox,
     gossip_mean,
@@ -224,7 +225,8 @@ def test_labeled_honest_matches_unlabeled():
     # the state trajectory matches a run where nobody is flagged at all
     net_b = build_network("star", 12, byz_fraction=0.25, seed=5)
     net_0 = build_network("star", 12, byz_fraction=0.0, seed=5)
-    assert np.array_equal(net_b.weights, net_0.weights)
+    for name in ("recv", "send", "edge_w", "self_w"):
+        assert np.array_equal(getattr(net_b, name), getattr(net_0, name))
     fams = [i % 10 + 1 for i in range(12)]
     prob_b = benchmark_problem(byzantine=net_b.byzantine, n_agents=12, family_of=fams)
     prob_0 = benchmark_problem(n_agents=12, family_of=fams)
@@ -267,8 +269,8 @@ def test_attack_columns_read_models_not_half_steps():
     sched = ConstantSchedule(0.05)
     spec = AttackSpec(kind="perturbed_dup", p_mult=1.0, p_add=0.0)
     log = run(net, prob, sched, 12, 5, attack=spec, agg="mean", record_traces=True)
-    victims = sorted(j for j in range(8) if net.adjacency[b, j] and j in net.reliable)
-    w = net.weights
+    victims = sorted(j for j in range(8) if dense_adjacency(net)[b, j] and j in net.reliable)
+    w = dense_weights(net)
     max_dev_model = 0.0
     max_dev_half = 0.0
     for k in range(12):
@@ -485,6 +487,23 @@ def test_tau_fallback_covers_missing_oracle():
     assert np.array_equal(a.final_x, b.final_x)
 
 
+def test_nan_radius_rejected():
+    # NaN <= 0 is false, so a radius check written that way lets NaN
+    # through, and a NaN radius clips nothing: SCC would run as the mean
+    with pytest.raises(ConfigError, match="positive"):
+        TauSpec("manual", float("nan"))
+    with pytest.raises(ConfigError, match="positive"):
+        TauSpec("corollary1", float("nan"))
+    net, prob = _small_setup(n=10, byz_fraction=0.1)
+    with pytest.raises(ConfigError, match="positive"):
+        run(
+            net, prob, ConstantSchedule(0.05), 5, 0, agg="scc", tau=float("nan"),
+            attack=AttackSpec("perturbed_dup"),
+        )
+    # the mean baseline is SCC at an infinite radius, which stays valid
+    assert TauSpec("manual", math.inf).value == math.inf
+
+
 def test_manual_tau_accepts_schedules():
     spec = TauSpec("manual", DecayingSchedule(scale=1.0, k0=5))
     assert value_at(spec.value, 0) == pytest.approx(0.2)
@@ -616,7 +635,7 @@ def _vec_quad_objective(agent: int, centre: np.ndarray) -> LocalObjective:
 def _oracle_message(spec, net, models, k, i, b):
     """What Byzantine b sends reliable receiver i in round k, from the
     per-message attack functions."""
-    w = net.weights
+    w = dense_weights(net)
     rel_nbrs = net.reliable_neighbors(i)
     if spec.kind == "silent":
         return np.zeros_like(models[b])
@@ -638,6 +657,7 @@ def test_edge_round_matches_inbox_references():
     rng = np.random.default_rng(40)
     net = build_network("random", 12, byz_fraction=0.25, seed=8, edge_p=0.5)
     byz = set(net.byzantine)
+    w = dense_weights(net)
     assert any(net.byzantine_neighbors(i) for i in net.reliable)
     scalar = benchmark_problem(byzantine=net.byzantine, n_agents=12, family_of=[i % 10 + 1 for i in range(12)])
     centres = rng.normal(size=(12, 3))
@@ -681,16 +701,16 @@ def test_edge_round_matches_inbox_references():
                         }
                         inbox = Inbox(half[i], received)
                         if agg == "mean":
-                            ref = gossip_mean(i, inbox, net.weights[i])
+                            ref = gossip_mean(i, inbox, w[i])
                         else:
                             if tau.kind == "corollary1":
-                                radius = tau_corollary1(i, inbox, net.weights[i], net.byzantine)
+                                radius = tau_corollary1(i, inbox, w[i], net.byzantine)
                                 radius = fallback if radius is None else radius
                             elif tau.kind == "remark4":
-                                radius = tau_remark4(i, inbox, net.weights[i], net.reliable)
+                                radius = tau_remark4(i, inbox, w[i], net.reliable)
                             else:
                                 radius = radius_schedule.alpha(k)
-                            ref = scc_aggregate(i, inbox, net.weights[i], radius)
+                            ref = scc_aggregate(i, inbox, w[i], radius)
                         np.testing.assert_allclose(
                             np.atleast_1d(x_next[i]), ref, rtol=0, atol=1e-12,
                             err_msg=f"{spec} {agg} {tau} dim {prob.dim} round {k} agent {i}",
