@@ -13,6 +13,7 @@ from gossipshield import (
     rho_upper_bound,
     run_ensemble,
     theory_constants,
+    validate_schedule,
 )
 
 net = build_network("random", 50, byz_fraction=0.0, seed=2, edge_p=0.2)
@@ -29,8 +30,9 @@ assert consts.regime_valid, "constants fell outside the guaranteed regime"
 # the admissible schedule is tiny, which is exactly the point: the bound
 # trades speed for a ceiling that provably holds
 sched = DecayingSchedule(scale=consts.theta_min, k0=consts.k0)
+validate_schedule(sched, consts, strict=True)
 ens = run_ensemble(net, prob, sched, 1500, range(1, 9), consts=consts,
-                   noise=1e-6, agg="scc", tau=1e6, theory_mode=True)
+                   noise=1e-6, agg="scc", tau=1e6)
 
 rows = (0, 10, 100, 500, 1500)
 print("\n    k   mean disagreement      ceiling")

@@ -56,22 +56,22 @@ from .engine import (
     MetricsLog,
     TauSpec,
     consensus_error,
-    dk_bound,
     optimal_gap_series,
     run,
     run_ensemble,
-    validate_schedule,
 )
 from .bounds import (
     BoundBreakdown,
     BoundTerm,
     ConvergenceBoundInputs,
     RegimeComparison,
+    dk_bound,
     format_comparison_table,
     lemma2_rhs,
     regime_compare,
     theorem2_rhs,
     theorem3_rhs,
+    validate_schedule,
 )
 
 __version__ = "0.1.0"

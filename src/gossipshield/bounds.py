@@ -1,35 +1,122 @@
-"""Evaluators for the convergence-error structure: the pre-aggregation
-disagreement inequality and the decaying/constant-step optimal-gap bounds.
+"""Every theory ceiling, and the one rule for where they hold.
 
-Every right-hand side is assembled from independent term functions and the
-reported total is literally the sum of the parts, so the breakdown always
-reconciles. Terms are tagged by what drives them (initial gap, sampling
-noise, disagreement coupling, attacker contraction, masking noise) to make
-the privacy/accuracy/resilience trade-off visible in reports.
+The ceilings are the disagreement bound behind a run's bound column, the
+pre-aggregation disagreement inequality, and the decaying- and
+constant-step optimal-gap bounds. They hold only inside one regime,
+which `_violations` alone decides; callers differ only in the step cap.
+
+Every gap right-hand side is assembled from independent term functions
+and the reported total is literally the sum of the parts, so the
+breakdown always reconciles. Terms are tagged by what drives them
+(initial gap, sampling noise, disagreement coupling, attacker
+contraction, masking noise) to make the privacy/accuracy/resilience
+trade-off visible in reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import MetricsLog
 from .errors import ConfigError, RegimeError
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .topology import TheoryConstants
+
+if TYPE_CHECKING:
+    from .engine import MetricsLog
 
 __all__ = [
     "BoundTerm",
     "BoundBreakdown",
     "ConvergenceBoundInputs",
     "RegimeComparison",
+    "dk_bound",
+    "validate_schedule",
     "lemma2_rhs",
     "theorem2_rhs",
     "theorem3_rhs",
     "regime_compare",
     "format_comparison_table",
 ]
+
+
+def _violations(
+    consts: TheoryConstants,
+    sched: StepSizeSchedule | None = None,
+    cap: float = math.inf,
+) -> list:
+    """The admissibility rule every ceiling shares; empty inside the regime.
+
+    A contraction outside the regime is the only violation reported, since
+    phi and the step caps mean nothing there. Otherwise the schedule may
+    not scale above `cap`, and a decaying one needs k0 * phi > 2. Without
+    a schedule only the contraction is checked.
+    """
+    if not consts.regime_valid:
+        return [
+            f"contraction {consts.rho} is not below the admissible {consts.rho_bar}"
+        ]
+    problems = []
+    if sched is not None and sched.scale > cap * (1.0 + 1e-12):
+        problems.append(f"step scale {sched.scale} exceeds the admissible {cap}")
+    if isinstance(sched, DecayingSchedule) and sched.k0 * consts.phi <= 2.0:
+        problems.append(f"decay offset {sched.k0} is not above {2.0 / consts.phi}")
+    return problems
+
+
+def _refuse(what: str, problems: list) -> None:
+    if problems:
+        raise RegimeError(f"{what} undefined outside the regime: " + "; ".join(problems))
+
+
+def validate_schedule(
+    sched: StepSizeSchedule, consts: TheoryConstants, strict: bool
+) -> None:
+    """Check a schedule against the gap theorems' step bounds (cap theta_min).
+
+    strict raises RegimeError; otherwise violations warn and the run
+    proceeds in free mode.
+    """
+    problems = _violations(consts, sched, consts.theta_min)
+    if not problems:
+        return
+    message = "running outside the theory regime: " + "; ".join(problems)
+    if strict:
+        raise RegimeError(message)
+    warnings.warn(message, stacklevel=3)
+
+
+def dk_bound(
+    consts: TheoryConstants, d0: float, k, sched: StepSizeSchedule
+):
+    """Theoretical ceiling on the expected disagreement at round k.
+
+    Decaying schedules contract geometrically plus a 1/(k+k0)^2 tail;
+    constant schedules keep a residual floor proportional to the squared
+    step. Refuses outside the regime, with the bound's own step theta as
+    the cap.
+    """
+    _refuse("disagreement bound", _violations(consts, sched, consts.theta))
+    k = np.asarray(k, dtype=float)
+    decay = (1.0 - consts.phi) ** k * d0
+    if isinstance(sched, DecayingSchedule):
+        iota = (1.0 + 1.0 / sched.k0) ** 2
+        tail = (
+            2.0
+            * iota
+            * consts.vartheta
+            * consts.theta**2
+            / consts.phi
+            / (k + sched.k0) ** 2
+        )
+    else:
+        tail = consts.vartheta / consts.phi * sched.scale**2
+    out = decay + tail
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,21 +167,6 @@ class ConvergenceBoundInputs:
         return int(self.d_series.shape[0] - 1)
 
 
-def _require_regime(consts: TheoryConstants) -> None:
-    if not consts.regime_valid:
-        raise RegimeError(
-            "bound undefined outside the valid regime: contraction "
-            f"{consts.rho} vs admissible {consts.rho_bar}"
-        )
-
-
-def _require_step(consts: TheoryConstants, scale: float) -> None:
-    if scale > consts.theta_min * (1.0 + 1e-12):
-        raise RegimeError(
-            f"step scale {scale} exceeds the admissible {consts.theta_min}"
-        )
-
-
 def lemma2_rhs(consts: TheoryConstants, d_k: float, alpha_k: float) -> float:
     """Ceiling on the half-step disagreement given the model disagreement.
 
@@ -102,7 +174,7 @@ def lemma2_rhs(consts: TheoryConstants, d_k: float, alpha_k: float) -> float:
     step-squared gradient-drift factor, a sampling/heterogeneity floor,
     and a masking-noise floor, all scaled by the squared step.
     """
-    _require_regime(consts)
+    _refuse("half-step bound", _violations(consts))
     eta, r = consts.eta, consts.n_reliable
     l_sq = consts.smoothness**2
     a_sq = alpha_k * alpha_k
@@ -122,13 +194,10 @@ def theorem2_rhs(inputs: ConvergenceBoundInputs) -> BoundBreakdown:
     consts, sched = inputs.consts, inputs.schedule
     if not isinstance(sched, DecayingSchedule):
         raise ConfigError("decaying-regime bound needs a decaying schedule")
-    _require_regime(consts)
-    _require_step(consts, sched.scale)
     k_hor = inputs.horizon
     if k_hor < 1:
         raise ConfigError("decaying-regime bound needs at least one round")
-    if sched.k0 * consts.phi <= 2.0:
-        raise RegimeError(f"decay offset {sched.k0} is not above {2.0 / consts.phi}")
+    _refuse("gap bound", _violations(consts, sched, consts.theta_min))
 
     nu, eta, r = consts.pl_constant, consts.eta, consts.n_reliable
     l_const = consts.smoothness
@@ -197,8 +266,7 @@ def theorem3_rhs(inputs: ConvergenceBoundInputs) -> BoundBreakdown:
     consts, sched = inputs.consts, inputs.schedule
     if not isinstance(sched, ConstantSchedule):
         raise ConfigError("constant-regime bound needs a constant schedule")
-    _require_regime(consts)
-    _require_step(consts, sched.scale)
+    _refuse("gap bound", _violations(consts, sched, consts.theta_min))
 
     nu, eta, r = consts.pl_constant, consts.eta, consts.n_reliable
     l_sq = consts.smoothness**2

@@ -180,13 +180,13 @@ def _summary_lines(exp, ens):
     yield from _bounds_block(exp, ens)
 
 
-def run_experiment(cfg: dict, out_dir: Path, name: str = "run") -> dict:
+def run_experiment(cfg: dict, out_dir: Path) -> dict:
     """Execute one config: per-seed CSVs, ensemble CSV, summary. Returns
-    a small result dict used by sweep summaries."""
-    exp = build_experiment(cfg, name=name)
+    a small result dict used by sweep summaries. A config that fails to
+    build or run leaves no output directory behind."""
+    exp = build_experiment(cfg)
     if exp.sweep_axes:
         raise ConfigError("config declares sweep axes; use the sweep verb")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ens = run_ensemble(
         exp.net,
         exp.prob,
@@ -198,8 +198,8 @@ def run_experiment(cfg: dict, out_dir: Path, name: str = "run") -> dict:
         attack=exp.attack,
         agg=exp.agg,
         tau=exp.tau,
-        theory_mode=exp.theory_mode,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     for log in ens.logs:
         _write_lines(
             out_dir / f"run_seed{log.seed}.csv", _seed_csv(log, exp.config_hash)
@@ -228,13 +228,13 @@ def _strip_sweep(cfg: dict) -> dict:
 
 def _sweep_worker(args):
     idx, cell_cfg, out_dir = args
-    result = run_experiment(cell_cfg, Path(out_dir), name=f"cell{idx:03d}")
+    result = run_experiment(cell_cfg, Path(out_dir))
     return idx, result
 
 
 def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -> list:
     """Cartesian sweep over the declared axes, one subdirectory per cell."""
-    exp = build_experiment(cfg, name="sweep")
+    exp = build_experiment(cfg)
     axes = exp.sweep_axes
     if not axes:
         raise ConfigError("sweep verb needs a sweep.axes section")
@@ -298,7 +298,7 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
     """
     if swap_agent is not None:
         cfg = apply_overrides(cfg, [f"privacy_trace.swap_agent={swap_agent}"])
-    exp = build_experiment(cfg, name="trace")
+    exp = build_experiment(cfg)
     if exp.trace_swap is None:
         raise ConfigError(
             "privacy-trace needs a privacy_trace section (or --swap) with "
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         cfg = apply_overrides(load_config(args.config), args.overrides)
         out_dir = _resolve_out(args, args.config)
         if args.verb == "run":
-            result = run_experiment(cfg, out_dir, name=args.config.stem)
+            result = run_experiment(cfg, out_dir)
             print(f"wrote {out_dir} (hash {result['hash'][:12]})")
         elif args.verb == "sweep":
             results = sweep_experiment(cfg, out_dir, max_workers=args.workers)

@@ -17,6 +17,7 @@ from pathlib import Path
 import yaml
 
 from .attacks import ATTACK_KINDS, AttackSpec
+from .bounds import validate_schedule
 from .engine import TauSpec
 from .errors import ConfigError
 from .objectives import GlobalProblem, benchmark_problem
@@ -116,10 +117,7 @@ class Experiment:
     tau: TauSpec | None
     horizon: int
     seeds: list
-    theory_mode: bool
-    bound_column: bool
     consts: TheoryConstants | None
-    out_name: str
     sweep_axes: list
     budget: DpBudget | None
     local_dp: dict | None
@@ -327,7 +325,7 @@ def _parse_aggregation(section: dict):
 
 def _parse_run(section: dict):
     path = "run"
-    allowed = {"horizon", "seeds", "theory_mode", "bound_column", "output"}
+    allowed = {"horizon", "seeds", "theory_mode", "bound_column"}
     _check_keys(section, allowed, path)
     horizon = _as_int(_need(section, "horizon", path), f"{path}.horizon")
     seeds = _need(section, "seeds", path)
@@ -341,18 +339,13 @@ def _parse_run(section: dict):
     for name, val in (("theory_mode", theory_mode), ("bound_column", bound_column)):
         if not isinstance(val, bool):
             raise ConfigError(f"{path}.{name}: expected a boolean")
-    output = section.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"{path}.output: expected a string")
     norm = {
         "horizon": horizon,
         "seeds": seeds,
         "theory_mode": theory_mode,
         "bound_column": bound_column,
     }
-    if output is not None:
-        norm["output"] = output
-    return horizon, seeds, theory_mode, bound_column, output, norm
+    return horizon, seeds, theory_mode, bound_column, norm
 
 
 def _parse_sweep(section: dict):
@@ -431,7 +424,7 @@ def _parse_privacy(section: dict, horizon: int):
     return local_norm, budget, norm
 
 
-def build_experiment(cfg: dict, name: str = "run") -> Experiment:
+def build_experiment(cfg: dict) -> Experiment:
     """Validate the whole config and assemble every runtime object."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping of sections")
@@ -446,9 +439,7 @@ def build_experiment(cfg: dict, name: str = "run") -> Experiment:
     variance, noise_derived, noise_norm = _parse_noise(cfg.get("noise", {}), sched)
     attack, attack_norm = _parse_attack(cfg.get("attack", {}))
     agg, tau, agg_norm = _parse_aggregation(cfg.get("aggregation", {}))
-    horizon, seeds, theory_mode, bound_column, output, run_norm = _parse_run(
-        cfg["run"]
-    )
+    horizon, seeds, theory_mode, bound_column, run_norm = _parse_run(cfg["run"])
     sweep_axes, sweep_norm = _parse_sweep(cfg.get("sweep", {}))
     local_dp, budget, priv_norm = _parse_privacy(cfg.get("privacy", {}), horizon)
 
@@ -483,6 +474,9 @@ def build_experiment(cfg: dict, name: str = "run") -> Experiment:
             variance,
             prob.dim,
         )
+        if theory_mode and not sweep_axes:
+            # a sweep's base config is only a template; its cells are checked
+            validate_schedule(sched, consts, strict=True)
 
     normalized = {
         "topology": topo_norm,
@@ -506,16 +500,13 @@ def build_experiment(cfg: dict, name: str = "run") -> Experiment:
         net=net,
         prob=prob,
         sched=sched,
-        noise=NoiseSpec(variance, prob.dim),
+        noise=NoiseSpec(variance),
         attack=attack,
         agg=agg,
         tau=tau,
         horizon=horizon,
         seeds=seeds,
-        theory_mode=theory_mode,
-        bound_column=bound_column,
         consts=consts,
-        out_name=output if output is not None else name,
         sweep_axes=sweep_axes,
         budget=budget,
         local_dp=local_dp,

@@ -14,22 +14,26 @@ is a block of standard normals from the purpose-2 streams, scaled by the
 noise standard deviation. Both are drawn in chunks of rounds that batch
 the same stream values in the same order, so a run is a prefix of any
 longer run with the same inputs.
+
+The loop derives no theory constants: a caller that wants the bound
+column passes them in as consts, and bounds decides whether the schedule
+is admissible for them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 
 from .aggregation import edge_diffs, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
-from .errors import BrokenOptimumError, ConfigError, RegimeError
+from .bounds import dk_bound, validate_schedule
+from .errors import BrokenOptimumError, ConfigError
 from .objectives import GlobalProblem, normal_blocks
 from .privacy import NoiseSpec
-from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule, value_at
-from .topology import Network, TheoryConstants, rho_upper_bound, theory_constants
+from .schedules import StepSizeSchedule, value_at
+from .topology import Network, TheoryConstants
 
 __all__ = [
     "TauSpec",
@@ -38,9 +42,7 @@ __all__ = [
     "run",
     "run_ensemble",
     "consensus_error",
-    "dk_bound",
     "optimal_gap_series",
-    "validate_schedule",
 ]
 
 DIVERGENCE_LIMIT = 1e12
@@ -138,86 +140,6 @@ def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
     return np.maximum(gaps, 0.0)
 
 
-def validate_schedule(
-    sched: StepSizeSchedule, consts: TheoryConstants, strict: bool
-) -> None:
-    """Check a schedule against the convergence-theory step bounds.
-
-    strict raises; otherwise violations warn and the run proceeds in free
-    mode.
-    """
-    problems = []
-    if not consts.regime_valid:
-        problems.append(
-            f"contraction {consts.rho} is not below the admissible {consts.rho_bar}"
-        )
-    else:
-        if sched.scale > consts.theta_min * (1.0 + 1e-12):
-            problems.append(
-                f"step scale {sched.scale} exceeds the admissible {consts.theta_min}"
-            )
-        if isinstance(sched, DecayingSchedule) and sched.k0 * consts.phi <= 2.0:
-            problems.append(
-                f"decay offset {sched.k0} is not above {2.0 / consts.phi}"
-            )
-    if not problems:
-        return
-    message = "; ".join(problems)
-    if strict:
-        raise RegimeError(message)
-    warnings.warn(f"running outside the theory regime: {message}", stacklevel=3)
-
-
-def _check_bound_inputs(consts: TheoryConstants, sched: StepSizeSchedule) -> None:
-    """Raise RegimeError wherever dk_bound is undefined for this pair."""
-    if not consts.regime_valid:
-        raise RegimeError(
-            "disagreement bound undefined: contraction "
-            f"{consts.rho} is not below {consts.rho_bar}"
-        )
-    if isinstance(sched, DecayingSchedule):
-        if sched.k0 * consts.phi <= 2.0:
-            raise RegimeError(
-                f"decay offset {sched.k0} is not above {2.0 / consts.phi}"
-            )
-        if sched.scale > consts.theta * (1.0 + 1e-12):
-            raise RegimeError(
-                f"step scale {sched.scale} exceeds the bound's step {consts.theta}"
-            )
-    elif sched.scale > consts.theta * (1.0 + 1e-12):
-        raise RegimeError(
-            f"constant step {sched.scale} exceeds the bound's step {consts.theta}"
-        )
-
-
-def dk_bound(
-    consts: TheoryConstants, d0: float, k, sched: StepSizeSchedule
-):
-    """Theoretical ceiling on the expected disagreement at round k.
-
-    Decaying schedules contract geometrically plus a 1/(k+k0)^2 tail;
-    constant schedules keep a residual floor proportional to the squared
-    step. Refuses outside the valid contraction regime.
-    """
-    _check_bound_inputs(consts, sched)
-    k = np.asarray(k, dtype=float)
-    decay = (1.0 - consts.phi) ** k * d0
-    if isinstance(sched, DecayingSchedule):
-        iota = (1.0 + 1.0 / sched.k0) ** 2
-        tail = (
-            2.0
-            * iota
-            * consts.vartheta
-            * consts.theta**2
-            / consts.phi
-            / (k + sched.k0) ** 2
-        )
-    else:
-        tail = consts.vartheta / consts.phi * sched.scale**2
-    out = decay + tail
-    return float(out) if out.ndim == 0 else out
-
-
 def _diverged(states: np.ndarray) -> bool:
     return not np.all(np.isfinite(states)) or np.max(np.abs(states)) > DIVERGENCE_LIMIT
 
@@ -260,7 +182,6 @@ def run(
     tau: TauSpec | float | None = None,
     x0=None,
     consts: TheoryConstants | None = None,
-    theory_mode: bool = False,
     record_traces: bool = False,
 ) -> MetricsLog:
     """Execute the full round loop and collect reliable-set metrics.
@@ -273,11 +194,10 @@ def run(
     kind 'none' they follow the honest protocol, which is what makes a
     labeled-but-honest run comparable with an unlabeled one.
 
-    Passing consts (or theory_mode, which derives them from the network
-    and problem constants) adds the theoretical disagreement ceiling as a
-    per-row column; theory_mode additionally enforces the step-size
-    regime instead of warning. A bound column that dk_bound would refuse
-    raises RegimeError before the first round.
+    Passing consts adds the theoretical disagreement ceiling as a per-row
+    column. A schedule outside the gap theorems' regime then warns, and a
+    column that dk_bound would refuse raises RegimeError before the first
+    round.
     """
     if net.n_agents != prob.n_agents:
         raise ConfigError(
@@ -288,7 +208,7 @@ def run(
     if agg not in ("scc", "mean"):
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
     if isinstance(noise, (int, float)):
-        noise = NoiseSpec(float(noise), prob.dim)
+        noise = NoiseSpec(float(noise))
     if attack is None:
         attack = AttackSpec(kind="none")
     if agg == "mean":
@@ -299,20 +219,9 @@ def run(
     elif not isinstance(tau, TauSpec):
         tau = TauSpec(kind="manual", value=tau)
 
-    if consts is None and theory_mode:
-        consts = theory_constants(
-            net,
-            rho_upper_bound(net),
-            prob.smoothness,
-            prob.pl_constant,
-            prob.sigma_sq,
-            prob.zeta_sq,
-            noise.variance,
-            prob.dim,
-        )
     if consts is not None:
-        validate_schedule(sched, consts, strict=theory_mode)
-        _check_bound_inputs(consts, sched)
+        validate_schedule(sched, consts, strict=False)
+        dk_bound(consts, 0.0, 0, sched)  # refuses here, not after the rounds
 
     a = net.n_agents
     rel = list(net.reliable)

@@ -31,13 +31,10 @@ class NoiseSpec:
     """Per-coordinate variance cap for the masking noise."""
 
     variance: float
-    dim: int = 1
 
     def __post_init__(self):
         if self.variance < 0:
             raise ConfigError(f"noise variance must be nonnegative, got {self.variance}")
-        if self.dim < 1:
-            raise ConfigError(f"dimension must be at least 1, got {self.dim}")
 
 
 def sensitivity_default(grad_bound: float) -> float:

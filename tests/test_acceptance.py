@@ -215,7 +215,7 @@ def test_disagreement_stays_under_theory_ceiling():
     sched = DecayingSchedule(scale=consts.theta_min, k0=consts.k0)
     ens = run_ensemble(
         net, prob, sched, 5_000, range(1, 21),
-        consts=consts, noise=1e-6, agg="scc", tau=1e6, theory_mode=True,
+        consts=consts, noise=1e-6, agg="scc", tau=1e6,
     )
     assert all(s == "completed" for s in ens.statuses)
     frac = float(np.mean(ens.consensus_mean <= ens.dk_bound))

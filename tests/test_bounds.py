@@ -1,6 +1,8 @@
 """Term-level checks of the disagreement and optimal-gap ceilings."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +12,23 @@ from gossipshield import (
     ConfigError,
     ConstantSchedule,
     DecayingSchedule,
+    LocalObjective,
     MetricsLog,
     RegimeError,
+    build_network,
     constants_from_mixing,
+    custom_problem,
+    run,
 )
 from gossipshield.bounds import (
     ConvergenceBoundInputs,
+    dk_bound,
     format_comparison_table,
     lemma2_rhs,
     regime_compare,
     theorem2_rhs,
     theorem3_rhs,
+    validate_schedule,
 )
 
 
@@ -227,6 +235,67 @@ def test_bound_input_validation():
                 schedule=ConstantSchedule(consts.theta_min * 10),
             )
         )
+
+
+def _refuses(call) -> bool:
+    try:
+        call()
+    except RegimeError:
+        return True
+    return False
+
+
+def _counting_quad(agent, calls):
+    def sample_gradient(x, rng):
+        calls.append(agent)
+        return 2.0 * x
+
+    return LocalObjective(
+        agent=agent,
+        family="quad",
+        expected_value=lambda x: x * x,
+        expected_gradient=lambda x: 2.0 * x,
+        sample_value=lambda x, u, v: x * x,
+        sample_gradient=sample_gradient,
+    )
+
+
+def test_entry_points_agree_on_the_regime():
+    """The strict schedule check refuses exactly where the gap theorems
+    do, and a run with a bound column refuses, before it samples a single
+    gradient, exactly where dk_bound does."""
+    calls = []
+    net = build_network("complete", 4, byz_fraction=0.0, seed=0)
+    prob = custom_problem([_counting_quad(i, calls) for i in range(4)])
+    seen = set()
+    # rho 0.3 leaves every mixing out of the regime; nu 1000 puts
+    # theta_min = 1/nu under theta
+    for lam, rho, nu in itertools.product((0.2, 0.5, 0.9), (0.0, 0.02, 0.3), (1.0, 1e3)):
+        consts = constants_from_mixing(lam, 4, rho, 2.0, nu, 0.2, 0.3, 0.1, 1)
+        caps = {consts.theta, consts.theta_min} if consts.theta > 0 else {1e-3}
+        # k0 around 2/phi: floor(2/phi) has k0 * phi <= 2, consts.k0 is the first above
+        k0s = {max(1, consts.k0 - 1), consts.k0 or 10, consts.k0 + 1}
+        for cap, factor in itertools.product(caps, (0.5, 1.0, 2.0)):
+            scale = cap * factor
+            scheds = [ConstantSchedule(scale)]
+            scheds += [DecayingSchedule(scale=scale, k0=k0) for k0 in sorted(k0s)]
+            for sched in scheds:
+                inputs = ConvergenceBoundInputs(consts, 1.0, np.ones(4), sched)
+                gap_rhs = theorem2_rhs if sched.kind == "decaying" else theorem3_rhs
+                strict = _refuses(lambda: validate_schedule(sched, consts, strict=True))
+                assert strict == _refuses(lambda: gap_rhs(inputs))
+                column = _refuses(lambda: dk_bound(consts, 1.0, 3, sched))
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    refused = _refuses(
+                        lambda: run(net, prob, sched, 2, 1, agg="mean", consts=consts)
+                    )
+                assert refused == column
+                assert len(calls) == (0 if refused else 2 * 4)
+                seen.add((strict, column))
+    # admissible for both; only above theta_min; above theta as well
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def _toy_log(seed, consensus, f_bar, f_star=0.0):

@@ -1,10 +1,12 @@
 """Runner artifacts: byte-stable CSVs, sweep plumbing, paired traces."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
+import gossipshield
 from gossipshield.cli import main, privacy_trace, run_experiment, sweep_experiment
 from gossipshield.errors import ConfigError
 
@@ -179,6 +181,20 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, cfg)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["run.bound_column", "run.theory_mode"])
+# the bound column warns that the schedule is outside the regime, then refuses
+@pytest.mark.filterwarnings("ignore:running outside the theory regime")
+def test_main_refused_run_leaves_no_directory(tmp_path, capsys, key):
+    # random_alie's 20% Byzantine network is outside the contraction regime
+    recipe = Path(gossipshield.__file__).parent / "recipes" / "random_alie.yaml"
+    out = tmp_path / "o"
+    argv = ["run", str(recipe), "--out", str(out), "--set", f"{key}=true",
+            "--set", "run.horizon=5"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_sweep_verb(tmp_path, capsys):

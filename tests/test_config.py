@@ -2,7 +2,7 @@
 
 import pytest
 
-from gossipshield import ConfigError, DecayingSchedule
+from gossipshield import ConfigError, DecayingSchedule, RegimeError
 from gossipshield.config import (
     apply_overrides,
     build_experiment,
@@ -24,7 +24,7 @@ def _base_cfg():
 
 
 def test_build_assembles_everything():
-    exp = build_experiment(_base_cfg(), name="case")
+    exp = build_experiment(_base_cfg())
     assert exp.net.n_agents == 10 and len(exp.net.byzantine) == 1
     assert exp.prob.n_agents == 10
     assert isinstance(exp.sched, DecayingSchedule) and exp.sched.k0 == 10
@@ -32,8 +32,7 @@ def test_build_assembles_everything():
     assert exp.attack.kind == "sign_flip"
     assert exp.agg == "scc" and exp.tau.kind == "manual"
     assert exp.horizon == 20 and exp.seeds == [1, 2]
-    assert exp.consts is None and not exp.theory_mode
-    assert exp.out_name == "case"
+    assert exp.consts is None
     # defaults are materialized in the canonical form
     assert exp.normalized["problem"] == {
         "kind": "benchmark",
@@ -285,6 +284,17 @@ def test_sweep_axes_parse():
     cfg["sweep"]["axes"][0] = {"key": "noise.variance", "values": []}
     with pytest.raises(ConfigError, match="nonempty"):
         build_experiment(cfg)
+
+
+def test_theory_mode_refuses_at_build():
+    cfg = _base_cfg()
+    cfg["run"]["theory_mode"] = True
+    # one Byzantine agent in ten puts this network outside the regime
+    with pytest.raises(RegimeError):
+        build_experiment(cfg)
+    # a sweep's base config is a template: each cell is checked when built
+    cfg["sweep"] = {"axes": [{"key": "attack.s_b", "values": [0.5, 1.0]}]}
+    assert not build_experiment(cfg).consts.regime_valid
 
 
 def test_apply_overrides():

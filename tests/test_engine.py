@@ -409,17 +409,18 @@ def test_theory_mode_bound_column():
         warnings.simplefilter("error")
         log = run(
             net, prob, sched, 30, 1, noise=1e-6, agg="scc",
-            tau=TauSpec("manual", 1.0), theory_mode=True,
+            tau=TauSpec("manual", 1.0), consts=consts,
         )
     assert log.dk_bound is not None and log.dk_bound.shape == (31,)
     assert np.all(np.isfinite(log.dk_bound))
     assert log.dk_bound[4] == pytest.approx(
         dk_bound(consts, log.consensus[0], 4, sched), rel=1e-12
     )
-    with pytest.raises(RegimeError):
+    # outside the gap theorems' step cap it warns; above theta it refuses
+    with pytest.warns(UserWarning), pytest.raises(RegimeError):
         run(
             net, prob, ConstantSchedule(consts.theta_min * 50), 5, 1,
-            agg="mean", theory_mode=True,
+            agg="mean", consts=consts,
         )
 
 

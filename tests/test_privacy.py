@@ -18,8 +18,6 @@ from gossipshield.schedules import ConstantSchedule, DecayingSchedule
 def test_noise_spec_validation():
     with pytest.raises(ConfigError):
         NoiseSpec(-1.0)
-    with pytest.raises(ConfigError):
-        NoiseSpec(1.0, dim=0)
 
 
 def test_sensitivity_default():
