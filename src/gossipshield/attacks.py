@@ -138,9 +138,9 @@ class AttackPlan:
     def __init__(self, spec: AttackSpec, net: Network):
         self.spec = spec
         self.net = net
-        self.byz = list(net.byzantine)
-        self.rel = list(net.reliable)
         n = net.n_agents
+        self._byz_idx = np.flatnonzero(net.is_byz)
+        self._rel_idx = np.flatnonzero(~net.is_byz)
         from_byz = net.byzantine_edges()
         self._edges = np.flatnonzero(from_byz)
         self._to = net.recv[self._edges]
@@ -153,7 +153,6 @@ class AttackPlan:
         self._stat_recv = net.recv[stat_edges]
         self._stat_send = net.send[stat_edges]
         self._stat_w = net.edge_w[stat_edges]
-        self._rel_idx = np.array(self.rel, dtype=np.intp)
         # size of each receiver's reliable closed neighborhood
         count = np.bincount(self._stat_recv, minlength=n)
         count[self._rel_idx] += 1
@@ -161,15 +160,24 @@ class AttackPlan:
         self._byz_wsum = net.weight_split()[1]
 
         if spec.kind == "alie":
-            self._alie_a = alie_coefficient(n, len(self.rel))
+            self._alie_a = alie_coefficient(n, self._rel_idx.size)
             self._alie_global = not spec.alie_local
 
         if spec.kind == "perturbed_dup":
-            if spec.victim is not None and spec.victim not in self.rel:
+            if spec.victim is not None and spec.victim not in net.reliable:
                 raise ConfigError(f"fixed victim {spec.victim} is not reliable")
-            self._victims = [net.reliable_neighbors(b) or [b] for b in self.byz]
-            # position of each overwritten edge's sender in self.byz
-            self._sender_pos = np.searchsorted(self.byz, net.send[self._edges])
+            # each Byzantine agent's victims, taken round-robin and kept in
+            # one flat array: the fixed victim, or its reliable neighbours
+            # (itself when it has none)
+            if spec.victim is not None:
+                pools = [[spec.victim]] * len(net.byzantine)
+            else:
+                pools = [net.reliable_neighbors(b) or [b] for b in net.byzantine]
+            self._pool = np.array([v for pool in pools for v in pool], dtype=np.intp)
+            self._pool_len = np.array([len(pool) for pool in pools], dtype=np.intp)
+            self._pool_start = np.cumsum(self._pool_len) - self._pool_len
+            # position of each overwritten edge's sender in the Byzantine list
+            self._sender_pos = np.searchsorted(self._byz_idx, net.send[self._edges])
 
     def _nbhd_mean(self, values: np.ndarray) -> np.ndarray:
         """Mean of values over each receiver's reliable closed neighborhood."""
@@ -181,7 +189,7 @@ class AttackPlan:
 
     def apply(self, messages: np.ndarray, k: int, models: np.ndarray) -> None:
         kind = self.spec.kind
-        if kind == "none" or not self.byz:
+        if kind == "none" or self._byz_idx.size == 0:
             return
         if kind == "silent":
             messages[self._edges] = 0.0
@@ -191,7 +199,7 @@ class AttackPlan:
             return
         if kind == "alie":
             if self._alie_global:
-                messages[self._edges] = alie_msg(models[self.rel], self._alie_a)
+                messages[self._edges] = alie_msg(models[self._rel_idx], self._alie_a)
             else:
                 mean = self._nbhd_mean(models)[self._to]
                 second = self._nbhd_mean(models**2)[self._to]
@@ -213,10 +221,7 @@ class AttackPlan:
         if kind == "perturbed_dup":
             p_mult = value_at(self.spec.p_mult, k)
             p_add = value_at(self.spec.p_add, k)
-            if self.spec.victim is not None:
-                victims = [self.spec.victim] * len(self.byz)
-            else:
-                victims = [members[k % len(members)] for members in self._victims]
+            victims = self._pool[self._pool_start + k % self._pool_len]
             vals = perturbed_dup_msg(models[victims], p_mult, p_add)
             messages[self._edges] = vals[self._sender_pos]
             return

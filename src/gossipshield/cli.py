@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -232,49 +233,73 @@ def _sweep_worker(args):
     return idx, result
 
 
+def _publish(stage: Path, out_dir: Path) -> None:
+    """Move a finished sweep into out_dir: one rename when out_dir is new,
+    otherwise file by file over what is there, as writing in place would."""
+    if not out_dir.exists():
+        stage.rename(out_dir)
+        return
+    for src in sorted(stage.rglob("*")):
+        if src.is_file():
+            dst = out_dir / src.relative_to(stage)
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(src, dst)
+
+
 def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -> list:
-    """Cartesian sweep over the declared axes, one subdirectory per cell."""
+    """Cartesian sweep over the declared axes, one subdirectory per cell.
+
+    The cells and the summary are written into a temporary sibling of
+    out_dir and moved into place only after every cell has returned, so
+    a sweep that fails in any cell leaves out_dir as it was."""
     exp = build_experiment(cfg)
     axes = exp.sweep_axes
     if not axes:
         raise ConfigError("sweep verb needs a sweep.axes section")
-    out_dir.mkdir(parents=True, exist_ok=True)
     keys = [key for key, _ in axes]
     cells = list(itertools.product(*(values for _, values in axes)))
-    jobs = []
-    for idx, combo in enumerate(cells):
-        overrides = [f"{key}={json.dumps(val)}" for key, val in zip(keys, combo)]
-        cell_cfg = apply_overrides(_strip_sweep(cfg), overrides)
-        jobs.append((idx, cell_cfg, str(out_dir / f"cell{idx:03d}")))
+    target = out_dir.resolve()
+    stage = target.with_name(f".{target.name}.{os.getpid()}.partial")
+    shutil.rmtree(stage, ignore_errors=True)
+    stage.mkdir(parents=True)
+    try:
+        jobs = []
+        for idx, combo in enumerate(cells):
+            overrides = [f"{key}={json.dumps(val)}" for key, val in zip(keys, combo)]
+            cell_cfg = apply_overrides(_strip_sweep(cfg), overrides)
+            jobs.append((idx, cell_cfg, str(stage / f"cell{idx:03d}")))
 
-    if max_workers == 1 or len(jobs) == 1:
-        results = [_sweep_worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    results.sort(key=lambda pair: pair[0])
+        if max_workers == 1 or len(jobs) == 1:
+            results = [_sweep_worker(job) for job in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                results = list(pool.map(_sweep_worker, jobs))
+        results.sort(key=lambda pair: pair[0])
 
-    n_files = sum(res["n_seed_files"] for _, res in results)
-    expected = len(cells) * len(exp.seeds)
-    assert n_files == expected, f"artifact count {n_files} != {expected}"
+        n_files = sum(res["n_seed_files"] for _, res in results)
+        expected = len(cells) * len(exp.seeds)
+        assert n_files == expected, f"artifact count {n_files} != {expected}"
 
-    lines = [f"# config_hash={exp.config_hash}", "cell,axes,statuses,final_gap_mean_of_min,final_D_mean"]
-    for idx, res in results:
-        axes_txt = ";".join(
-            f"{key}={json.dumps(val)}" for key, val in zip(keys, cells[idx])
-        )
-        lines.append(
-            ",".join(
-                (
-                    f"cell{idx:03d}",
-                    axes_txt,
-                    "|".join(res["statuses"]),
-                    _fmt(res["final_gap_mean_of_min"]),
-                    _fmt(res["final_d_mean"]),
+        lines = [f"# config_hash={exp.config_hash}", "cell,axes,statuses,final_gap_mean_of_min,final_D_mean"]
+        for idx, res in results:
+            axes_txt = ";".join(
+                f"{key}={json.dumps(val)}" for key, val in zip(keys, cells[idx])
+            )
+            lines.append(
+                ",".join(
+                    (
+                        f"cell{idx:03d}",
+                        axes_txt,
+                        "|".join(res["statuses"]),
+                        _fmt(res["final_gap_mean_of_min"]),
+                        _fmt(res["final_d_mean"]),
+                    )
                 )
             )
-        )
-    _write_lines(out_dir / "sweep_summary.csv", lines)
+        _write_lines(stage / "sweep_summary.csv", lines)
+        _publish(stage, out_dir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return [res for _, res in results]
 
 

@@ -75,6 +75,13 @@ def _as_int(value, path: str) -> int:
     return int(value)
 
 
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: seeds must be nonnegative, got {seed}")
+    return seed
+
+
 def _schedule_from(section: dict, path: str) -> StepSizeSchedule:
     _check_keys(section, {"kind", "scale", "k0"}, path)
     kind = _need(section, "kind", path)
@@ -166,7 +173,7 @@ def _parse_topology(section: dict):
     kind = _need(section, "kind", path)
     n = _as_int(_need(section, "n_agents", path), f"{path}.n_agents")
     frac = _as_float(section.get("byz_fraction", 0.0), f"{path}.byz_fraction")
-    seed = _as_int(section.get("seed", 0), f"{path}.seed")
+    seed = _as_seed(section.get("seed", 0), f"{path}.seed")
     edge_p = _as_float(section.get("edge_p", 0.3), f"{path}.edge_p")
     ids = None
     if "byzantine_ids" in section:
@@ -331,7 +338,7 @@ def _parse_run(section: dict):
     seeds = _need(section, "seeds", path)
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{path}.seeds: expected a nonempty list")
-    seeds = [_as_int(s, f"{path}.seeds") for s in seeds]
+    seeds = [_as_seed(s, f"{path}.seeds") for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{path}.seeds: duplicate seeds")
     theory_mode = section.get("theory_mode", False)

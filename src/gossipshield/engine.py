@@ -6,7 +6,10 @@ initial state, 1 the gradient sampling, and 2 the masking noise.
 Because streams are keyed per agent and the noise stream only advances
 when masking is on, toggling the Byzantine set, the attack, or the noise
 variance never perturbs anyone else's draws; several equivalence
-invariants in the test suite lean on exactly this.
+invariants in the test suite lean on exactly this. Each stream equals
+default_rng(SeedSequence([seed, agent, purpose])): the keys of all
+agents are run through numpy's SeedSequence hash in one pass of uint32
+array arithmetic, and no SeedSequence object is built per agent.
 
 Every problem takes the same path: the problem's gradient sampler draws
 each round's gradients from the purpose-1 streams, and the masking noise
@@ -25,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .aggregation import edge_diffs, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
@@ -144,11 +148,87 @@ def _diverged(states: np.ndarray) -> bool:
     return not np.all(np.isfinite(states)) or np.max(np.abs(states)) > DIVERGENCE_LIMIT
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a running
+# 32-bit constant per phase, a 4-word pool, and the mix of two words
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running constant as (xor, multiplier) pairs, one per
+    hashmix; the chain stays in Python ints so nothing overflows a scalar."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(values: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ (out >> 16)
+
+
+def _keyed_states(seed: int, n_agents: int, purpose: int) -> np.ndarray:
+    """Row i is SeedSequence([seed, i, purpose]).generate_state(4, uint64).
+
+    The key words are what SeedSequence coerces that list to: the seed's
+    little-endian 32-bit words (at least one), then i, then purpose. Every
+    agent's key has the same length, so the hash runs column by column
+    over all agents at once.
+    """
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    key = [np.full(n_agents, w, dtype=np.uint32) for w in words]
+    key += [np.arange(n_agents, dtype=np.uint32), np.full(n_agents, purpose, dtype=np.uint32)]
+    zeros = np.zeros(n_agents, dtype=np.uint32)
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(key[i] if i < len(key) else zeros, consts) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in key[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = np.stack(
+        [_hashmix(pool[j % _POOL_SIZE], consts) for j in range(2 * _POOL_SIZE)], axis=1
+    )
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _KeyedState(ISeedSequence):
+    """Hands PCG64 the state its SeedSequence would have generated."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a keyed state holds exactly four uint64 words")
+        return self._state
+
+
 def _agent_rngs(seed: int, n_agents: int, purpose: int) -> list:
-    """One generator per agent, keyed by (seed, agent, purpose)."""
+    """One generator per agent, keyed by (seed, agent, purpose); each equals
+    default_rng(SeedSequence([seed, agent, purpose]))."""
     return [
-        np.random.default_rng(np.random.SeedSequence([seed, i, purpose]))
-        for i in range(n_agents)
+        np.random.Generator(np.random.PCG64(_KeyedState(state)))
+        for state in _keyed_states(seed, n_agents, purpose)
     ]
 
 
@@ -205,6 +285,8 @@ def run(
         )
     if n_rounds < 0:
         raise ConfigError("round count must be nonnegative")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if agg not in ("scc", "mean"):
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
     if isinstance(noise, (int, float)):
@@ -224,14 +306,15 @@ def run(
         dk_bound(consts, 0.0, 0, sched)  # refuses here, not after the rounds
 
     a = net.n_agents
-    rel = list(net.reliable)
-    honest_byz = attack.kind == "none"
+    rel = np.flatnonzero(~net.is_byz)
+    byz = np.flatnonzero(net.is_byz)
     plan = AttackPlan(attack, net)
     if tau.kind != "manual":
         rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
         byz_weight = net.weight_split()[1]
 
     x = _initial_states(seed, a, prob.dim, x0)
+    x_rel = x[rel]
     sample = prob.gradient_sampler(_agent_rngs(seed, a, 1), n_rounds)
     masked = noise.variance > 0.0
     if masked:
@@ -250,9 +333,8 @@ def run(
     rows = 0
     n_half = 0
     for k in range(n_rounds + 1):
-        col_consensus[k] = consensus_error(x[rel])
-        x_bar = x[rel].mean(axis=0)
-        col_f[k] = float(prob.f(x_bar))
+        col_consensus[k] = consensus_error(x_rel)
+        col_f[k] = float(prob.f(x_rel.mean(axis=0)))
         if traces is not None:
             traces[k] = x
         rows = k + 1
@@ -286,13 +368,13 @@ def run(
             taus = np.where(np.isnan(taus), fallback, taus)
         new_states = scc_edges(diffs, norms, half, net.recv, net.edge_w, taus)
 
-        if honest_byz:
-            x = new_states
-        else:
-            x = x.copy()
-            x[rel] = new_states[rel]
+        if attack.kind != "none":
+            # a Byzantine agent under a real attack never updates its state
+            new_states[byz] = x[byz]
+        x = new_states
+        x_rel = x[rel]
 
-        if _diverged(x[rel]):
+        if _diverged(x_rel):
             status, diverged_at = "diverged", k
             rows = k + 1
             break

@@ -237,6 +237,8 @@ def build_network(
     """
     if n_agents < 2:
         raise TopologyError("need at least two agents")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise TopologyError(f"seed must be a nonnegative integer, got {seed!r}")
     if byzantine_ids is not None:
         byz = tuple(sorted(set(int(b) for b in byzantine_ids)))
         if byz and (byz[0] < 0 or byz[-1] >= n_agents):

@@ -207,3 +207,47 @@ def test_main_sweep_verb(tmp_path, capsys):
     assert main(["sweep", str(path), "--out", str(out), "--workers", "1"]) == 0
     assert (out / "sweep_summary.csv").exists()
     assert "2 cells" in capsys.readouterr().out
+
+
+# the second cell's bound column is undefined, so the sweep refuses after
+# the first cell has run
+@pytest.mark.filterwarnings("ignore:running outside the theory regime")
+def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys):
+    cfg = _cfg(
+        schedule={"kind": "decaying", "scale": 1.0e-6, "k0": 1000},
+        run={"horizon": 10, "seeds": [1], "bound_column": True},
+        sweep={"axes": [{"key": "topology.byz_fraction", "values": [0.0, 0.1]}]},
+    )
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "sweepout"
+    assert main(["sweep", str(path), "--out", str(out), "--workers", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.yaml"]
+
+
+def test_sweep_into_existing_directory_replaces_its_own_files(tmp_path):
+    cfg = _cfg(
+        run={"horizon": 6, "seeds": [1]},
+        sweep={"axes": [{"key": "attack.s_b", "values": [0.5, 1.0]}]},
+    )
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    sweep_experiment(cfg, fresh, max_workers=1)
+    (reused / "cell000").mkdir(parents=True)
+    (reused / "cell000" / "run_seed1.csv").write_text("stale\n")
+    (reused / "notes.txt").write_text("kept\n")
+    sweep_experiment(cfg, reused, max_workers=1)
+    for rel in ("sweep_summary.csv", "cell000/run_seed1.csv", "cell001/ensemble.csv"):
+        assert (fresh / rel).read_bytes() == (reused / rel).read_bytes()
+    assert (reused / "notes.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "reused"]
+
+
+@pytest.mark.parametrize("override", ["run.seeds=[-2]", "topology.seed=-3"])
+def test_main_rejects_negative_seeds(tmp_path, capsys, override):
+    path = _write(tmp_path, _cfg())
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--set", override]) == 2
+    # the config parser names the offending key
+    assert f"{override.split('=')[0]}: seeds must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()

@@ -38,6 +38,7 @@ from gossipshield.aggregation import (
     tau_corollary1,
     tau_remark4,
 )
+from gossipshield.engine import _agent_rngs
 from gossipshield.attacks import (
     alie_coefficient,
     alie_msg,
@@ -188,11 +189,10 @@ def _stream_normals(seed, purpose, n_agents, n_rounds, shape=()):
     return np.array([[r.standard_normal(shape) for r in rngs] for _ in range(n_rounds)])
 
 
-def test_half_step_replay_and_metric_definitions():
+def _check_half_step_replay(seed, n_rounds):
     net, prob = _small_setup()
     sched = DecayingSchedule(scale=2.0, k0=10)
-    # 520 rounds cross the first 512-round chunk of pre-drawn normals
-    seed, n_rounds, variance = 11, 520, 1e-4
+    variance = 1e-4
     log = run(
         net,
         prob,
@@ -218,6 +218,40 @@ def test_half_step_replay_and_metric_definitions():
         assert log.pre_agg[k] == consensus_error(half[rel])
         assert log.consensus[k] == consensus_error(x[rel])
         assert log.f_bar[k] == float(prob.f(x[rel].mean()))
+
+
+def test_half_step_replay_and_metric_definitions():
+    # 520 rounds cross the first 512-round chunk of pre-drawn normals
+    _check_half_step_replay(11, 520)
+
+
+def test_half_step_replay_with_a_two_word_seed():
+    # a seed above 2**32 enters the stream key as two 32-bit words
+    _check_half_step_replay(2**32 + 7, 30)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_agent_rngs_match_seed_sequence(seed):
+    for purpose in range(3):
+        rngs = _agent_rngs(seed, 300, purpose)
+        assert len(rngs) == 300
+        for i, rng in enumerate(rngs):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, i, purpose]))
+            assert rng.bit_generator.state == ref.bit_generator.state, (purpose, i)
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
+
+def test_run_builds_no_seed_sequence(monkeypatch):
+    net = build_network("random", 1000, byz_fraction=0.1, seed=1, edge_p=0.02)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=1000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run built a SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    log = run(net, prob, DecayingSchedule(scale=2.0, k0=10), 5, 3, noise=1e-4,
+              attack=AttackSpec("sign_flip"), agg="scc", tau=TauSpec("corollary1", 1e3))
+    assert log.status == "completed" and log.rounds_completed == 5
 
 
 def test_labeled_honest_matches_unlabeled():
@@ -535,6 +569,9 @@ def test_run_validation_errors():
         TauSpec("manual", 0.0)
     with pytest.raises(ConfigError):
         run(net, prob, sched, 5, 0, agg="mean", x0=np.zeros(7))
+    for seed in (-1, 1.5, True, None):
+        with pytest.raises(ConfigError, match="seed"):
+            run(net, prob, sched, 5, seed, agg="mean")
 
 
 def test_zero_rounds_single_row():

@@ -74,6 +74,13 @@ def test_byz_fraction_range_enforced():
         build_network("complete", 10, -0.1)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    for seed in (-3, 2.0, True):
+        with pytest.raises(TopologyError, match="seed"):
+            build_network("random", 10, 0.2, seed=seed, edge_p=0.3)
+    build_network("random", 10, 0.2, seed=np.int64(7), edge_p=0.3)
+
+
 def test_evenly_spaced_placement():
     assert evenly_spaced_byzantine(100, 10) == tuple(range(0, 100, 10))
     assert evenly_spaced_byzantine(10, 2) == (0, 5)
