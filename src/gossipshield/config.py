@@ -52,6 +52,8 @@ _SECTIONS = {
 
 
 def _check_keys(section: dict, allowed, path: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected a mapping of keys, got {section!r}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")

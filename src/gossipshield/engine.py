@@ -18,6 +18,14 @@ noise standard deviation. Both are drawn in chunks of rounds that batch
 the same stream values in the same order, so a run is a prefix of any
 longer run with the same inputs.
 
+The metric columns never feed back into the dynamics, so the loop does
+not compute them round by round: it copies each round's reliable states
+and half-steps into a row buffer of fixed size, and computes the
+disagreement, pre-aggregation disagreement and f(x-bar) of a whole chunk
+of rows in one pass when the buffer fills and when the loop ends. Every
+value is bit-equal to its per-row definition (consensus_error of the
+reliable rows, GlobalProblem.f of their mean).
+
 The loop derives no theory constants: a caller that wants the bound
 column passes them in as consts, and bounds decides whether the schedule
 is admissible for them.
@@ -26,6 +34,7 @@ is admissible for them.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -50,6 +59,10 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+
+# Elements of reliable states held for one metric pass, per buffer
+# (64 KiB of float64); a run holds two such buffers.
+_METRIC_ELEMENTS = 1 << 13
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,7 +93,9 @@ class MetricsLog:
     Row k describes the models entering round k; pre_agg[k] is the
     disagreement of that round's half-steps, NaN on the final row because
     no further round ran. A diverged run truncates at the offending round
-    and records where.
+    and records where. run computes the rows in bounded chunks after the
+    rounds that produced them; each equals its per-row definition bit for
+    bit.
     """
 
     k: np.ndarray
@@ -125,11 +140,18 @@ class EnsembleResult:
 
 def consensus_error(models: np.ndarray) -> float:
     """Total squared distance of the given models from their average."""
-    models = np.asarray(models, dtype=float)
+    models = np.array(models, dtype=float)
     if models.shape[0] == 0:
         raise ConfigError("need at least one reliable agent")
-    centered = models - models.mean(axis=0)
-    return float(np.sum(centered * centered))
+    return float(_row_disagreement(models[np.newaxis])[0])
+
+
+def _row_disagreement(rows: np.ndarray) -> np.ndarray:
+    """consensus_error of each row of models, for rows of shape
+    (n, models, ...); centres and squares rows in place."""
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows *= rows
+    return np.sum(rows, axis=tuple(range(1, rows.ndim)))
 
 
 def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
@@ -145,7 +167,8 @@ def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
 
 
 def _diverged(states: np.ndarray) -> bool:
-    return not np.all(np.isfinite(states)) or np.max(np.abs(states)) > DIVERGENCE_LIMIT
+    # NaN and inf fail the comparison too
+    return not np.abs(states).max() <= DIVERGENCE_LIMIT
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a running
@@ -314,7 +337,6 @@ def run(
         byz_weight = net.weight_split()[1]
 
     x = _initial_states(seed, a, prob.dim, x0)
-    x_rel = x[rel]
     sample = prob.gradient_sampler(_agent_rngs(seed, a, 1), n_rounds)
     masked = noise.variance > 0.0
     if masked:
@@ -328,13 +350,26 @@ def run(
     traces = np.empty((n_rows,) + x.shape) if record_traces else None
     half_traces = np.empty((n_rounds,) + x.shape) if record_traces else None
 
+    # the reliable states and half-steps of up to `chunk` rows wait here
+    # until their metrics are computed in one pass
+    row_shape = (len(rel),) + x.shape[1:]
+    chunk = max(1, min(n_rows, _METRIC_ELEMENTS // math.prod(row_shape)))
+    x_rows = np.empty((chunk,) + row_shape)
+    half_rows = np.empty((chunk,) + row_shape)
+
+    def flush(start: int, stop: int, half_stop: int) -> None:
+        # f first: the disagreement pass overwrites the rows it reads
+        col_f[start:stop] = prob.f_rows(x_rows[: stop - start].mean(axis=1))
+        col_consensus[start:stop] = _row_disagreement(x_rows[: stop - start])
+        col_pre[start:half_stop] = _row_disagreement(half_rows[: half_stop - start])
+
     status = "completed"
     diverged_at = None
     rows = 0
     n_half = 0
+    start = 0
+    x.take(rel, axis=0, out=x_rows[0])
     for k in range(n_rounds + 1):
-        col_consensus[k] = consensus_error(x_rel)
-        col_f[k] = float(prob.f(x_rel.mean(axis=0)))
         if traces is not None:
             traces[k] = x
         rows = k + 1
@@ -347,7 +382,7 @@ def run(
             grads = grads + noise_std * next(noise_blocks)
 
         half = x - alpha * grads
-        col_pre[k] = consensus_error(half[rel])
+        half.take(rel, axis=0, out=half_rows[k - start])
         if half_traces is not None:
             half_traces[k] = half
         n_half = k + 1
@@ -372,12 +407,14 @@ def run(
             # a Byzantine agent under a real attack never updates its state
             new_states[byz] = x[byz]
         x = new_states
-        x_rel = x[rel]
 
-        if _diverged(x_rel):
+        if k + 1 - start == chunk:
+            flush(start, k + 1, k + 1)
+            start = k + 1
+        if _diverged(x.take(rel, axis=0, out=x_rows[k + 1 - start])):
             status, diverged_at = "diverged", k
-            rows = k + 1
             break
+    flush(start, rows, n_half)
 
     ks = np.arange(rows)
     f_col = col_f[:rows]

@@ -236,6 +236,16 @@ class GlobalProblem:
         vals = [self.objectives[i].expected_value(x) for i in self.reliable]
         return sum(vals) / len(self.reliable)
 
+    def f_rows(self, xbars) -> np.ndarray:
+        """float(self.f(x)) for every row x of xbars, bit for bit."""
+        xbars = np.asarray(xbars, dtype=float)
+        if self.mean_u_coeffs is not None:
+            # one basis pass for all rows, then one dot per row: a single
+            # matrix-vector product would sum in another order
+            basis = np.ascontiguousarray(_basis_values(xbars).T)
+            return np.array([float(self.mean_u_coeffs @ b) for b in basis])
+        return np.array([float(self.f(x)) for x in xbars])
+
     def grad(self, x):
         if self.mean_u_coeffs is not None:
             return self.mean_u_coeffs @ _basis_cores(x)
@@ -568,10 +578,16 @@ def estimate_sigma_zeta(
         dev = expected - expected.mean(axis=0)
         zeta_hat = max(zeta_hat, float(np.max(np.sum(dev**2, axis=1))))
         for row, i in enumerate(rel):
-            obj = prob.objectives[i]
-            draws = np.array(
-                [np.asarray(obj.sample_gradient(x, rng)) for _ in range(samples_per_point)]
-            ).reshape(samples_per_point, -1)
+            if prob.u_coeffs is not None:
+                # sample_gradient's (u, v) pairs, drawn in the same order
+                u = 1.0 + prob.u_std * rng.standard_normal((samples_per_point, 2))[:, 0]
+                core = prob.u_coeffs[i] @ _basis_cores(x)
+                draws = (u * core).reshape(samples_per_point, 1)
+            else:
+                obj = prob.objectives[i]
+                draws = np.array(
+                    [np.asarray(obj.sample_gradient(x, rng)) for _ in range(samples_per_point)]
+                ).reshape(samples_per_point, -1)
             diff = draws - expected[row]
             sigma_hat = max(sigma_hat, float(np.mean(np.sum(diff**2, axis=1))))
     return sigma_hat, zeta_hat

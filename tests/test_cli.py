@@ -251,3 +251,22 @@ def test_main_rejects_negative_seeds(tmp_path, capsys, override):
     # the config parser names the offending key
     assert f"{override.split('=')[0]}: seeds must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["noise=null", "sweep=null", "run=null"])
+def test_main_rejects_null_sections(tmp_path, capsys, override):
+    recipe = Path(gossipshield.__file__).parent / "recipes" / "star_signflip.yaml"
+    out = tmp_path / "o"
+    assert main(["run", str(recipe), "--out", str(out), "--set", override]) == 2
+    assert f"{override.split('=')[0]}: expected a mapping" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_an_empty_section_key(tmp_path, capsys):
+    path = tmp_path / "case.yaml"
+    path.write_text(yaml.safe_dump(_cfg()).replace("noise:\n  variance: 0.0001\n", "noise:\n"))
+    assert yaml.safe_load(path.read_text())["noise"] is None
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "noise: expected a mapping" in capsys.readouterr().err
+    assert not out.exists()

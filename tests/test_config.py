@@ -123,6 +123,14 @@ def test_missing_and_malformed_sections():
         build_experiment(cfg)
 
 
+@pytest.mark.parametrize("section", ["noise", "sweep", "run", "attack", "privacy"])
+def test_null_section_rejected(section):
+    cfg = _base_cfg()
+    cfg[section] = None
+    with pytest.raises(ConfigError, match=f"{section}: expected a mapping"):
+        build_experiment(cfg)
+
+
 def test_aggregation_rules():
     cfg = _base_cfg()
     cfg["aggregation"] = {"kind": "mean"}

@@ -3,6 +3,7 @@ Byzantine freezing, divergence handling, and the disagreement-bound column."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,8 @@ from gossipshield.aggregation import (
     tau_corollary1,
     tau_remark4,
 )
-from gossipshield.engine import _agent_rngs
+from gossipshield import engine
+from gossipshield.engine import _agent_rngs, _diverged, _row_disagreement
 from gossipshield.attacks import (
     alie_coefficient,
     alie_msg,
@@ -82,6 +84,32 @@ def test_consensus_error_examples():
         assert consensus_error(pts + shift) == pytest.approx(
             consensus_error(pts), rel=1e-9, abs=1e-12
         )
+
+
+def test_row_disagreement_is_consensus_error_per_row():
+    rng = np.random.default_rng(4)
+    for n_models in (1, 2, 7, 90, 1000, 9000):
+        for shape in ((), (3,)):
+            rows = rng.normal(size=(4, n_models) + shape) * 10.0 ** rng.integers(-3, 4)
+            batch = _row_disagreement(rows.copy())
+            assert batch.shape == (4,)
+            for row, value in zip(rows, batch):
+                centered = row - row.mean(axis=0)  # the per-row definition
+                assert value == float(np.sum(centered * centered)), (n_models, shape)
+                assert consensus_error(row) == value
+
+
+def test_diverged_verdicts():
+    limit = engine.DIVERGENCE_LIMIT
+    for states, verdict in (
+        ([0.0, -limit, limit], False),
+        ([0.0, np.nextafter(limit, np.inf)], True),
+        ([-2.0 * limit, 1.0], True),
+        ([1.0, np.nan], True),
+        ([np.inf, 1.0], True),
+        ([[1.0, -np.inf], [0.0, 0.0]], True),
+    ):
+        assert _diverged(np.array(states)) is verdict, states
 
 
 def test_optimal_gap_series():
@@ -582,6 +610,77 @@ def test_zero_rounds_single_row():
     assert log.f_best[0] == log.f_bar[0]
     assert log.traces.shape == (1, 10)
     assert log.half_traces.shape == (0, 10)
+
+
+def _assert_per_row_metrics(log, net, prob):
+    """Every metric column equals its per-row definition on the traces."""
+    rel = list(net.reliable)
+    assert len(log.traces) == len(log.k)
+    for k, x in enumerate(log.traces):
+        assert log.consensus[k] == consensus_error(x[rel]), k
+        assert log.f_bar[k] == float(prob.f(x[rel].mean(axis=0))), k
+    for k, half in enumerate(log.half_traces):
+        assert log.pre_agg[k] == consensus_error(half[rel]), k
+    assert np.isnan(log.pre_agg[len(log.half_traces):]).all()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_chunked_metric_pass_matches_per_row_definitions(monkeypatch, chunk_rows):
+    quads = [_quad_objective(i) for i in range(4)]
+    blow_net = build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    vnet, vprob, _ = _noisy_vector_setup(dim=10)
+    net, prob = _small_setup()
+    cases = {
+        # several chunks, ending with a row that has no half-step
+        "horizon": (net, prob, DecayingSchedule(scale=2.0, k0=10), 10, dict(
+            noise=1e-4, attack=AttackSpec("sign_flip"), agg="scc",
+            tau=TauSpec("corollary1", 1e3))),
+        # the half-steps of round 13 diverge, inside a 3-row chunk
+        "half_diverged": (build_network("complete", 4, byz_fraction=0.0, seed=0),
+                          custom_problem(quads), ConstantSchedule(4.0), 100, dict(agg="mean")),
+        # the models after round 0 diverge and are not recorded
+        "models_diverged": (blow_net, benchmark_problem(byzantine=blow_net.byzantine, n_agents=10),
+                            ConstantSchedule(0.05), 20, dict(
+                                attack=AttackSpec("perturbed_dup", p_add=1e15), agg="mean")),
+        "vector": (vnet, vprob, DecayingSchedule(scale=0.5, k0=10), 7, dict(
+            noise=1e-3, attack=AttackSpec("dissensus"), agg="scc", tau=TauSpec("manual", 0.5))),
+        "zero_rounds": (net, prob, ConstantSchedule(0.05), 0, dict(agg="mean")),
+    }
+    whole = {name: run(n, p, s, r, 1, **kw) for name, (n, p, s, r, kw) in cases.items()}
+    for name, (n, p, s, r, kw) in cases.items():
+        row_size = n.n_agents - len(n.byzantine)
+        if p.dim > 1:
+            row_size *= p.dim
+        monkeypatch.setattr(engine, "_METRIC_ELEMENTS", chunk_rows * row_size)
+        log = run(n, p, s, r, 1, record_traces=True, **kw)
+        _assert_per_row_metrics(log, n, p)
+        for col in ("consensus", "pre_agg", "f_bar"):
+            np.testing.assert_array_equal(getattr(log, col), getattr(whole[name], col))
+        assert (log.status, log.diverged_at) == (whole[name].status, whole[name].diverged_at)
+    assert whole["half_diverged"].diverged_at == 13
+    assert len(whole["half_diverged"].pre_agg) == 14  # the diverged round's is kept
+    assert whole["models_diverged"].diverged_at == 0
+    assert len(whole["models_diverged"].k) == 1
+    assert whole["horizon"].status == "completed"
+
+
+def test_metric_buffers_do_not_grow_with_the_horizon():
+    net = build_network("random", 100, byz_fraction=0.1, seed=1, edge_p=0.1)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=100)
+
+    def peak(n_rounds):
+        tracemalloc.start()
+        try:
+            run(net, prob, ConstantSchedule(0.01), n_rounds, 1, agg="mean")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(2000), peak(20000)
+    # the run's per-row scalar columns, the log's copies and the gap
+    # series' temporaries: fewer than 16 float64 columns in all
+    columns = 16 * 8 * (20000 - 2000)
+    assert long - short < columns + (1 << 16)
 
 
 def test_f_best_and_gap_columns():

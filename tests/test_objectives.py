@@ -196,6 +196,44 @@ def test_sigma_zeta_benchmark_monte_carlo():
     assert 0.0 < s < 1.0
 
 
+def test_sigma_zeta_batched_draws_match_the_oracle_loop():
+    # the same family objectives without u_coeffs take the per-call loop
+    p = benchmark_problem(byzantine=[3, 17, 55])
+    loop = custom_problem(
+        p.objectives, [3, 17, 55],
+        f_star=p.f_star, pl_constant=p.pl_constant, smoothness=p.smoothness,
+    )
+    assert p.u_coeffs is not None and loop.u_coeffs is None
+    probes = [-2.0, 0.5, 1.0]
+    for n in (2, 37):
+        fast_rng, loop_rng = np.random.default_rng(7), np.random.default_rng(7)
+        fast = estimate_sigma_zeta(p, probes, n, fast_rng)
+        assert fast == estimate_sigma_zeta(loop, probes, n, loop_rng)
+        # and both consumed the same draws
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_f_rows_is_f_per_row():
+    xs = np.random.default_rng(3).normal(scale=3.0, size=257)
+    bench = benchmark_problem(byzantine=[0, 41])
+    loop = custom_problem(
+        bench.objectives, [0, 41],
+        f_star=bench.f_star, pl_constant=bench.pl_constant, smoothness=bench.smoothness,
+    )
+    for prob in (bench, loop):
+        rows = prob.f_rows(xs)
+        assert rows.shape == xs.shape
+        assert all(v == float(prob.f(x)) for v, x in zip(rows, xs))
+        assert prob.f_rows(xs[:0]).shape == (0,)
+    bowls = [
+        LocalObjective(i, "bowl", lambda x, a=1.0 + i: a * float(x @ x), None, None, None)
+        for i in range(3)
+    ]
+    vec = custom_problem(bowls, dim=4, f_star=0.0, pl_constant=1.0, smoothness=8.0)
+    pts = np.random.default_rng(5).normal(size=(6, 4))
+    assert list(vec.f_rows(pts)) == [float(vec.f(x)) for x in pts]
+
+
 def test_builder_validation():
     with pytest.raises(ConfigError):
         benchmark_problem(n_agents=55)
