@@ -8,6 +8,13 @@ radii, and scc_edges clips and sums. The plain mean is scc_edges with an
 unbounded radius. Edge and per-agent paths are equivalence-tested
 against each other, gossip_mean included.
 
+Every per-receiver sum goes through one ReceiverSums per edge list, built
+once: a fixed CSR matrix for one value per edge, bit-equal to
+np.bincount and about twice as fast, and contiguous segment sums for
+vector values. The engine's edge list may be the disjoint union of
+several copies of a network (one per seed of an ensemble); the kernel
+never needs to know, because each receiver only ever sums its own edges.
+
 Silent peers are represented by zero vectors in the inbox; that
 substitution happens at delivery time, before aggregation sees anything.
 """
@@ -145,29 +152,56 @@ def tau_remark4(
 # never an (A, A) array.
 
 
-def receiver_sum(recv: np.ndarray, values: np.ndarray, n_agents: int) -> np.ndarray:
-    """Sum per-edge values at each receiver; receivers with no edge get 0.
+class ReceiverSums:
+    """Per-receiver sums over one fixed edge list sorted by receiver.
 
-    recv must be sorted, as every edge list taken from Network is. Vector
-    values are summed one contiguous segment of edges per receiver, which
-    measured several times faster than a bincount per column at d = 10.
+    Built once per edge list. Scalar values (one per edge) go through a
+    CSR matrix of receivers x edges holding 1.0 on each edge: its matvec
+    adds every receiver's edges in edge order starting from +0.0, exactly
+    as np.bincount does, at half the cost per edge. Vector values (E, d)
+    are summed one contiguous segment of edges per receiver with
+    np.add.reduceat, which measured several times faster than a bincount
+    per column at d = 10. Receivers with no edge get 0.
+
+    scipy.sparse is imported when the matrix is first needed, so a run
+    that never sums scalars does not load it.
     """
-    if values.ndim == 1:
-        return np.bincount(recv, values, minlength=n_agents)
-    counts = np.bincount(recv, minlength=n_agents)
-    has = counts > 0
-    out = np.zeros((n_agents, values.shape[1]))
-    out[has] = np.add.reduceat(values, (np.cumsum(counts) - counts)[has], axis=0)
-    return out
+
+    def __init__(self, recv: np.ndarray, n_agents: int):
+        self.n_agents = n_agents
+        self.counts = np.bincount(recv, minlength=n_agents)
+        self._n_edges = len(recv)
+        self._indptr = np.concatenate(([0], np.cumsum(self.counts)))
+        self._has = self.counts > 0
+        self._starts = self._indptr[:-1][self._has]
+        self._matrix = None
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if values.ndim == 1:
+            if self._matrix is None:
+                from scipy.sparse import csr_array
+
+                self._matrix = csr_array(
+                    (np.ones(self._n_edges), np.arange(self._n_edges), self._indptr),
+                    shape=(self.n_agents, self._n_edges),
+                )
+            return self._matrix @ values
+        out = np.zeros((self.n_agents, values.shape[1]))
+        out[self._has] = np.add.reduceat(values, self._starts, axis=0)
+        return out
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """values[recv[e]] for every edge e, as a new array."""
+        return np.repeat(values, self.counts, axis=0)
 
 
-def edge_diffs(messages: np.ndarray, self_models: np.ndarray, recv: np.ndarray):
+def edge_diffs(messages: np.ndarray, self_models: np.ndarray, sums: ReceiverSums):
     """Per-edge differences messages[e] - self_models[recv[e]] and their
     norms: the one pass over the round's edges that both the oracle radii
-    and the clip-and-sum read."""
-    # take plus an in-place subtract allocates one (E, d) array, not two;
+    and the clip-and-sum read. sums is the edge list's ReceiverSums."""
+    # spread plus an in-place subtract allocates one (E, d) array, not two;
     # fresh arrays of that size cost page faults that dominated at d = 10
-    diffs = self_models.take(recv, axis=0)
+    diffs = sums.spread(self_models)
     np.subtract(messages, diffs, out=diffs)
     if diffs.ndim == 1:
         return diffs, np.abs(diffs)
@@ -178,7 +212,7 @@ def scc_edges(
     diffs: np.ndarray,
     norms: np.ndarray,
     self_models: np.ndarray,
-    recv: np.ndarray,
+    sums: ReceiverSums,
     edge_w: np.ndarray,
     taus: np.ndarray,
 ) -> np.ndarray:
@@ -186,37 +220,40 @@ def scc_edges(
 
     diffs and norms come from edge_diffs, and diffs is overwritten. An
     infinite radius clips nothing, which makes this gossip_mean: the
-    engine runs the mean baseline through here with taus = +inf.
+    engine runs the mean baseline through here with taus = +inf. Only the
+    clipped edges are rescaled; every other edge keeps edge_w, which is
+    edge_w * 1.0 bit for bit.
     """
     taus = np.asarray(taus, dtype=float)
     if not np.all(taus > 0.0):
         raise ValueError("clip thresholds must be positive, and not NaN")
-    tau_e = taus[recv]
+    tau_e = sums.spread(taus)
     # where norms exceed tau they are strictly positive, so the division
-    # inside the branch never sees zero
-    over = norms > tau_e
-    scale = edge_w * np.where(over, tau_e / np.where(over, norms, 1.0), 1.0)
+    # never sees zero
+    over = np.flatnonzero(norms > tau_e)
+    scale = edge_w.copy()
+    scale[over] *= tau_e[over] / norms[over]
     diffs *= scale if diffs.ndim == 1 else scale[:, None]
-    return self_models + receiver_sum(recv, diffs, len(self_models))
+    return self_models + sums(diffs)
 
 
 def tau_edges(
     norms: np.ndarray,
-    recv: np.ndarray,
+    sums: ReceiverSums,
     rel_w: np.ndarray,
     byz_weight: np.ndarray,
     kind: str,
 ) -> np.ndarray:
     """Oracle clipping radii for every receiver from the round's edge norms.
 
-    norms come from edge_diffs. rel_w is edge_w with every Byzantine-sender
-    edge set to zero, and byz_weight the total Byzantine weight at each
-    receiver; both depend on the network alone, so callers build them
-    once. kind 'corollary1' returns NaN where an agent has no Byzantine
+    norms come from edge_diffs and sums is the edge list's ReceiverSums.
+    rel_w is edge_w with every Byzantine-sender edge set to zero, and
+    byz_weight the total Byzantine weight at each receiver; both depend on
+    the network alone, so callers build them once. kind 'corollary1' returns NaN where an agent has no Byzantine
     neighbor; the engine substitutes its manual fallback there. kind
     'remark4' never falls back and ignores byz_weight.
     """
-    num = np.bincount(recv, rel_w * norms * norms, minlength=len(byz_weight))
+    num = sums(rel_w * norms * norms)
     if kind == "remark4":
         return np.maximum(num, TAU_FLOOR)
     if kind != "corollary1":

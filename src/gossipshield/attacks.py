@@ -18,9 +18,8 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
 
-from .aggregation import receiver_sum
+from .aggregation import ReceiverSums
 from .errors import ConfigError
 from .schedules import value_at
 from .topology import Network
@@ -82,6 +81,8 @@ def alie_coefficient(n_total: int, n_reliable: int) -> float:
     Inverse standard normal CDF at (|V| - floor(|V|/2 + 1)) / |R|; a
     threshold outside (0, 1) has no valid deviation and degrades to 0.
     """
+    from scipy.special import ndtri
+
     threshold = (n_total - (n_total // 2 + 1)) / n_reliable
     if not 0.0 < threshold < 1.0:
         warnings.warn(
@@ -133,12 +134,19 @@ class AttackPlan:
     statistics are sums over reliable-sender edges, so nothing here is
     (A, A). Everything is a pure function of (k, models), so replays are
     exact.
+
+    net may be the disjoint union of `copies` copies of one network, agent
+    s*A + i being agent i of copy s, as the engine builds for a group of
+    seeds. Neighbourhood statistics never cross copies by construction;
+    the global ALIE statistic, its coefficient and a fixed victim are
+    taken per copy, so each copy is attacked exactly as it would be alone.
     """
 
-    def __init__(self, spec: AttackSpec, net: Network):
+    def __init__(self, spec: AttackSpec, net: Network, copies: int = 1):
         self.spec = spec
-        self.net = net
         n = net.n_agents
+        self._copies = copies
+        n_copy = n // copies
         self._byz_idx = np.flatnonzero(net.is_byz)
         self._rel_idx = np.flatnonzero(~net.is_byz)
         from_byz = net.byzantine_edges()
@@ -153,24 +161,28 @@ class AttackPlan:
         self._stat_recv = net.recv[stat_edges]
         self._stat_send = net.send[stat_edges]
         self._stat_w = net.edge_w[stat_edges]
+        self._stat_sums = ReceiverSums(self._stat_recv, n)
         # size of each receiver's reliable closed neighborhood
-        count = np.bincount(self._stat_recv, minlength=n)
+        count = self._stat_sums.counts.copy()
         count[self._rel_idx] += 1
         self._nbhd_count = np.maximum(count, 1)
         self._byz_wsum = net.weight_split()[1]
 
         if spec.kind == "alie":
-            self._alie_a = alie_coefficient(n, self._rel_idx.size)
+            self._alie_a = alie_coefficient(n_copy, self._rel_idx.size // copies)
             self._alie_global = not spec.alie_local
+            # the copy each overwritten edge's sender belongs to
+            self._edge_copy = net.send[self._edges] // n_copy
 
         if spec.kind == "perturbed_dup":
-            if spec.victim is not None and spec.victim not in net.reliable:
+            copy_rel = net.reliable[: self._rel_idx.size // copies]
+            if spec.victim is not None and spec.victim not in copy_rel:
                 raise ConfigError(f"fixed victim {spec.victim} is not reliable")
             # each Byzantine agent's victims, taken round-robin and kept in
-            # one flat array: the fixed victim, or its reliable neighbours
-            # (itself when it has none)
+            # one flat array: the fixed victim of its copy, or its reliable
+            # neighbours (itself when it has none)
             if spec.victim is not None:
-                pools = [[spec.victim]] * len(net.byzantine)
+                pools = [[spec.victim + b // n_copy * n_copy] for b in net.byzantine]
             else:
                 pools = [net.reliable_neighbors(b) or [b] for b in net.byzantine]
             self._pool = np.array([v for pool in pools for v in pool], dtype=np.intp)
@@ -181,8 +193,7 @@ class AttackPlan:
 
     def _nbhd_mean(self, values: np.ndarray) -> np.ndarray:
         """Mean of values over each receiver's reliable closed neighborhood."""
-        n = self.net.n_agents
-        total = receiver_sum(self._stat_recv, values.take(self._stat_send, axis=0), n)
+        total = self._stat_sums(values.take(self._stat_send, axis=0))
         total[self._rel_idx] += values[self._rel_idx]
         count = self._nbhd_count if values.ndim == 1 else self._nbhd_count[:, None]
         return total / count
@@ -199,7 +210,10 @@ class AttackPlan:
             return
         if kind == "alie":
             if self._alie_global:
-                messages[self._edges] = alie_msg(models[self._rel_idx], self._alie_a)
+                # alie_msg over each copy's reliable models
+                rel = models[self._rel_idx].reshape((self._copies, -1) + models.shape[1:])
+                vals = rel.mean(axis=1) - self._alie_a * rel.std(axis=1)
+                messages[self._edges] = vals[self._edge_copy]
             else:
                 mean = self._nbhd_mean(models)[self._to]
                 second = self._nbhd_mean(models**2)[self._to]
@@ -211,7 +225,7 @@ class AttackPlan:
             pull = models.take(self._stat_send, axis=0)
             pull -= models.take(self._stat_recv, axis=0)
             pull *= w
-            drift = receiver_sum(self._stat_recv, pull, self.net.n_agents)[self._to]
+            drift = self._stat_sums(pull)[self._to]
             # every receiver here hears a Byzantine agent, so its weight is positive
             byz_w = self._byz_wsum[self._to]
             if models.ndim > 1:

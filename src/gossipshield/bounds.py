@@ -87,7 +87,9 @@ def validate_schedule(
     message = "running outside the theory regime: " + "; ".join(problems)
     if strict:
         raise RegimeError(message)
-    warnings.warn(message, stacklevel=3)
+    # engine.run and run_ensemble validate through one shared helper, so
+    # four frames up is the code that called either of them
+    warnings.warn(message, stacklevel=4)
 
 
 def dk_bound(

@@ -18,13 +18,24 @@ noise standard deviation. Both are drawn in chunks of rounds that batch
 the same stream values in the same order, so a run is a prefix of any
 longer run with the same inputs.
 
+There is one round loop. An ensemble of S seeds runs as one run on the
+S-fold disjoint union of the network: agent s*A + i is agent i of
+seeds[s], draws exactly the streams it draws alone, and its receiver
+sums its own copy's edges in the same order, so the S seeds share every
+numpy call of a round and each copy's log is bit for bit the log of a run
+on its seed. Seeds run in consecutive groups whose edge arrays stay
+under a fixed element budget; run() is the group of one. Only the global
+ALIE statistic, a fixed duplication victim, the metric pass and the
+divergence test are taken per copy. A copy that diverges is recorded as
+its own run would record it and then zeroed while the others run on.
+
 The metric columns never feed back into the dynamics, so the loop does
 not compute them round by round: it copies each round's reliable states
-and half-steps into a row buffer of fixed size, and computes the
+and half-steps into a row buffer of fixed size per copy, and computes the
 disagreement, pre-aggregation disagreement and f(x-bar) of a whole chunk
-of rows in one pass when the buffer fills and when the loop ends. Every
-value is bit-equal to its per-row definition (consensus_error of the
-reliable rows, GlobalProblem.f of their mean).
+of rows in one pass per copy when the buffer fills and when the loop
+ends. Every value is bit-equal to its per-row definition
+(consensus_error of the reliable rows, GlobalProblem.f of their mean).
 
 The loop derives no theory constants: a caller that wants the bound
 column passes them in as consts, and bounds decides whether the schedule
@@ -39,7 +50,7 @@ import math
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregation import edge_diffs, scc_edges, tau_edges
+from .aggregation import ReceiverSums, edge_diffs, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
 from .bounds import dk_bound, validate_schedule
 from .errors import BrokenOptimumError, ConfigError
@@ -60,9 +71,12 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e12
 
-# Elements of reliable states held for one metric pass, per buffer
-# (64 KiB of float64); a run holds two such buffers.
+# Elements of reliable states held for one metric pass, per buffer and
+# copy (64 KiB of float64); a run holds two such buffers per copy.
 _METRIC_ELEMENTS = 1 << 13
+# Edge values of one group of seeds run as a single round loop, copies x
+# edges x state elements (512 KiB per float64 edge array).
+_GROUP_ELEMENTS = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,9 +180,11 @@ def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
     return np.maximum(gaps, 0.0)
 
 
-def _diverged(states: np.ndarray) -> bool:
+def _diverged(copies: np.ndarray) -> np.ndarray:
+    """Per row of copies (one row per copy): True where any state lies
+    beyond DIVERGENCE_LIMIT, or is NaN or inf."""
     # NaN and inf fail the comparison too
-    return not np.abs(states).max() <= DIVERGENCE_LIMIT
+    return ~(np.abs(copies).reshape(len(copies), -1).max(axis=1) <= DIVERGENCE_LIMIT)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a running
@@ -272,6 +288,41 @@ def _initial_states(
     return arr.copy()
 
 
+def _disjoint_union(net: Network, copies: int) -> Network:
+    """copies disjoint copies of net; agent s*A + i is agent i of copy s.
+
+    Each copy keeps its edges in order behind the copies before it, so the
+    union's edge list stays sorted by (recv, send) and every receiver sums
+    its edges in the same order as in net.
+    """
+    if copies == 1:
+        return net
+    a = net.n_agents
+    shift = a * np.arange(copies)[:, np.newaxis]
+    return Network(
+        n_agents=copies * a,
+        byzantine=tuple((shift + np.array(net.byzantine, dtype=np.intp)).ravel().tolist()),
+        recv=(shift + net.recv).ravel(),
+        send=(shift + net.send).ravel(),
+        edge_w=np.tile(net.edge_w, copies),
+        self_w=np.tile(net.self_w, copies),
+    )
+
+
+def _gradient_sampler(prob: GlobalProblem, seeds: list, n_rounds: int):
+    """prob.gradient_sampler over the disjoint union of one copy per seed:
+    the problem's agents tiled once per copy, each drawing from its own
+    seed's purpose-1 streams."""
+    a = prob.n_agents
+    if len(seeds) > 1:
+        prob = dataclasses.replace(
+            prob,
+            objectives=prob.objectives * len(seeds),
+            u_coeffs=None if prob.u_coeffs is None else np.tile(prob.u_coeffs, (len(seeds), 1)),
+        )
+    return prob.gradient_sampler([r for s in seeds for r in _agent_rngs(s, a, 1)], n_rounds)
+
+
 def run(
     net: Network,
     prob: GlobalProblem,
@@ -301,15 +352,42 @@ def run(
     column. A schedule outside the gap theorems' regime then warns, and a
     column that dk_bound would refuse raises RegimeError before the first
     round.
+
+    A run is the ensemble loop with a group of one seed.
     """
+    return _run_seeds(
+        net, prob, sched, n_rounds, [seed], noise=noise, attack=attack, agg=agg,
+        tau=tau, x0=x0, consts=consts, record_traces=record_traces,
+    )[0]
+
+
+def _run_seeds(
+    net: Network,
+    prob: GlobalProblem,
+    sched: StepSizeSchedule,
+    n_rounds: int,
+    seeds: list,
+    *,
+    noise: NoiseSpec | float = 0.0,
+    attack: AttackSpec | None = None,
+    agg: str = "scc",
+    tau: TauSpec | float | None = None,
+    x0=None,
+    consts: TheoryConstants | None = None,
+    record_traces: bool = False,
+) -> list:
+    """Validate every input, then run the seeds in consecutive groups that
+    keep a group's edge values under _GROUP_ELEMENTS; the logs come back
+    in seed order."""
     if net.n_agents != prob.n_agents:
         raise ConfigError(
             f"network has {net.n_agents} agents, problem has {prob.n_agents}"
         )
     if n_rounds < 0:
         raise ConfigError("round count must be nonnegative")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if agg not in ("scc", "mean"):
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
     if isinstance(noise, (int, float)):
@@ -328,51 +406,109 @@ def run(
         validate_schedule(sched, consts, strict=False)
         dk_bound(consts, 0.0, 0, sched)  # refuses here, not after the rounds
 
-    a = net.n_agents
-    rel = np.flatnonzero(~net.is_byz)
-    byz = np.flatnonzero(net.is_byz)
-    plan = AttackPlan(attack, net)
-    if tau.kind != "manual":
-        rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
-        byz_weight = net.weight_split()[1]
+    per_group = max(1, _GROUP_ELEMENTS // max(1, len(net.recv) * prob.dim))
+    logs = []
+    for g in range(0, len(seeds), per_group):
+        logs += _run_group(
+            net, prob, sched, n_rounds, seeds[g : g + per_group],
+            noise, attack, tau, x0, consts, record_traces,
+        )
+    return logs
 
-    x = _initial_states(seed, a, prob.dim, x0)
-    sample = prob.gradient_sampler(_agent_rngs(seed, a, 1), n_rounds)
+
+def _run_group(
+    net: Network,
+    prob: GlobalProblem,
+    sched: StepSizeSchedule,
+    n_rounds: int,
+    seeds: list,
+    noise: NoiseSpec,
+    attack: AttackSpec,
+    tau: TauSpec,
+    x0,
+    consts: TheoryConstants | None,
+    record_traces: bool,
+) -> list:
+    """One round loop over the disjoint union of one copy of net per seed.
+
+    Every copy draws exactly the streams its seed draws alone and every
+    receiver sums its own copy's edges in the same order, so each copy's
+    log is bit for bit the log of a run on its seed. A copy that diverges
+    is recorded as that run would record it and then zeroed in the working
+    arrays, so the rounds the others still run raise no warnings for it.
+    """
+    n_copies = len(seeds)
+    a = net.n_agents
+    union = _disjoint_union(net, n_copies)
+    rel = np.flatnonzero(~union.is_byz).reshape(n_copies, -1)
+    byz = np.flatnonzero(union.is_byz)
+    plan = AttackPlan(attack, union, n_copies)
+    sums = ReceiverSums(union.recv, union.n_agents)
+    if tau.kind != "manual":
+        rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
+        byz_weight = union.weight_split()[1]
+
+    x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in seeds])
+    sample = _gradient_sampler(prob, seeds, n_rounds)
     masked = noise.variance > 0.0
     if masked:
-        noise_blocks = normal_blocks(_agent_rngs(seed, a, 2), n_rounds, x.shape[1:])
+        noise_rngs = [r for s in seeds for r in _agent_rngs(s, a, 2)]
+        noise_blocks = normal_blocks(noise_rngs, n_rounds, x.shape[1:])
         noise_std = np.sqrt(noise.variance)
 
     n_rows = n_rounds + 1
-    col_consensus = np.empty(n_rows)
-    col_pre = np.full(n_rows, np.nan)
-    col_f = np.empty(n_rows)
+    col_consensus = np.empty((n_copies, n_rows))
+    col_pre = np.full((n_copies, n_rows), np.nan)
+    col_f = np.empty((n_copies, n_rows))
     traces = np.empty((n_rows,) + x.shape) if record_traces else None
     half_traces = np.empty((n_rounds,) + x.shape) if record_traces else None
 
-    # the reliable states and half-steps of up to `chunk` rows wait here
-    # until their metrics are computed in one pass
-    row_shape = (len(rel),) + x.shape[1:]
+    # the reliable states and half-steps of up to `chunk` rows of each copy
+    # wait here until their metrics are computed in one pass per copy
+    row_shape = (rel.shape[1],) + x.shape[1:]
     chunk = max(1, min(n_rows, _METRIC_ELEMENTS // math.prod(row_shape)))
-    x_rows = np.empty((chunk,) + row_shape)
-    half_rows = np.empty((chunk,) + row_shape)
+    x_rows = np.empty((n_copies, chunk) + row_shape)
+    half_rows = np.empty((n_copies, chunk) + row_shape)
+
+    # per copy: rows recorded, half-steps recorded, and how the run ended;
+    # a live copy has recorded every round so far
+    rows = [0] * n_copies
+    n_half = [0] * n_copies
+    status = ["completed"] * n_copies
+    diverged_at = [None] * n_copies
+    final_x = [None] * n_copies
+    live = np.ones(n_copies, dtype=bool)
 
     def flush(start: int, stop: int, half_stop: int) -> None:
-        # f first: the disagreement pass overwrites the rows it reads
-        col_f[start:stop] = prob.f_rows(x_rows[: stop - start].mean(axis=1))
-        col_consensus[start:stop] = _row_disagreement(x_rows[: stop - start])
-        col_pre[start:half_stop] = _row_disagreement(half_rows[: half_stop - start])
+        for s in range(n_copies):
+            # a copy that has ended records nothing past its last rows
+            stop_s = stop if live[s] else min(stop, rows[s])
+            half_s = half_stop if live[s] else min(half_stop, n_half[s])
+            if stop_s <= start:
+                continue
+            xs = x_rows[s, : stop_s - start]
+            # f first: the disagreement pass overwrites the rows it reads
+            col_f[s, start:stop_s] = prob.f_rows(xs.mean(axis=1))
+            col_consensus[s, start:stop_s] = _row_disagreement(xs)
+            col_pre[s, start:half_s] = _row_disagreement(half_rows[s, : half_s - start])
 
-    status = "completed"
-    diverged_at = None
-    rows = 0
-    n_half = 0
+    def end_copies(bad: np.ndarray, k: int) -> None:
+        """Record every live copy in bad as diverged in round k with its
+        current states, then zero the bad copies of x and half."""
+        for s in np.flatnonzero(bad & live):
+            status[s], diverged_at[s] = "diverged", k
+            rows[s], n_half[s] = k + 1, k + 1
+            final_x[s] = x[s * a : (s + 1) * a].copy()
+            live[s] = False
+        for s in np.flatnonzero(bad):
+            x[s * a : (s + 1) * a] = 0.0
+            half[s * a : (s + 1) * a] = 0.0
+
     start = 0
-    x.take(rel, axis=0, out=x_rows[0])
+    x.take(rel, axis=0, out=x_rows[:, 0])
     for k in range(n_rounds + 1):
         if traces is not None:
             traces[k] = x
-        rows = k + 1
         if k == n_rounds:
             break
 
@@ -382,26 +518,27 @@ def run(
             grads = grads + noise_std * next(noise_blocks)
 
         half = x - alpha * grads
-        half.take(rel, axis=0, out=half_rows[k - start])
+        half.take(rel, axis=0, out=half_rows[:, k - start])
         if half_traces is not None:
             half_traces[k] = half
-        n_half = k + 1
 
-        if _diverged(half):
-            status, diverged_at = "diverged", k
-            break
+        bad = _diverged(half.reshape(n_copies, -1))
+        if bad.any():
+            end_copies(bad, k)
+            if not live.any():
+                break
 
-        messages = half.take(net.send, axis=0)
+        messages = half.take(union.send, axis=0)
         plan.apply(messages, k, x)
 
-        diffs, norms = edge_diffs(messages, half, net.recv)
+        diffs, norms = edge_diffs(messages, half, sums)
         fallback = value_at(tau.value, k)
         if tau.kind == "manual":
-            taus = np.full(a, fallback)
+            taus = np.full(union.n_agents, fallback)
         else:
-            taus = tau_edges(norms, net.recv, rel_w, byz_weight, tau.kind)
+            taus = tau_edges(norms, sums, rel_w, byz_weight, tau.kind)
             taus = np.where(np.isnan(taus), fallback, taus)
-        new_states = scc_edges(diffs, norms, half, net.recv, net.edge_w, taus)
+        new_states = scc_edges(diffs, norms, half, sums, union.edge_w, taus)
 
         if attack.kind != "none":
             # a Byzantine agent under a real attack never updates its state
@@ -411,33 +548,44 @@ def run(
         if k + 1 - start == chunk:
             flush(start, k + 1, k + 1)
             start = k + 1
-        if _diverged(x.take(rel, axis=0, out=x_rows[k + 1 - start])):
-            status, diverged_at = "diverged", k
-            break
-    flush(start, rows, n_half)
+        bad = _diverged(x.take(rel, axis=0, out=x_rows[:, k + 1 - start]))
+        if bad.any():
+            end_copies(bad, k)
+            if not live.any():
+                break
+    for s in np.flatnonzero(live):
+        rows[s], n_half[s] = k + 1, k
+        final_x[s] = x[s * a : (s + 1) * a].copy()
+    flush(start, max(rows), max(n_half))
 
-    ks = np.arange(rows)
-    f_col = col_f[:rows]
-    f_best = np.minimum.accumulate(f_col)
-    gaps = optimal_gap_series(f_col, prob.f_star)
-    bound_col = None
-    if consts is not None:
-        bound_col = np.asarray(dk_bound(consts, col_consensus[0], ks, sched))
-    return MetricsLog(
-        k=ks,
-        consensus=col_consensus[:rows].copy(),
-        pre_agg=col_pre[:rows].copy(),
-        f_bar=f_col.copy(),
-        f_best=f_best,
-        gap=gaps,
-        seed=seed,
-        status=status,
-        diverged_at=diverged_at,
-        dk_bound=bound_col,
-        final_x=x.copy(),
-        traces=None if traces is None else traces[:rows].copy(),
-        half_traces=None if half_traces is None else half_traces[:n_half].copy(),
-    )
+    logs = []
+    for s, seed in enumerate(seeds):
+        ks = np.arange(rows[s])
+        f_col = col_f[s, : rows[s]]
+        bound_col = None
+        if consts is not None:
+            bound_col = np.asarray(dk_bound(consts, col_consensus[s, 0], ks, sched))
+        agents = slice(s * a, (s + 1) * a)
+        logs.append(
+            MetricsLog(
+                k=ks,
+                consensus=col_consensus[s, : rows[s]].copy(),
+                pre_agg=col_pre[s, : rows[s]].copy(),
+                f_bar=f_col.copy(),
+                f_best=np.minimum.accumulate(f_col),
+                gap=optimal_gap_series(f_col, prob.f_star),
+                seed=seed,
+                status=status[s],
+                diverged_at=diverged_at[s],
+                dk_bound=bound_col,
+                final_x=final_x[s],
+                traces=None if traces is None else traces[: rows[s], agents].copy(),
+                half_traces=(
+                    None if half_traces is None else half_traces[: n_half[s], agents].copy()
+                ),
+            )
+        )
+    return logs
 
 
 def run_ensemble(
@@ -452,6 +600,11 @@ def run_ensemble(
 ) -> EnsembleResult:
     """run() over several seeds plus seed-averaged curves.
 
+    The seeds run together: each group of them is one round loop on the
+    disjoint union of one copy of the network per seed, whose copy s
+    draws exactly the streams seeds[s] draws alone, so every log equals
+    run() on its seed bit for bit. Every seed is checked before any round.
+
     Averages cover the common prefix when some member diverged early. The
     bound column, when constants are supplied, restarts from the averaged
     initial disagreement rather than any single seed's.
@@ -459,9 +612,7 @@ def run_ensemble(
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
-    logs = [
-        run(net, prob, sched, n_rounds, s, consts=consts, **kwargs) for s in seeds
-    ]
+    logs = _run_seeds(net, prob, sched, n_rounds, seeds, consts=consts, **kwargs)
     rows = min(len(log.k) for log in logs)
     ks = np.arange(rows)
     consensus = np.mean([log.consensus[:rows] for log in logs], axis=0)

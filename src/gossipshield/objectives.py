@@ -60,6 +60,8 @@ _V_COEFFS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 # Elements in one pre-drawn block buffer (8 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 20
+# Grid points per block of the optimum scan in minimize_scalar_grid.
+_SCAN_BLOCK = 1 << 14
 
 
 def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=()):
@@ -174,11 +176,18 @@ def family_objective(
 def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12):
     """Global scalar minimum: brute grid scan, then golden-section refine.
 
-    ``fun`` must accept a numpy array. Returns (x_min, f_min).
+    ``fun`` must accept a numpy array. The grid is evaluated in blocks of
+    _SCAN_BLOCK points, which bounds the scan's temporaries. The grid's
+    first lowest point brackets the refine, and (x_min, f_min) come from
+    the bracket alone. Returns (x_min, f_min).
     """
     xs = np.arange(lo, hi + coarse, coarse)
-    vals = np.asarray(fun(xs), dtype=float)
-    i = int(np.argmin(vals))
+    i, best = 0, np.inf
+    for b0 in range(0, len(xs), _SCAN_BLOCK):
+        vals = np.asarray(fun(xs[b0 : b0 + _SCAN_BLOCK]), dtype=float)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            i, best = b0 + j, vals[j]
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, len(xs) - 1)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0

@@ -74,12 +74,12 @@ def test_tuned_duplicating_attack_reaches_reference_magnitudes():
     atk = AttackSpec(
         "perturbed_dup", p_mult=1.0, p_add=DecayingSchedule(scale=0.25, k0=10)
     )
+    ens = run_ensemble(
+        net, prob, sched, 50_000, (1, 2, 3, 4, 5),
+        noise=1e-6, attack=atk, agg="scc", tau=1.0,
+    )
     finals_d, finals_gap = [], []
-    for seed in (1, 2, 3, 4, 5):
-        log = run(
-            net, prob, sched, 50_000, seed,
-            noise=1e-6, attack=atk, agg="scc", tau=1.0,
-        )
+    for log in ens.logs:
         assert log.status == "completed"
         finals_d.append(log.consensus[-1])
         finals_gap.append(log.gap[-1])

@@ -10,10 +10,10 @@ from gossipshield import build_network, rho_upper_bound
 from gossipshield.aggregation import (
     TAU_FLOOR,
     Inbox,
+    ReceiverSums,
     clip,
     edge_diffs,
     gossip_mean,
-    receiver_sum,
     scc_aggregate,
     scc_edges,
     tau_corollary1,
@@ -151,12 +151,13 @@ def test_edge_forms_match_reference():
             taus = rng.uniform(0.1, 3.0, a)
             rel_w, byz_weight = _edge_weight_split(net)
 
-            diffs, norms = edge_diffs(messages, states, net.recv)
-            got_tau = tau_edges(norms, net.recv, rel_w, byz_weight, "corollary1")
-            got_r4 = tau_edges(norms, net.recv, rel_w, byz_weight, "remark4")
+            sums = ReceiverSums(net.recv, a)
+            diffs, norms = edge_diffs(messages, states, sums)
+            got_tau = tau_edges(norms, sums, rel_w, byz_weight, "corollary1")
+            got_r4 = tau_edges(norms, sums, rel_w, byz_weight, "remark4")
             # scc_edges overwrites diffs, so each call gets its own copy
-            got_scc = scc_edges(diffs.copy(), norms, states, net.recv, net.edge_w, taus)
-            got_mean = scc_edges(diffs, norms, states, net.recv, net.edge_w, np.full(a, np.inf))
+            got_scc = scc_edges(diffs.copy(), norms, states, sums, net.edge_w, taus)
+            got_mean = scc_edges(diffs, norms, states, sums, net.edge_w, np.full(a, np.inf))
 
             w = dense_weights(net)
             for i, inbox in _inboxes_from_edges(messages, states, net).items():
@@ -178,10 +179,9 @@ def test_scc_edges_rejects_nan_radius():
     states = np.linspace(-1.0, 1.0, 8)
     taus = np.full(8, 1.0)
     taus[3] = np.nan
+    sums = ReceiverSums(net.recv, 8)
     with pytest.raises(ValueError, match="NaN"):
-        scc_edges(
-            *edge_diffs(states[net.send], states, net.recv), states, net.recv, net.edge_w, taus
-        )
+        scc_edges(*edge_diffs(states[net.send], states, sums), states, sums, net.edge_w, taus)
 
 
 def test_receiver_sum_against_loop():
@@ -194,9 +194,30 @@ def test_receiver_sum_against_loop():
             expect = np.zeros((n,) + shape)
             for r, v in zip(recv, values):
                 expect[r] += v
-            got = receiver_sum(recv, values, n)
+            got = ReceiverSums(recv, n)(values)
             assert got.shape == expect.shape
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_receiver_sums_are_bincount_bit_for_bit():
+    rng = np.random.default_rng(13)
+    n = 40
+    for n_edges in (0, 1, 5, 300, 5000):
+        # about a third of the receivers hear nobody
+        recv = np.sort(rng.choice(rng.choice(n, size=27, replace=False), size=n_edges))
+        values = rng.normal(size=n_edges) * 10.0 ** rng.integers(-8, 9, size=n_edges)
+        if n_edges:
+            values[recv == recv[0]] = -0.0  # a segment of negative zeros sums to +0.0
+        sums = ReceiverSums(recv, n)
+        got = sums(values)
+        # bincount over no edges returns integer zeros
+        expect = np.bincount(recv, values, minlength=n).astype(float)
+        assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
+        assert got.tobytes() == expect.tobytes(), n_edges
+        assert not np.signbit(got[recv[:1]]).any()
+        per_agent = rng.normal(size=(n, 3))
+        assert np.array_equal(sums.spread(per_agent), per_agent[recv])
+        assert np.array_equal(sums.spread(per_agent[:, 0]), per_agent[recv, 0])
 
 
 def test_unclipped_round_reproduces_virtual_mixing():
@@ -204,8 +225,9 @@ def test_unclipped_round_reproduces_virtual_mixing():
     net = build_network("random", 8, 0.0, seed=5, edge_p=0.7)
     states = rng.normal(size=8)
     messages = states[net.send]  # every sender broadcasts its state
+    sums = ReceiverSums(net.recv, 8)
     out = scc_edges(
-        *edge_diffs(messages, states, net.recv), states, net.recv, net.edge_w, np.full(8, HUGE)
+        *edge_diffs(messages, states, sums), states, sums, net.edge_w, np.full(8, HUGE)
     )
     assert np.allclose(out, virtual_dense(net) @ states, atol=1e-12)
 

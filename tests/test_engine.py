@@ -41,7 +41,9 @@ from gossipshield.aggregation import (
 )
 from gossipshield import engine
 from gossipshield.engine import _agent_rngs, _diverged, _row_disagreement
+from gossipshield.objectives import GlobalProblem
 from gossipshield.attacks import (
+    AttackPlan,
     alie_coefficient,
     alie_msg,
     dissensus_msg,
@@ -109,7 +111,10 @@ def test_diverged_verdicts():
         ([np.inf, 1.0], True),
         ([[1.0, -np.inf], [0.0, 0.0]], True),
     ):
-        assert _diverged(np.array(states)) is verdict, states
+        # one copy at a time, then the verdict per copy of a stacked pair
+        assert _diverged(np.array([states])).tolist() == [verdict], states
+        pair = np.array([states, np.zeros_like(states)])
+        assert _diverged(pair).tolist() == [verdict, False], states
 
 
 def test_optimal_gap_series():
@@ -724,6 +729,150 @@ def test_run_ensemble_curves():
         run_ensemble(net, prob, sched, 5, [], agg="mean")
 
 
+def _assert_logs_identical(got, ref, tag):
+    """Every MetricsLog field equal, arrays byte for byte."""
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), (tag, field.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (tag, field.name)
+            assert a.tobytes() == b.tobytes(), (tag, field.name)
+        else:
+            assert a == b, (tag, field.name)
+
+
+def _multiplicative_quad(agent: int) -> LocalObjective:
+    # x^2 with gradient noise u ~ N(1, 0.8^2): at a constant step of 1.2
+    # some seeds blow up within 200 rounds and others do not. Beyond 1e9
+    # the gradient turns cubic, so a diverged state left in place
+    # overflows within a few rounds
+    def sample_gradient(x, rng):
+        g = rng.normal(1.0, 0.8) * 2.0 * x
+        return g * x * x if abs(x) > 1e9 else g
+
+    return LocalObjective(
+        agent=agent,
+        family="mult-quad",
+        expected_value=lambda x: x * x,
+        expected_gradient=lambda x: 2.0 * x,
+        sample_value=lambda x, u, v: u * x * x,
+        sample_gradient=sample_gradient,
+    )
+
+
+def _ensemble_cases():
+    """(tag, net, prob, sched, n_rounds, kwargs) that ensembles must run
+    exactly as separate runs."""
+    net, prob = _small_setup()
+    sched = DecayingSchedule(scale=2.0, k0=10)
+    oracle = dict(agg="scc", tau=TauSpec("corollary1", 1e3))
+    noisy = dict(noise=1e-4, record_traces=True)
+    victim = net.reliable[2]
+    yield "sign_flip", net, prob, sched, 30, dict(attack=AttackSpec("sign_flip"), **oracle, **noisy)
+    yield "alie_global", net, prob, sched, 30, dict(attack=AttackSpec("alie"), **oracle, **noisy)
+    yield "alie_local", net, prob, sched, 30, dict(
+        attack=AttackSpec("alie", alie_local=True), agg="scc", tau=TauSpec("remark4", 1.0), **noisy)
+    yield "fixed_victim", net, prob, sched, 30, dict(
+        attack=AttackSpec("perturbed_dup", p_add=0.5, victim=victim), agg="mean", **noisy)
+    yield "round_robin", net, prob, sched, 30, dict(
+        attack=AttackSpec("perturbed_dup", p_mult=1.2), agg="scc", tau=TauSpec("manual", 0.5), **noisy)
+    yield "x0_scalar", net, prob, sched, 20, dict(attack=AttackSpec("dissensus"), x0=0.5, **oracle)
+    yield "x0_array", net, prob, sched, 20, dict(
+        attack=AttackSpec("silent"), x0=np.linspace(-1.0, 1.0, 20), agg="mean", record_traces=True)
+    vnet, vprob, _ = _noisy_vector_setup(dim=10)
+    yield "vector", vnet, vprob, DecayingSchedule(scale=0.5, k0=10), 15, dict(
+        attack=AttackSpec("alie"), **oracle, **noisy)
+    mnet = build_network("complete", 4, byz_fraction=0.0, seed=0)
+    mprob = custom_problem([_multiplicative_quad(i) for i in range(4)])
+    yield "some_diverge", mnet, mprob, ConstantSchedule(1.2), 200, dict(agg="mean", record_traces=True)
+    yield "half_steps_diverge", mnet, custom_problem([_quad_objective(i) for i in range(4)]), \
+        ConstantSchedule(4.0), 100, dict(agg="mean", record_traces=True)
+    bnet = build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    yield "all_diverge", bnet, benchmark_problem(byzantine=bnet.byzantine, n_agents=10), \
+        ConstantSchedule(0.05), 20, dict(
+            attack=AttackSpec("perturbed_dup", p_add=1e15), agg="mean", record_traces=True)
+    cnet, cprob = _small_setup(n=10, byz_fraction=0.0)
+    consts = theory_constants(
+        cnet, 0.0, cprob.smoothness, cprob.pl_constant, cprob.sigma_sq, cprob.zeta_sq, 0.0, 1,
+    )
+    yield "bound", cnet, cprob, DecayingSchedule(scale=consts.theta_min, k0=consts.k0), 25, dict(
+        agg="mean", consts=consts)
+
+
+@pytest.mark.parametrize("group_size", [None, 1, 2])
+def test_ensemble_members_equal_separate_runs(monkeypatch, group_size):
+    seeds = [1, 2, 3, 4, 5, 6]
+    statuses = {}
+    for tag, net, prob, sched, n_rounds, kw in _ensemble_cases():
+        if group_size is not None:
+            # groups of group_size seeds, the last one shorter
+            monkeypatch.setattr(engine, "_GROUP_ELEMENTS", group_size * len(net.recv) * prob.dim)
+        ens = run_ensemble(net, prob, sched, n_rounds, seeds, **kw)
+        refs = [run(net, prob, sched, n_rounds, s, **kw) for s in seeds]
+        assert [log.seed for log in ens.logs] == seeds
+        for log, ref in zip(ens.logs, refs):
+            _assert_logs_identical(log, ref, (tag, log.seed))
+        statuses[tag] = ens.statuses
+    assert "completed" in statuses["some_diverge"] and "diverged" in statuses["some_diverge"]
+    assert statuses["all_diverge"] == ["diverged"] * len(seeds)
+
+
+def test_diverged_member_raises_no_warning_for_the_others():
+    # one member diverges at round 62 and the others run on 138 rounds
+    # with its copy zeroed; the suite turns any RuntimeWarning into an error
+    net = build_network("complete", 4, byz_fraction=0.0, seed=0)
+    prob = custom_problem([_multiplicative_quad(i) for i in range(4)])
+    sched = ConstantSchedule(1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ens = run_ensemble(net, prob, sched, 200, [3, 11, 5], agg="mean")
+    assert ens.statuses == ["completed", "completed", "diverged"]
+    assert ens.logs[2].diverged_at == 62 and ens.logs[0].rounds_completed == 200
+
+
+def test_ensemble_shares_each_round_between_its_seeds(monkeypatch):
+    calls = {"agent_cores": 0, "apply": 0}
+    cores, apply = GlobalProblem.agent_cores, AttackPlan.apply
+
+    def counted_cores(self, x):
+        calls["agent_cores"] += 1
+        return cores(self, x)
+
+    def counted_apply(self, messages, k, models):
+        calls["apply"] += 1
+        return apply(self, messages, k, models)
+
+    monkeypatch.setattr(GlobalProblem, "agent_cores", counted_cores)
+    monkeypatch.setattr(AttackPlan, "apply", counted_apply)
+    net, prob = _small_setup()
+    ens = run_ensemble(
+        net, prob, DecayingSchedule(scale=2.0, k0=10), 12, [1, 2],
+        noise=1e-4, attack=AttackSpec("sign_flip"), agg="scc", tau=TauSpec("corollary1", 1e3),
+    )
+    assert [log.rounds_completed for log in ens.logs] == [12, 12]
+    assert calls == {"agent_cores": 12, "apply": 12}
+
+
+def test_bad_seed_anywhere_raises_before_any_round():
+    calls = []
+
+    def counted(agent):
+        def sample_gradient(x, rng):
+            calls.append(agent)
+            return 2.0 * x
+
+        return dataclasses.replace(_quad_objective(agent), sample_gradient=sample_gradient)
+
+    net = build_network("complete", 4, byz_fraction=0.0, seed=0)
+    prob = custom_problem([counted(i) for i in range(4)])
+    # a one-seed group budget runs the good seeds first unless every seed
+    # is checked up front
+    for seeds in ([-1, 1, 2], [1, 2, 1.5], [1, True, 2], [1, 2, 3, None]):
+        with pytest.raises(ConfigError, match="seed"):
+            run_ensemble(net, prob, ConstantSchedule(0.1), 5, seeds, agg="mean")
+    assert calls == []
+
+
 def test_out_of_regime_bound_column_refuses_before_first_round():
     calls = []
 
@@ -755,6 +904,20 @@ def test_out_of_regime_bound_column_refuses_before_first_round():
     # an admissible pair still runs every round
     log = run(net, prob, DecayingSchedule(scale=valid.theta, k0=15), 3, 1, agg="mean", consts=valid)
     assert log.status == "completed" and len(calls) == 3 * 6
+
+
+def test_regime_warning_points_at_the_caller():
+    net = build_network("complete", 6, byzantine_ids=(2,))
+    prob = custom_problem([_quad_objective(i) for i in range(6)], net.byzantine)
+    consts = _valid_consts()
+    sched = DecayingSchedule(scale=consts.theta_min, k0=2)  # k0 * phi below 2
+    for call in (
+        lambda: run(net, prob, sched, 3, 1, agg="mean", consts=consts),
+        lambda: run_ensemble(net, prob, sched, 3, [1, 2], agg="mean", consts=consts),
+    ):
+        with pytest.raises(RegimeError), pytest.warns(UserWarning) as record:
+            call()
+        assert [r.filename for r in record] == [__file__]
 
 
 def _vec_quad_objective(agent: int, centre: np.ndarray) -> LocalObjective:

@@ -16,6 +16,7 @@ from gossipshield import (
     family_objective,
     pl_constant_probe,
 )
+from gossipshield import objectives
 from gossipshield.objectives import LocalObjective, minimize_scalar_grid
 
 
@@ -116,6 +117,22 @@ def test_grid_oracle_against_scipy_refinement():
     # global property: no coarse grid point beats the oracle value
     xs = np.arange(-10.0, 10.0, 1e-3)
     assert float(np.min(p.f(xs))) >= p.f_star - 1e-9
+
+
+def test_blocked_grid_scan_matches_the_one_shot_scan(monkeypatch):
+    # the blocked scan's values may differ in the last bit from one call
+    # over the whole grid, but the optimum comes from the bracket alone
+    rng = np.random.default_rng(31)
+    byz_sets = [()] + [
+        tuple(rng.choice(100, size=int(rng.integers(1, 40)), replace=False))
+        for _ in range(24)
+    ]
+    custom = [_quad(0, 1.0), _quad(1, 0.5)] + [family_objective(i, i % 10 + 1) for i in range(2, 12)]
+    blocked = [benchmark_problem(byzantine=b) for b in byz_sets] + [custom_problem(custom, (3,))]
+    monkeypatch.setattr(objectives, "_SCAN_BLOCK", 1 << 30)
+    one_shot = [benchmark_problem(byzantine=b) for b in byz_sets] + [custom_problem(custom, (3,))]
+    for got, ref in zip(blocked, one_shot):
+        assert (got.x_star, got.f_star) == (ref.x_star, ref.f_star)
 
 
 def test_grid_oracle_simple_functions():

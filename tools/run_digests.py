@@ -1,0 +1,188 @@
+"""Run a fixed matrix of engine runs and print a digest per recorded array.
+
+    python3 tools/run_digests.py                  # this checkout's src/
+    python3 tools/run_digests.py --src OTHER/src  # another checkout
+
+The matrix calls ``engine.run`` and ``engine.run_ensemble`` directly:
+every attack (ALIE global and local, a round-robin and a fixed
+duplication victim) under the mean and under SCC with each radius policy,
+with masking noise off and on, at 100 agents (traces recorded) and at
+1000 agents; runs and ensembles that diverge; a 10-d custom problem; and
+an ensemble with the theory bound column. Standard output is one
+``sha256  case/field`` line per recorded array, plus each member's status,
+so two trees run the engine byte for byte alike exactly when ``diff``
+finds nothing between their outputs. It takes about a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+LOG_FIELDS = (
+    "k", "consensus", "pre_agg", "f_bar", "f_best", "gap",
+    "dk_bound", "final_x", "traces", "half_traces",
+)
+ENSEMBLE_FIELDS = (
+    "k", "consensus_mean", "pre_agg_mean", "f_bar_mean",
+    "gap_mean_of_min", "gap_min_of_mean", "dk_bound",
+)
+
+
+def _digest(arr) -> str:
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _print_log(case: str, log) -> None:
+    print(f"status  {case}/{log.status}/{log.diverged_at}")
+    for name in LOG_FIELDS:
+        value = getattr(log, name)
+        if value is not None:
+            print(f"{_digest(value)}  {case}/{name}")
+
+
+def _print_ensemble(case: str, ens) -> None:
+    for name in ENSEMBLE_FIELDS:
+        value = getattr(ens, name)
+        if value is not None:
+            print(f"{_digest(value)}  {case}/{name}")
+    for log in ens.logs:
+        _print_log(f"{case}/seed{log.seed}", log)
+
+
+def _cases(gs):
+    """(name, net, prob, sched, rounds, kwargs) of every scalar case."""
+    attacks = {
+        "none": gs.AttackSpec("none"),
+        "sign_flip": gs.AttackSpec("sign_flip", s_b=1.5),
+        "alie": gs.AttackSpec("alie"),
+        "alie_local": gs.AttackSpec("alie", alie_local=True),
+        "dissensus": gs.AttackSpec("dissensus", d_r=0.7),
+        "dup": gs.AttackSpec("perturbed_dup", p_mult=1.2, p_add=0.3),
+        "silent": gs.AttackSpec("silent"),
+    }
+    radius = gs.DecayingSchedule(scale=1.0, k0=2)
+    policies = {
+        "mean": dict(agg="mean"),
+        "corollary1": dict(agg="scc", tau=gs.TauSpec("corollary1", 1000.0)),
+        "remark4": dict(agg="scc", tau=gs.TauSpec("remark4", 1.0)),
+        "manual": dict(agg="scc", tau=gs.TauSpec("manual", radius)),
+    }
+    sched = gs.DecayingSchedule(scale=10.1886, k0=10)
+    for n, edge_p, rounds, traces in ((100, 0.5, 60, True), (1000, 0.02, 8, False)):
+        net = gs.build_network("random", n, byz_fraction=0.1, seed=1, edge_p=edge_p)
+        prob = gs.benchmark_problem(net.byzantine, n)
+        fixed = gs.AttackSpec("perturbed_dup", p_add=0.5, victim=net.reliable[3])
+        for attack_name, attack in {**attacks, "dup_fixed": fixed}.items():
+            for policy, kw in policies.items():
+                for noise in (0.0, 1e-6):
+                    name = f"n{n}/{attack_name}/{policy}/noise{noise:g}"
+                    yield name, net, prob, sched, rounds, dict(
+                        noise=noise, attack=attack, record_traces=traces, **kw
+                    )
+    # diverging runs: models blow up after round 0, half-steps blow up later
+    net = gs.build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    prob = gs.benchmark_problem(net.byzantine, 10)
+    yield "diverge/models", net, prob, gs.ConstantSchedule(0.05), 20, dict(
+        attack=gs.AttackSpec("perturbed_dup", p_add=1e15), agg="mean", record_traces=True
+    )
+    net = gs.build_network("random", 100, byz_fraction=0.1, seed=1, edge_p=0.5)
+    prob = gs.benchmark_problem(net.byzantine, 100)
+    yield "diverge/sign_flip_mean", net, prob, sched, 300, dict(
+        noise=1e-6, attack=gs.AttackSpec("sign_flip", s_b=30.0), agg="mean"
+    )
+    quads = [
+        gs.LocalObjective(
+            agent=i, family="quad",
+            expected_value=lambda x: x * x, expected_gradient=lambda x: 2.0 * x,
+            sample_value=lambda x, u, v: x * x, sample_gradient=lambda x, rng: 2.0 * x,
+        )
+        for i in range(4)
+    ]
+    net = gs.build_network("complete", 4, byz_fraction=0.0, seed=0)
+    yield "diverge/half_steps", net, gs.custom_problem(quads), gs.ConstantSchedule(4.0), 100, dict(
+        agg="mean", record_traces=True
+    )
+
+
+def _vector_cases(gs, dim: int = 10):
+    rng = np.random.default_rng(10)
+    n = 100
+    a = rng.uniform(0.5, 2.0, n)
+    c = 3.0 + rng.standard_normal((n, dim))
+
+    def objective(i):
+        def sample_gradient(x, r):
+            u = r.normal(1.0, 0.1)
+            r.normal(0.0, 0.1)
+            return u * a[i] * (x - c[i])
+
+        return gs.LocalObjective(
+            agent=i, family="quad",
+            expected_value=lambda x: 0.5 * a[i] * float(np.sum((x - c[i]) ** 2)),
+            expected_gradient=lambda x: a[i] * (x - c[i]),
+            sample_value=lambda x, u, v: u * 0.5 * a[i] * float(np.sum((x - c[i]) ** 2)) + v,
+            sample_gradient=sample_gradient,
+        )
+
+    net = gs.build_network("random", n, byz_fraction=0.1, seed=2, edge_p=0.5)
+    prob = gs.custom_problem(
+        [objective(i) for i in range(n)], net.byzantine, dim=dim,
+        f_star=0.0, pl_constant=float(a.min()), smoothness=float(a.max()),
+    )
+    sched = gs.DecayingSchedule(scale=5.0, k0=10)
+    for attack in ("sign_flip", "alie", "dissensus", "perturbed_dup"):
+        for policy, kw in (
+            ("mean", dict(agg="mean")),
+            ("corollary1", dict(agg="scc", tau=gs.TauSpec("corollary1", 1000.0))),
+        ):
+            yield f"vec{dim}/{attack}/{policy}", net, prob, sched, 20, dict(
+                noise=1e-4, attack=gs.AttackSpec(attack), record_traces=True, **kw
+            )
+
+
+def _bound_case(gs):
+    net = gs.build_network("random", 10, byz_fraction=0.0, seed=3, edge_p=0.5)
+    prob = gs.benchmark_problem(n_agents=10)
+    consts = gs.theory_constants(
+        net, 0.0, prob.smoothness, prob.pl_constant, prob.sigma_sq, prob.zeta_sq, 0.0, 1
+    )
+    sched = gs.DecayingSchedule(scale=consts.theta_min, k0=consts.k0)
+    return net, prob, sched, consts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src",
+        type=Path,
+        default=Path(__file__).resolve().parents[1] / "src",
+        help="directory holding the gossipshield package (default: this checkout's src/)",
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import gossipshield as gs
+
+    # overflow in the diverging cases warns; the digests are what matter
+    warnings.simplefilter("ignore")
+    seeds = [1, 2, 3]
+    for name, net, prob, sched, rounds, kw in [*_cases(gs), *_vector_cases(gs)]:
+        _print_log(f"run/{name}", gs.run(net, prob, sched, rounds, 5, **kw))
+        _print_ensemble(f"ensemble/{name}", gs.run_ensemble(net, prob, sched, rounds, seeds, **kw))
+    net, prob, sched, consts = _bound_case(gs)
+    _print_ensemble(
+        "ensemble/bound", gs.run_ensemble(net, prob, sched, 25, seeds, consts=consts, agg="mean")
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
