@@ -9,7 +9,10 @@ variance never perturbs anyone else's draws; several equivalence
 invariants in the test suite lean on exactly this. Each stream equals
 default_rng(SeedSequence([seed, agent, purpose])): the keys of all
 agents are run through numpy's SeedSequence hash in one pass of uint32
-array arithmetic, and no SeedSequence object is built per agent.
+array arithmetic, and no SeedSequence object is built per agent. The
+initial states build no generator at all: PCG64's own 128-bit step and
+output are run from the keyed purpose-0 states in uint64 array
+arithmetic, which yields each agent's uniform(-5, 5) draws bit for bit.
 
 Every problem takes the same path: the problem's gradient sampler draws
 each round's gradients from the purpose-1 streams, and the masking noise
@@ -271,12 +274,59 @@ def _agent_rngs(seed: int, n_agents: int, purpose: int) -> list:
     ]
 
 
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with this
+# multiplier and an XSL-RR output; states are (high, low) uint64 words
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LIMBS = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LOW32 = np.uint64(_MASK32)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(b) for b in (1, 11, 32, 58, 63, 64))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """state * multiplier + inc mod 2^128 for arrays of states. The low
+    words' full product comes from 32-bit limbs; everything else wraps mod
+    2^64, which uint64 arrays do silently (numpy scalars would warn)."""
+    a0, a1 = lo & _LOW32, lo >> _U32
+    b0, b1 = _PCG_MULT_LIMBS
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    prod_lo = (mid << _U32) | (p00 & _LOW32)
+    prod_hi = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    prod_hi += hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _keyed_uniforms(seed: int, n_agents: int, dim: int) -> np.ndarray:
+    """Row i is _agent_rngs(seed, n_agents, 0)[i].uniform(-5, 5, size=dim),
+    computed by PCG64's own arithmetic over all agents at once rather than
+    by one generator per agent.
+
+    PCG64 seeds from the four keyed words (s_hi, s_lo, i_hi, i_lo) as
+    inc = (i << 1) | 1, state = inc + s, then one step; each draw steps
+    the state and takes XSL-RR of it, and a uniform is
+    -5 + 10 * ((r >> 11) * 2^-53).
+    """
+    words = _keyed_states(seed, n_agents, 0)
+    inc_hi = (words[:, 2] << _U1) | (words[:, 3] >> _U63)
+    inc_lo = (words[:, 3] << _U1) | _U1
+    lo = inc_lo + words[:, 1]
+    hi, lo = _pcg_step(inc_hi + words[:, 0] + (lo < inc_lo), lo, inc_hi, inc_lo)
+    out = np.empty((n_agents, dim))
+    for d in range(dim):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> _U58
+        r = (xored >> rot) | (xored << ((_U64 - rot) & _U63))
+        out[:, d] = -5.0 + 10.0 * ((r >> _U11) * (1.0 / 9007199254740992.0))
+    return out
+
+
 def _initial_states(
     seed: int, n_agents: int, dim: int, x0
 ) -> np.ndarray:
     if x0 is None:
-        rngs = _agent_rngs(seed, n_agents, 0)
-        arr = np.array([rng.uniform(-5.0, 5.0, size=dim) for rng in rngs])
+        arr = _keyed_uniforms(seed, n_agents, dim)
         return arr[:, 0] if dim == 1 else arr
     arr = np.asarray(x0, dtype=float)
     if arr.ndim == 0:

@@ -144,6 +144,13 @@ def family_objective(
     agent: int, family: int, u_std: float = 0.1, v_std: float = 0.1
 ) -> LocalObjective:
     """Build one benchmark-family objective for an agent."""
+    return LocalObjective(agent, family, *_family_callables(family, u_std, v_std))
+
+
+def _family_callables(family: int, u_std: float, v_std: float) -> tuple:
+    """(expected_value, expected_gradient, sample_value, sample_gradient)
+    of one benchmark family; they depend on the family alone, so agents of
+    one family can share them."""
     if not 1 <= family <= N_FAMILIES:
         raise ConfigError(f"family must be 1..{N_FAMILIES}, got {family}")
     cu = _U_COEFFS[family - 1]
@@ -163,14 +170,7 @@ def family_objective(
         rng.normal(0.0, v_std)  # v draw keeps value/gradient streams aligned
         return u * (cu @ _basis_cores(x))
 
-    return LocalObjective(
-        agent=agent,
-        family=family,
-        expected_value=expected_value,
-        expected_gradient=expected_gradient,
-        sample_value=sample_value,
-        sample_gradient=sample_gradient,
-    )
+    return expected_value, expected_gradient, sample_value, sample_gradient
 
 
 def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12):
@@ -343,9 +343,13 @@ def benchmark_problem(
     moves when Byzantine agents knock families out of the sum; it is always
     recomputed by the grid-plus-refine oracle unless overridden. Landscape
     constants default to numerical estimates: the gradient-domination
-    constant from a probe grid, smoothness from finite differences, and
-    (sigma_sq, zeta_sq) from the closed-form variance of the u-scaled
-    gradient at the standard probe points {-2,-1,0,1,2}.
+    constant from a probe grid; smoothness L from central differences of
+    the gradient on a grid, maximised over the distinct families among the
+    reliable agents (agents of one family share a gradient, so this is the
+    per-agent maximum); and (sigma_sq, zeta_sq) from the closed-form
+    variance of the u-scaled gradient at the standard probe points
+    {-2,-1,0,1,2}. Each distinct family's callables are built once and
+    shared by its agents' objectives.
 
     `batch` averages that many independent (u, v) draws per stochastic
     gradient. The draws enter linearly, so this is implemented exactly as
@@ -362,9 +366,9 @@ def benchmark_problem(
         if not 0 <= b < n_agents:
             raise ConfigError(f"Byzantine id {b} outside 0..{n_agents - 1}")
     families = _assign_families(n_agents, family_of)
-    objectives = tuple(
-        family_objective(i, families[i], u_std, v_std) for i in range(n_agents)
-    )
+    # one set of callables per distinct family, in first-seen order
+    shared = {f: _family_callables(f, u_std, v_std) for f in dict.fromkeys(families)}
+    objectives = tuple(LocalObjective(i, f, *shared[f]) for i, f in enumerate(families))
     reliable = tuple(i for i in range(n_agents) if i not in byz)
     if not reliable:
         raise ConfigError("every agent is Byzantine; nothing to optimize")
@@ -384,9 +388,7 @@ def benchmark_problem(
         x_star, f_star_val = None, float(f_star)
 
     if smoothness is None:
-        smoothness = _fd_smoothness(
-            lambda x: (u_coeffs @ _basis_cores(x))[list(reliable)]
-        )
+        smoothness = _family_smoothness(u_coeffs[list(reliable)])
     if pl_constant is None:
         pl_constant = _pl_probe_scalar(f_vec, g_vec, f_star_val)
     if sigma_sq is None or zeta_sq is None:
@@ -511,6 +513,14 @@ def _fd_smoothness(core_batch, grid=None, h: float = 1e-5) -> float:
     return float(np.max(np.abs(hi - lo)) / (2.0 * h))
 
 
+def _family_smoothness(coeffs: np.ndarray, grid=None) -> float:
+    """_fd_smoothness of the gradients coeffs @ cores, one row per agent,
+    taken over the distinct rows only: agents of one family share a row,
+    and equal rows have equal differences, so the maximum is the same."""
+    rows = np.unique(coeffs, axis=0)
+    return _fd_smoothness(lambda x: rows @ _basis_cores(x), grid)
+
+
 def pl_constant_probe(prob: GlobalProblem, grid) -> float:
     """Smallest gradient-domination ratio over the probe grid.
 
@@ -548,8 +558,7 @@ def estimate_smoothness(prob: GlobalProblem, grid=None) -> float:
         raise ConfigError("smoothness estimation is scalar-only")
     rel = list(prob.reliable)
     if prob.u_coeffs is not None:
-        coeffs = prob.u_coeffs[rel]
-        return _fd_smoothness(lambda x: coeffs @ _basis_cores(x), grid)
+        return _family_smoothness(prob.u_coeffs[rel], grid)
     return _fd_smoothness(
         lambda x: np.stack(
             [np.asarray(prob.objectives[i].expected_gradient(x)) for i in rel]

@@ -211,10 +211,11 @@ def _random_pairs(rng: np.random.Generator, n: int, edge_p: float):
     rows = max(1, _DRAW_BLOCK // n)
     iu, ju = [], []
     for r0 in range(0, n, rows):
-        hit = np.triu(rng.random((min(rows, n - r0), n)) < edge_p, k=r0 + 1)
-        i, j = np.nonzero(hit)
-        iu.append(i + r0)
-        ju.append(j)
+        i, j = np.nonzero(rng.random((min(rows, n - r0), n)) < edge_p)
+        i += r0
+        upper = j > i  # the strict upper triangle, without a triu copy
+        iu.append(i[upper])
+        ju.append(j[upper])
     return np.concatenate(iu), np.concatenate(ju)
 
 
@@ -296,11 +297,15 @@ def mixing_sq(net: Network) -> float:
     Byzantine weight folded into its self-weight, which keeps it
     symmetric and doubly stochastic; the rate lies in [0, 1) whenever the
     reliable subgraph is connected and the diagonal is positive. ARPACK's
-    Lanczos iteration reads W~ only through an edge-list product, from a
-    seeded start, so the value is reproducible and nothing is (R, R).
+    Lanczos iteration reads W~ only through a CSR matvec over the
+    reliable-to-reliable edges, built once, from a seeded start, so the
+    value is reproducible and nothing is (R, R). The matvec adds each
+    row's edges in edge order from zero, as a bincount over the edge list
+    would.
     """
     # imported here: scipy.sparse.linalg costs about 10 MiB of resident
     # memory, and only callers of the theory layer need it
+    from scipy.sparse import csr_array
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     rel = np.flatnonzero(~net.is_byz)
@@ -311,11 +316,12 @@ def mixing_sq(net: Network) -> float:
     pos = np.full(net.n_agents, -1, dtype=np.intp)
     pos[rel] = np.arange(r)
     keep = ~(net.is_byz[net.recv] | net.is_byz[net.send])
-    rr, ss, w = pos[net.recv[keep]], pos[net.send[keep]], net.edge_w[keep]
+    rr, ss = pos[net.recv[keep]], pos[net.send[keep]]
+    edges = csr_array((net.edge_w[keep], ss, _indptr(rr, r)), shape=(r, r))
 
     def matvec(v):
         v = np.ravel(v)
-        return diag * v + np.bincount(rr, w * v[ss], minlength=r) - v.mean()
+        return diag * v + edges @ v - v.mean()
 
     # a fixed start such as the all-ones direction sits in the null space
     # (the operator is centered) and stalls at zero

@@ -45,6 +45,34 @@ def svd_mixing_sq(net) -> float:
     return float(np.linalg.norm(block - 1.0 / block.shape[0], 2)) ** 2
 
 
+def bincount_mixing_sq(net) -> float:
+    """The mixing rate as the library computed it before its CSR operator:
+    the same ARPACK call and start, but the matvec sums each receiver's
+    edges with np.bincount over the reliable-to-reliable edge list."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    rel = np.flatnonzero(~net.is_byz)
+    r = len(rel)
+    diag = (net.self_w + net.weight_split()[1])[rel]
+    if r == 1:
+        return float((diag[0] - 1.0) ** 2)
+    pos = np.full(net.n_agents, -1, dtype=np.intp)
+    pos[rel] = np.arange(r)
+    keep = ~(net.is_byz[net.recv] | net.is_byz[net.send])
+    rr, ss, w = pos[net.recv[keep]], pos[net.send[keep]], net.edge_w[keep]
+
+    def matvec(v):
+        v = np.ravel(v)
+        return diag * v + np.bincount(rr, w * v[ss], minlength=r) - v.mean()
+
+    v0 = np.random.default_rng(0x5CC).standard_normal(r)
+    if not matvec(v0).any():
+        return 0.0
+    op = LinearOperator((r, r), matvec=matvec, dtype=float)
+    lam = eigsh(op, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
+    return float(lam * lam)
+
+
 def connected(adj: np.ndarray, nodes: list) -> bool:
     """Whether nodes induce a connected subgraph, by scipy rather than
     the library's own search."""

@@ -274,6 +274,36 @@ def test_agent_rngs_match_seed_sequence(seed):
             assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_keyed_initial_states_match_seed_sequence(seed):
+    for dim in (1, 10):
+        x = engine._initial_states(seed, 300, dim, None)
+        assert x.shape == ((300,) if dim == 1 else (300, dim))
+        for i in range(300):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, i, 0]))
+            expect = ref.uniform(-5.0, 5.0, size=dim)
+            assert np.array_equal(x[i], expect[0] if dim == 1 else expect), (dim, i)
+
+
+def test_run_builds_no_initial_state_generator(monkeypatch):
+    net = build_network("random", 1000, byz_fraction=0.1, seed=1, edge_p=0.02)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=1000)
+    agent_rngs = engine._agent_rngs
+
+    def refuse_purpose_0(seed, n_agents, purpose):
+        assert purpose != 0, "run built a generator for the initial states"
+        return agent_rngs(seed, n_agents, purpose)
+
+    monkeypatch.setattr(engine, "_agent_rngs", refuse_purpose_0)
+    log = run(net, prob, DecayingSchedule(scale=2.0, k0=10), 5, 3, noise=1e-4,
+              attack=AttackSpec("sign_flip"), agg="scc", tau=TauSpec("corollary1", 1e3),
+              record_traces=True)
+    assert log.status == "completed" and log.rounds_completed == 5
+    expect = [np.random.default_rng(np.random.SeedSequence([3, i, 0])).uniform(-5.0, 5.0)
+              for i in range(1000)]
+    assert np.array_equal(log.traces[0], expect)
+
+
 def test_run_builds_no_seed_sequence(monkeypatch):
     net = build_network("random", 1000, byz_fraction=0.1, seed=1, edge_p=0.02)
     prob = benchmark_problem(byzantine=net.byzantine, n_agents=1000)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gossipshield import (
     BrokenOptimumError,
@@ -189,6 +191,55 @@ def test_smoothness_estimates():
     p = benchmark_problem()
     assert 2.0 < p.smoothness < 6.0
     assert estimate_smoothness(p) == pytest.approx(p.smoothness, rel=1e-9)
+
+
+def _per_agent_smoothness(u_coeffs, rel):
+    """The smoothness estimates as they were computed before the
+    per-family maximum: benchmark_problem's full product, then the reliable
+    rows, and estimate_smoothness's reliable rows, then the product."""
+    cores = objectives._basis_cores
+    return (
+        objectives._fd_smoothness(lambda x: (u_coeffs @ cores(x))[rel]),
+        objectives._fd_smoothness(lambda x: u_coeffs[rel] @ cores(x)),
+    )
+
+
+@st.composite
+def _family_cases(draw):
+    n = draw(st.integers(1, 300))
+    if draw(st.booleans()) and n % 10 == 0:
+        family_of = None
+    else:
+        family_of = draw(st.lists(st.integers(1, 10), min_size=n, max_size=n))
+    byz = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return n, family_of, sorted(byz)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_family_cases())
+@example((1000, None, list(range(0, 1000, 10))))
+@example((1000, None, []))
+def test_family_smoothness_equals_per_agent_form(case):
+    n, family_of, byz = case
+    p = benchmark_problem(byz, n, family_of=family_of, f_star=0.0, pl_constant=1.0,
+                          sigma_sq=0.0, zeta_sq=0.0)
+    rel = list(p.reliable)
+    ref_problem, ref_estimate = _per_agent_smoothness(p.u_coeffs, rel)
+    assert p.smoothness == ref_problem
+    assert estimate_smoothness(p) == ref_estimate
+
+
+def test_family_objectives_share_callables():
+    p = benchmark_problem(n_agents=100)
+    for i, obj in enumerate(p.objectives):
+        first = p.objectives[i - i % 10]
+        assert obj.agent == i and obj.family == i // 10 + 1
+        assert obj.expected_gradient is first.expected_gradient
+        assert obj.sample_gradient is first.sample_gradient
+    alone = family_objective(7, 3)
+    assert p.objectives[25].expected_gradient(0.7) == alone.expected_gradient(0.7)
+    with pytest.raises(ConfigError, match="family"):
+        benchmark_problem(n_agents=3, family_of=[1, 11, 2])
 
 
 def test_sigma_zeta_deterministic_and_identical():

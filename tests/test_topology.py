@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (
+    bincount_mixing_sq,
     connected,
     dense_adjacency,
     dense_weights,
@@ -23,7 +24,8 @@ from gossipshield import (
     rho_upper_bound,
     theory_constants,
 )
-from gossipshield.topology import _directed, _metropolis, evenly_spaced_byzantine
+from gossipshield import topology
+from gossipshield.topology import _directed, _metropolis, _random_pairs, evenly_spaced_byzantine
 
 TOL = 1e-12
 
@@ -129,6 +131,39 @@ def test_mixing_matches_svd_oracle():
         assert got == pytest.approx(oracle, rel=1e-12, abs=1e-15)
         assert 0.0 <= got < 1.0
         _assert_doubly_stochastic(virtual_dense(net))
+
+
+def test_mixing_operator_matches_bincount_form():
+    # the CSR matvec must add each row in edge order from zero, as the
+    # bincount over the edge list did, so ARPACK sees the same vectors
+    cases = [("random", n, frac, seed, edge_p)
+             for n, edge_p in ((30, 0.2), (100, 0.5), (1000, 0.02))
+             for frac in (0.0, 0.1) for seed in (1, 2)]
+    cases += [(kind, n, frac, 0, 0.3) for kind in ("star", "complete")
+              for n in (2, 5, 100) for frac in (0.0, 0.1, 0.2)]
+    checked = 0
+    for kind, n, frac, seed, edge_p in cases:
+        try:
+            net = build_network(kind, n, frac, seed=seed, edge_p=edge_p)
+        except TopologyError:
+            continue
+        assert mixing_sq(net) == bincount_mixing_sq(net), (kind, n, frac, seed)
+        checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("block", [1, 40, 150, 1 << 20])
+def test_random_pairs_match_one_shot_draw(monkeypatch, block):
+    # small blocks start rows above, on and below the diagonal's reach
+    monkeypatch.setattr(topology, "_DRAW_BLOCK", block)
+    for n, edge_p, seed in ((2, 0.9, 0), (13, 0.3, 1), (37, 0.2, 2), (64, 0.5, 3)):
+        rng = np.random.default_rng(seed)
+        iu, ju = _random_pairs(rng, n, edge_p)
+        ref_rng = np.random.default_rng(seed)
+        ref_i, ref_j = np.nonzero(np.triu(ref_rng.random((n, n)) < edge_p, 1))
+        assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+        # the stream is left where the one-shot draw leaves it
+        assert rng.random() == ref_rng.random()
 
 
 def test_rho_upper_bound_complete_one_byzantine():

@@ -1,9 +1,14 @@
-"""Run a fixed matrix of engine runs and print a digest per recorded array.
+"""Build fixed set-ups, run a fixed matrix of engine runs, print a digest per array.
 
     python3 tools/run_digests.py                  # this checkout's src/
     python3 tools/run_digests.py --src OTHER/src  # another checkout
 
-The matrix calls ``engine.run`` and ``engine.run_ensemble`` directly:
+First come the set-up cases: for random graphs at 100, 1000 and 4000
+agents, star and complete graphs, and one mixed family assignment, all
+at 10% Byzantine, the network's arrays, the benchmark problem's constants
+(f*, x*, L, mu, sigma^2, zeta^2, and ``estimate_smoothness``), the mixing
+rate, ``rho_upper_bound`` and every field of ``theory_constants``. Then
+the run matrix calls ``engine.run`` and ``engine.run_ensemble`` directly:
 every attack (ALIE global and local, a round-robin and a fixed
 duplication victim) under the mean and under SCC with each radius policy,
 with masking noise off and on, at 100 agents (traces recorded) and at
@@ -17,6 +22,7 @@ finds nothing between their outputs. It takes about a minute.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 import warnings
@@ -56,6 +62,39 @@ def _print_ensemble(case: str, ens) -> None:
             print(f"{_digest(value)}  {case}/{name}")
     for log in ens.logs:
         _print_log(f"{case}/seed{log.seed}", log)
+
+
+NETWORK_FIELDS = ("recv", "send", "edge_w", "self_w", "indptr", "is_byz")
+PROBLEM_FIELDS = ("f_star", "x_star", "smoothness", "pl_constant", "sigma_sq", "zeta_sq")
+
+
+def _setup_cases(gs):
+    """(name, net, prob) of every set-up case, all at 10% Byzantine."""
+    for n, edge_p in ((100, 0.5), (1000, 0.02), (4000, 0.005)):
+        net = gs.build_network("random", n, byz_fraction=0.1, seed=1, edge_p=edge_p)
+        yield f"random{n}", net, gs.benchmark_problem(net.byzantine, n)
+    for kind in ("star", "complete"):
+        net = gs.build_network(kind, 100, byz_fraction=0.1)
+        yield kind, net, gs.benchmark_problem(net.byzantine, 100)
+    net = gs.build_network("random", 90, byz_fraction=0.1, seed=4, edge_p=0.2)
+    family_of = np.random.default_rng(11).integers(1, 11, 90).tolist()
+    yield "family_of", net, gs.benchmark_problem(net.byzantine, 90, family_of=family_of)
+
+
+def _print_setup(gs, case: str, net, prob) -> None:
+    for name in NETWORK_FIELDS:
+        print(f"{_digest(getattr(net, name))}  {case}/net/{name}")
+    for name in PROBLEM_FIELDS:
+        print(f"{_digest(np.array(getattr(prob, name), dtype=float))}  {case}/prob/{name}")
+    print(f"{_digest(np.array(gs.estimate_smoothness(prob)))}  {case}/estimate_smoothness")
+    rho = gs.rho_upper_bound(net)
+    print(f"{_digest(np.array(gs.mixing_sq(net)))}  {case}/mixing_sq")
+    print(f"{_digest(np.array(rho))}  {case}/rho_upper_bound")
+    consts = gs.theory_constants(
+        net, rho, prob.smoothness, prob.pl_constant, prob.sigma_sq, prob.zeta_sq, 1e-6, 1
+    )
+    for name, value in dataclasses.asdict(consts).items():
+        print(f"{_digest(np.array(value, dtype=float))}  {case}/theory/{name}")
 
 
 def _cases(gs):
@@ -173,6 +212,8 @@ def main(argv=None) -> int:
 
     # overflow in the diverging cases warns; the digests are what matter
     warnings.simplefilter("ignore")
+    for name, net, prob in _setup_cases(gs):
+        _print_setup(gs, f"setup/{name}", net, prob)
     seeds = [1, 2, 3]
     for name, net, prob, sched, rounds, kw in [*_cases(gs), *_vector_cases(gs)]:
         _print_log(f"run/{name}", gs.run(net, prob, sched, rounds, 5, **kw))
