@@ -181,8 +181,15 @@ class ReceiverSums:
             if self._matrix is None:
                 from scipy.sparse import csr_array
 
+                # 32-bit indices where they fit: half the index bytes read
+                # per matvec, and the same sums
+                index = np.int32 if self._n_edges < 2**31 else np.int64
                 self._matrix = csr_array(
-                    (np.ones(self._n_edges), np.arange(self._n_edges), self._indptr),
+                    (
+                        np.ones(self._n_edges),
+                        np.arange(self._n_edges, dtype=index),
+                        self._indptr.astype(index),
+                    ),
                     shape=(self.n_agents, self._n_edges),
                 )
             return self._matrix @ values
@@ -231,8 +238,10 @@ def scc_edges(
     # where norms exceed tau they are strictly positive, so the division
     # never sees zero
     over = np.flatnonzero(norms > tau_e)
+    shrink = tau_e[over] / norms[over]
+    del tau_e  # one E-sized array fewer while scale is live
     scale = edge_w.copy()
-    scale[over] *= tau_e[over] / norms[over]
+    scale[over] *= shrink
     diffs *= scale if diffs.ndim == 1 else scale[:, None]
     return self_models + sums(diffs)
 
@@ -253,7 +262,9 @@ def tau_edges(
     neighbor; the engine substitutes its manual fallback there. kind
     'remark4' never falls back and ignores byz_weight.
     """
-    num = sums(rel_w * norms * norms)
+    weighted = rel_w * norms
+    weighted *= norms
+    num = sums(weighted)
     if kind == "remark4":
         return np.maximum(num, TAU_FLOOR)
     if kind != "corollary1":

@@ -65,6 +65,11 @@ class AttackSpec:
         if self.kind == "sign_flip" and self.s_b < 0:
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
 
+    def check_victim(self, reliable) -> None:
+        """Refuse a fixed duplication victim outside the given reliable ids."""
+        if self.kind == "perturbed_dup" and self.victim is not None and self.victim not in reliable:
+            raise ConfigError(f"fixed victim {self.victim} is not reliable")
+
 
 def sign_flip_msg(neighborhood_states: np.ndarray, s_b: float) -> np.ndarray:
     """Negative scaled mean of the receiver's reliable neighborhood
@@ -153,20 +158,22 @@ class AttackPlan:
         self._edges = np.flatnonzero(from_byz)
         self._to = net.recv[self._edges]
 
-        # reliable-sender edges into receivers that hear a Byzantine agent:
-        # the only receivers whose statistics a falsified message reads
-        hears_byz = np.zeros(n, dtype=bool)
-        hears_byz[self._to] = True
-        stat_edges = np.flatnonzero(~from_byz & hears_byz[net.recv])
-        self._stat_recv = net.recv[stat_edges]
-        self._stat_send = net.send[stat_edges]
-        self._stat_w = net.edge_w[stat_edges]
-        self._stat_sums = ReceiverSums(self._stat_recv, n)
-        # size of each receiver's reliable closed neighborhood
-        count = self._stat_sums.counts.copy()
-        count[self._rel_idx] += 1
-        self._nbhd_count = np.maximum(count, 1)
-        self._byz_wsum = net.weight_split()[1]
+        if spec.kind in ("sign_flip", "dissensus") or (spec.kind == "alie" and spec.alie_local):
+            # reliable-sender edges into receivers that hear a Byzantine
+            # agent: the only receivers whose statistics a receiver-specific
+            # message reads
+            hears_byz = np.zeros(n, dtype=bool)
+            hears_byz[self._to] = True
+            stat_edges = np.flatnonzero(~from_byz & hears_byz[net.recv])
+            self._stat_recv = net.recv[stat_edges]
+            self._stat_send = net.send[stat_edges]
+            self._stat_w = net.edge_w[stat_edges]
+            self._stat_sums = ReceiverSums(self._stat_recv, n)
+            # size of each receiver's reliable closed neighborhood
+            count = self._stat_sums.counts.copy()
+            count[self._rel_idx] += 1
+            self._nbhd_count = np.maximum(count, 1)
+            self._byz_wsum = net.weight_split()[1]
 
         if spec.kind == "alie":
             self._alie_a = alie_coefficient(n_copy, self._rel_idx.size // copies)
@@ -175,9 +182,7 @@ class AttackPlan:
             self._edge_copy = net.send[self._edges] // n_copy
 
         if spec.kind == "perturbed_dup":
-            copy_rel = net.reliable[: self._rel_idx.size // copies]
-            if spec.victim is not None and spec.victim not in copy_rel:
-                raise ConfigError(f"fixed victim {spec.victim} is not reliable")
+            spec.check_victim(net.reliable[: self._rel_idx.size // copies])
             # each Byzantine agent's victims, taken round-robin and kept in
             # one flat array: the fixed victim of its copy, or its reliable
             # neighbours (itself when it has none)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import ConvergenceBoundInputs, theorem2_rhs, theorem3_rhs
 from .config import apply_overrides, build_experiment, load_config
-from .engine import run, run_ensemble
+from .engine import EnsembleResult, run, run_ensemble
 from .errors import ConfigError, GossipShieldError
 from .objectives import benchmark_problem
 from .privacy import global_epsilon, required_variance_local, sensitivity_default
@@ -181,25 +181,9 @@ def _summary_lines(exp, ens):
     yield from _bounds_block(exp, ens)
 
 
-def run_experiment(cfg: dict, out_dir: Path) -> dict:
-    """Execute one config: per-seed CSVs, ensemble CSV, summary. Returns
-    a small result dict used by sweep summaries. A config that fails to
-    build or run leaves no output directory behind."""
-    exp = build_experiment(cfg)
-    if exp.sweep_axes:
-        raise ConfigError("config declares sweep axes; use the sweep verb")
-    ens = run_ensemble(
-        exp.net,
-        exp.prob,
-        exp.sched,
-        exp.horizon,
-        exp.seeds,
-        consts=exp.consts,
-        noise=exp.noise,
-        attack=exp.attack,
-        agg=exp.agg,
-        tau=exp.tau,
-    )
+def _write_run(exp, ens, out_dir: Path) -> dict:
+    """Write one experiment's per-seed CSVs, ensemble CSV, summary and
+    config, and return the small result dict used by sweep summaries."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for log in ens.logs:
         _write_lines(
@@ -221,16 +205,56 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     }
 
 
+def _run_cells(cells) -> list:
+    """Run experiments that differ at most in their attack as one
+    run_ensemble call with one member per cell and seed, then write each
+    cell's artifacts from its own members.
+
+    cells holds (idx, exp, out_dir) triples; the result is one
+    (idx, result dict) pair per cell, in the order given.
+    """
+    first = cells[0][1]
+    seeds = first.seeds
+    ens = run_ensemble(
+        first.net,
+        first.prob,
+        first.sched,
+        first.horizon,
+        seeds * len(cells),
+        consts=first.consts,
+        noise=first.noise,
+        attack=[exp.attack for _, exp, _ in cells for _ in seeds],
+        agg=first.agg,
+        tau=first.tau,
+    )
+    results = []
+    for c, (idx, exp, out_dir) in enumerate(cells):
+        logs = ens.logs[c * len(seeds) : (c + 1) * len(seeds)]
+        cell = EnsembleResult.from_logs(logs, exp.prob.f_star, exp.sched, exp.consts)
+        results.append((idx, _write_run(exp, cell, Path(out_dir))))
+    return results
+
+
+def run_experiment(cfg: dict, out_dir: Path) -> dict:
+    """Execute one config: per-seed CSVs, ensemble CSV, summary. Returns
+    a small result dict used by sweep summaries. A config that fails to
+    build or run leaves no output directory behind."""
+    exp = build_experiment(cfg)
+    if exp.sweep_axes:
+        raise ConfigError("config declares sweep axes; use the sweep verb")
+    return _run_cells([(0, exp, out_dir)])[0][1]
+
+
 def _strip_sweep(cfg: dict) -> dict:
     out = json.loads(json.dumps(cfg))
     out.pop("sweep", None)
     return out
 
 
-def _sweep_worker(args):
-    idx, cell_cfg, out_dir = args
-    result = run_experiment(cell_cfg, Path(out_dir))
-    return idx, result
+def _sweep_worker(group):
+    """Build one group's cells in this process and run them as one."""
+    built = {}
+    return _run_cells([(idx, build_experiment(cell_cfg, built), out) for idx, cell_cfg, out in group])
 
 
 def _publish(stage: Path, out_dir: Path) -> None:
@@ -249,10 +273,19 @@ def _publish(stage: Path, out_dir: Path) -> None:
 def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -> list:
     """Cartesian sweep over the declared axes, one subdirectory per cell.
 
+    Every cell is built and checked before any runs. The builds share one
+    network, problem and set of theory constants wherever their sections
+    agree, and cells that are equal except for their attack form one
+    group: one run_ensemble call whose members are the group's cells
+    times the seeds. Each cell's artifacts are those run_experiment
+    writes for it. With several groups and max_workers other than 1,
+    a process pool runs the groups.
+
     The cells and the summary are written into a temporary sibling of
     out_dir and moved into place only after every cell has returned, so
     a sweep that fails in any cell leaves out_dir as it was."""
-    exp = build_experiment(cfg)
+    built = {}
+    exp = build_experiment(cfg, built)
     axes = exp.sweep_axes
     if not axes:
         raise ConfigError("sweep verb needs a sweep.axes section")
@@ -263,17 +296,26 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
     shutil.rmtree(stage, ignore_errors=True)
     stage.mkdir(parents=True)
     try:
-        jobs = []
+        groups = {}
         for idx, combo in enumerate(cells):
             overrides = [f"{key}={json.dumps(val)}" for key, val in zip(keys, combo)]
             cell_cfg = apply_overrides(_strip_sweep(cfg), overrides)
-            jobs.append((idx, cell_cfg, str(stage / f"cell{idx:03d}")))
+            cell_exp = build_experiment(cell_cfg, built)
+            rest = {k: v for k, v in cell_exp.normalized.items() if k != "attack"}
+            groups.setdefault(json.dumps(rest, sort_keys=True), []).append(
+                (idx, cell_cfg, cell_exp, str(stage / f"cell{idx:03d}"))
+            )
+        groups = list(groups.values())
 
-        if max_workers == 1 or len(jobs) == 1:
-            results = [_sweep_worker(job) for job in jobs]
+        if max_workers == 1 or len(groups) == 1:
+            results = [
+                pair for group in groups
+                for pair in _run_cells([(idx, e, out) for idx, _, e, out in group])
+            ]
         else:
+            jobs = [[(idx, c, out) for idx, c, _, out in group] for group in groups]
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(_sweep_worker, jobs))
+                results = [pair for pairs in pool.map(_sweep_worker, jobs) for pair in pairs]
         results.sort(key=lambda pair: pair[0])
 
         n_files = sum(res["n_seed_files"] for _, res in results)

@@ -165,7 +165,24 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return out
 
 
-def _parse_topology(section: dict):
+def _shared(built: dict | None, key: list, make):
+    """make(), built once per key within one dict of built objects.
+
+    A sweep passes one dict to the builds of all its cells, so cells whose
+    constructor arguments agree share one network, problem and set of
+    theory constants; the key is the arguments' JSON, which tells 1 from
+    1.0 and true from 1 as the parsers do. Without a dict, every call
+    builds.
+    """
+    if built is None:
+        return make()
+    key = json.dumps(key, sort_keys=True, default=repr)
+    if key not in built:
+        built[key] = make()
+    return built[key]
+
+
+def _parse_topology(section: dict, built: dict | None):
     path = "topology"
     _check_keys(
         section,
@@ -185,9 +202,10 @@ def _parse_topology(section: dict):
         if not isinstance(raw, list):
             raise ConfigError(f"{path}.byzantine_ids: expected a list of agent ids")
         ids = [_as_int(b, f"{path}.byzantine_ids") for b in raw]
-    net = build_network(
+    key = ["network", kind, n, frac, seed, edge_p, ids]
+    net = _shared(built, key, lambda: build_network(
         kind, n, byz_fraction=frac, seed=seed, edge_p=edge_p, byzantine_ids=ids
-    )
+    ))
     # explicit ids replace the fraction; configs without them keep the
     # normalized form, and so the hash, they always had
     norm = {"kind": kind, "n_agents": n}
@@ -196,10 +214,10 @@ def _parse_topology(section: dict):
     else:
         norm["byzantine_ids"] = list(net.byzantine)
     norm.update(seed=seed, edge_p=edge_p)
-    return net, norm
+    return net, norm, key
 
 
-def _parse_problem(section: dict, net: Network):
+def _parse_problem(section: dict, net: Network, net_key: list, built: dict | None):
     path = "problem"
     allowed = {
         "kind",
@@ -225,7 +243,8 @@ def _parse_problem(section: dict, net: Network):
     for key in ("f_star", "pl_constant", "smoothness", "sigma_sq", "zeta_sq"):
         if key in section:
             overrides[key] = _as_float(section[key], f"{path}.{key}")
-    prob = benchmark_problem(
+    key = ["problem", net_key, u_std, v_std, batch, family_of, overrides]
+    prob = _shared(built, key, lambda: benchmark_problem(
         byzantine=net.byzantine,
         n_agents=net.n_agents,
         u_std=u_std,
@@ -233,12 +252,12 @@ def _parse_problem(section: dict, net: Network):
         batch=batch,
         family_of=family_of,
         **overrides,
-    )
+    ))
     norm = {"kind": kind, "u_std": u_std, "v_std": v_std, "batch": batch}
     if family_of is not None:
         norm["family_of"] = [int(f) for f in family_of]
     norm.update(overrides)
-    return prob, norm
+    return prob, norm, key
 
 
 def _parse_noise(section: dict, sched: StepSizeSchedule):
@@ -433,8 +452,14 @@ def _parse_privacy(section: dict, horizon: int):
     return local_norm, budget, norm
 
 
-def build_experiment(cfg: dict) -> Experiment:
-    """Validate the whole config and assemble every runtime object."""
+def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
+    """Validate the whole config and assemble every runtime object.
+
+    built, when given, is a dict shared by the builds of one sweep: the
+    network, problem and theory constants are taken from it wherever an
+    earlier build used the same arguments, and added to it otherwise.
+    Every section is still parsed and checked.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping of sections")
     _check_keys(cfg, _SECTIONS | {"privacy_trace"}, "config")
@@ -442,8 +467,8 @@ def build_experiment(cfg: dict) -> Experiment:
         if required not in cfg:
             raise ConfigError(f"config: missing required section {required!r}")
 
-    net, topo_norm = _parse_topology(cfg["topology"])
-    prob, prob_norm = _parse_problem(cfg.get("problem", {}), net)
+    net, topo_norm, net_key = _parse_topology(cfg["topology"], built)
+    prob, prob_norm, prob_key = _parse_problem(cfg.get("problem", {}), net, net_key, built)
     sched = _schedule_from(cfg["schedule"], "schedule")
     variance, noise_derived, noise_norm = _parse_noise(cfg.get("noise", {}), sched)
     attack, attack_norm = _parse_attack(cfg.get("attack", {}))
@@ -473,7 +498,7 @@ def build_experiment(cfg: dict) -> Experiment:
 
     consts = None
     if theory_mode or bound_column:
-        consts = theory_constants(
+        consts = _shared(built, ["consts", prob_key, variance], lambda: theory_constants(
             net,
             rho_upper_bound(net),
             prob.smoothness,
@@ -482,7 +507,7 @@ def build_experiment(cfg: dict) -> Experiment:
             prob.zeta_sq,
             variance,
             prob.dim,
-        )
+        ))
         if theory_mode and not sweep_axes:
             # a sweep's base config is only a template; its cells are checked
             validate_schedule(sched, consts, strict=True)

@@ -27,14 +27,18 @@ seeds[s], draws exactly the streams it draws alone, and its receiver
 sums its own copy's edges in the same order, so the S seeds share every
 numpy call of a round and each copy's log is bit for bit the log of a run
 on its seed. Seeds run in consecutive groups whose edge arrays stay
-under a fixed element budget; run() is the group of one. Only the global
-ALIE statistic, a fixed duplication victim, the metric pass and the
-divergence test are taken per copy. A copy that diverges is recorded as
-its own run would record it and then zeroed while the others run on.
+under a fixed element budget; run() is the group of one. Copies may carry
+different attacks (a sweep's attack cells run this way, and a seed may
+then appear once per cell): each run of consecutive copies that share an
+attack is falsified by one plan over its own slice of the round's edges.
+Only the global ALIE statistic, a fixed duplication victim, the metric
+pass and the divergence test are taken per copy. A copy that diverges is
+recorded as its own run would record it and then zeroed while the others
+run on.
 
 The metric columns never feed back into the dynamics, so the loop does
 not compute them round by round: it copies each round's reliable states
-and half-steps into a row buffer of fixed size per copy, and computes the
+and half-steps into row buffers of fixed size per group, and computes the
 disagreement, pre-aggregation disagreement and f(x-bar) of a whole chunk
 of rows in one pass per copy when the buffer fills and when the loop
 ends. Every value is bit-equal to its per-row definition
@@ -48,6 +52,7 @@ is admissible for them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -75,8 +80,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 # Elements of reliable states held for one metric pass, per buffer and
-# copy (64 KiB of float64); a run holds two such buffers per copy.
-_METRIC_ELEMENTS = 1 << 13
+# group of copies (128 KiB of float64); a group holds two such buffers.
+_METRIC_ELEMENTS = 1 << 14
 # Edge values of one group of seeds run as a single round loop, copies x
 # edges x state elements (512 KiB per float64 edge array).
 _GROUP_ELEMENTS = 1 << 16
@@ -153,6 +158,38 @@ class EnsembleResult:
     gap_min_of_mean: np.ndarray
     dk_bound: np.ndarray | None
     statuses: list
+
+    @classmethod
+    def from_logs(
+        cls,
+        logs: list,
+        f_star: float,
+        sched: StepSizeSchedule,
+        consts: TheoryConstants | None = None,
+    ) -> EnsembleResult:
+        """The seed averages of the given member logs."""
+        rows = min(len(log.k) for log in logs)
+        ks = np.arange(rows)
+        consensus = np.mean([log.consensus[:rows] for log in logs], axis=0)
+        pre = np.mean([log.pre_agg[:rows] for log in logs], axis=0)
+        f_bar = np.mean([log.f_bar[:rows] for log in logs], axis=0)
+        gap_mean_of_min = np.mean([log.gap[:rows] for log in logs], axis=0)
+        gap_min_of_mean = optimal_gap_series(f_bar, f_star)
+        bound = None
+        if consts is not None:
+            d0 = float(np.mean([log.consensus[0] for log in logs]))
+            bound = np.asarray(dk_bound(consts, d0, ks, sched))
+        return cls(
+            logs=logs,
+            k=ks,
+            consensus_mean=consensus,
+            pre_agg_mean=pre,
+            f_bar_mean=f_bar,
+            gap_mean_of_min=gap_mean_of_min,
+            gap_min_of_mean=gap_min_of_mean,
+            dk_bound=bound,
+            statuses=[log.status for log in logs],
+        )
 
 
 def consensus_error(models: np.ndarray) -> float:
@@ -419,7 +456,7 @@ def _run_seeds(
     seeds: list,
     *,
     noise: NoiseSpec | float = 0.0,
-    attack: AttackSpec | None = None,
+    attack: AttackSpec | list | None = None,
     agg: str = "scc",
     tau: TauSpec | float | None = None,
     x0=None,
@@ -428,7 +465,7 @@ def _run_seeds(
 ) -> list:
     """Validate every input, then run the seeds in consecutive groups that
     keep a group's edge values under _GROUP_ELEMENTS; the logs come back
-    in seed order."""
+    in seed order. attack is one spec for every seed, or one per seed."""
     if net.n_agents != prob.n_agents:
         raise ConfigError(
             f"network has {net.n_agents} agents, problem has {prob.n_agents}"
@@ -442,8 +479,9 @@ def _run_seeds(
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
     if isinstance(noise, (int, float)):
         noise = NoiseSpec(float(noise))
-    if attack is None:
-        attack = AttackSpec(kind="none")
+    attacks = _member_attacks(attack, len(seeds))
+    for spec in attacks:
+        spec.check_victim(net.reliable)
     if agg == "mean":
         # the plain mean is SCC with a radius that clips nothing
         tau = TauSpec(kind="manual", value=np.inf)
@@ -461,9 +499,47 @@ def _run_seeds(
     for g in range(0, len(seeds), per_group):
         logs += _run_group(
             net, prob, sched, n_rounds, seeds[g : g + per_group],
-            noise, attack, tau, x0, consts, record_traces,
+            noise, attacks[g : g + per_group], tau, x0, consts, record_traces,
         )
     return logs
+
+
+def _member_attacks(attack, n_members: int) -> list:
+    """One AttackSpec per member from one spec (None for no attack) or a
+    list of specs aligned with the members."""
+    if attack is None or isinstance(attack, AttackSpec):
+        return [attack or AttackSpec(kind="none")] * n_members
+    attacks = list(attack)
+    if len(attacks) != n_members:
+        raise ConfigError(f"got {len(attacks)} attacks for {n_members} seeds; give one per seed")
+    for spec in attacks:
+        if not isinstance(spec, AttackSpec):
+            raise ConfigError(f"expected an AttackSpec per seed, got {spec!r}")
+    return attacks
+
+
+def _attack_plans(net: Network, union: Network, attacks: list) -> list:
+    """(plan, edges, agents) for each run of consecutive copies that share
+    an attack other than 'none': one AttackPlan over a disjoint union of
+    that many copies of net, and the slices of the group's union (one copy
+    of net per attack) whose edges and agents the run's copies occupy.
+    Runs of one length share a union."""
+    plans, unions = [], {len(attacks): union}
+    n_edges, a = len(net.recv), net.n_agents
+    start = 0
+    for spec, run_ in itertools.groupby(attacks):
+        stop = start + len(list(run_))
+        if spec.kind != "none":
+            n = stop - start
+            if n not in unions:
+                unions[n] = _disjoint_union(net, n)
+            plans.append((
+                AttackPlan(spec, unions[n], n),
+                slice(start * n_edges, stop * n_edges),
+                slice(start * a, stop * a),
+            ))
+        start = stop
+    return plans
 
 
 def _run_group(
@@ -473,17 +549,19 @@ def _run_group(
     n_rounds: int,
     seeds: list,
     noise: NoiseSpec,
-    attack: AttackSpec,
+    attacks: list,
     tau: TauSpec,
     x0,
     consts: TheoryConstants | None,
     record_traces: bool,
 ) -> list:
-    """One round loop over the disjoint union of one copy of net per seed.
+    """One round loop over the disjoint union of one copy of net per seed,
+    copy s attacked by attacks[s].
 
-    Every copy draws exactly the streams its seed draws alone and every
-    receiver sums its own copy's edges in the same order, so each copy's
-    log is bit for bit the log of a run on its seed. A copy that diverges
+    Every copy draws exactly the streams its seed draws alone, is attacked
+    by a plan that treats it as it would treat it alone, and every receiver
+    sums its own copy's edges in the same order, so each copy's log is bit
+    for bit the log of a run on its seed and attack. A copy that diverges
     is recorded as that run would record it and then zeroed in the working
     arrays, so the rounds the others still run raise no warnings for it.
     """
@@ -491,12 +569,18 @@ def _run_group(
     a = net.n_agents
     union = _disjoint_union(net, n_copies)
     rel = np.flatnonzero(~union.is_byz).reshape(n_copies, -1)
-    byz = np.flatnonzero(union.is_byz)
-    plan = AttackPlan(attack, union, n_copies)
+    plans = _attack_plans(net, union, attacks)
+    # a Byzantine agent under a real attack never updates its state; under
+    # 'none' it follows the honest protocol
+    attacked = [spec.kind != "none" for spec in attacks]
+    held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
     sums = ReceiverSums(union.recv, union.n_agents)
     if tau.kind != "manual":
         rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
         byz_weight = union.weight_split()[1]
+    # the rounds read only these of the union; its receivers live on in sums
+    send, edge_w = union.send, union.edge_w
+    del union
 
     x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in seeds])
     sample = _gradient_sampler(prob, seeds, n_rounds)
@@ -516,7 +600,7 @@ def _run_group(
     # the reliable states and half-steps of up to `chunk` rows of each copy
     # wait here until their metrics are computed in one pass per copy
     row_shape = (rel.shape[1],) + x.shape[1:]
-    chunk = max(1, min(n_rows, _METRIC_ELEMENTS // math.prod(row_shape)))
+    chunk = max(1, min(n_rows, _METRIC_ELEMENTS // (n_copies * math.prod(row_shape))))
     x_rows = np.empty((n_copies, chunk) + row_shape)
     half_rows = np.empty((n_copies, chunk) + row_shape)
 
@@ -578,21 +662,22 @@ def _run_group(
             if not live.any():
                 break
 
-        messages = half.take(union.send, axis=0)
-        plan.apply(messages, k, x)
+        messages = half.take(send, axis=0)
+        for plan, edges, agents in plans:
+            plan.apply(messages[edges], k, x[agents])
 
         diffs, norms = edge_diffs(messages, half, sums)
+        del messages  # one E-sized array fewer while the radii and sums run
         fallback = value_at(tau.value, k)
         if tau.kind == "manual":
-            taus = np.full(union.n_agents, fallback)
+            taus = np.full(len(x), fallback)
         else:
             taus = tau_edges(norms, sums, rel_w, byz_weight, tau.kind)
             taus = np.where(np.isnan(taus), fallback, taus)
-        new_states = scc_edges(diffs, norms, half, sums, union.edge_w, taus)
+        new_states = scc_edges(diffs, norms, half, sums, edge_w, taus)
 
-        if attack.kind != "none":
-            # a Byzantine agent under a real attack never updates its state
-            new_states[byz] = x[byz]
+        if held.size:
+            new_states[held] = x[held]
         x = new_states
 
         if k + 1 - start == chunk:
@@ -655,6 +740,13 @@ def run_ensemble(
     draws exactly the streams seeds[s] draws alone, so every log equals
     run() on its seed bit for bit. Every seed is checked before any round.
 
+    attack may be one spec for every member or a list of one spec per
+    member, aligned with seeds; a seed may then repeat, once per attack,
+    and each member's log equals run() on its seed under its own attack.
+    The averages then mix attacks, so a caller that wants one ensemble
+    per attack summarizes each slice of the logs with
+    EnsembleResult.from_logs.
+
     Averages cover the common prefix when some member diverged early. The
     bound column, when constants are supplied, restarts from the averaged
     initial disagreement rather than any single seed's.
@@ -663,25 +755,4 @@ def run_ensemble(
     if not seeds:
         raise ConfigError("need at least one seed")
     logs = _run_seeds(net, prob, sched, n_rounds, seeds, consts=consts, **kwargs)
-    rows = min(len(log.k) for log in logs)
-    ks = np.arange(rows)
-    consensus = np.mean([log.consensus[:rows] for log in logs], axis=0)
-    pre = np.mean([log.pre_agg[:rows] for log in logs], axis=0)
-    f_bar = np.mean([log.f_bar[:rows] for log in logs], axis=0)
-    gap_mean_of_min = np.mean([log.gap[:rows] for log in logs], axis=0)
-    gap_min_of_mean = optimal_gap_series(f_bar, prob.f_star)
-    bound = None
-    if consts is not None:
-        d0 = float(np.mean([log.consensus[0] for log in logs]))
-        bound = np.asarray(dk_bound(consts, d0, ks, sched))
-    return EnsembleResult(
-        logs=logs,
-        k=ks,
-        consensus_mean=consensus,
-        pre_agg_mean=pre,
-        f_bar_mean=f_bar,
-        gap_mean_of_min=gap_mean_of_min,
-        gap_min_of_mean=gap_min_of_mean,
-        dk_bound=bound,
-        statuses=[log.status for log in logs],
-    )
+    return EnsembleResult.from_logs(logs, prob.f_star, sched, consts)

@@ -58,8 +58,8 @@ _U_COEFFS = np.array(
 # Additive v draw: present in every family except the first.
 _V_COEFFS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
-# Elements in one pre-drawn block buffer (8 MiB of float64).
-_BLOCK_ELEMENTS = 1 << 20
+# Elements in one pre-drawn block buffer (1 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 17
 # Grid points per block of the optimum scan in minimize_scalar_grid.
 _SCAN_BLOCK = 1 << 14
 

@@ -113,6 +113,75 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
 
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's seeds."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(list(args[4]) if len(args) > 4 else None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+ZOO_KINDS = ["none", "sign_flip", "alie", "dissensus", "perturbed_dup", "silent"]
+
+
+def test_attack_sweep_is_one_ensemble_on_one_build(tmp_path, monkeypatch):
+    from gossipshield import cli, config
+
+    cfg = _cfg(
+        attack={"kind": "sign_flip", "victim": 4},
+        run={"horizon": 12, "seeds": [1, 2]},
+        sweep={"axes": [{"key": "attack.kind", "values": ZOO_KINDS}]},
+    )
+    out = tmp_path / "sw"
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
+    builds = _counted(monkeypatch, config, "benchmark_problem")
+    sweep_experiment(cfg, out, max_workers=1)
+    assert ensembles == [[1, 2] * len(ZOO_KINDS)]
+    assert len(builds) == 1
+    # each cell's files are the ones run_experiment writes for it alone
+    for idx, kind in enumerate(ZOO_KINDS):
+        cell_cfg = _cfg(attack={"kind": kind, "victim": 4}, run={"horizon": 12, "seeds": [1, 2]})
+        alone = tmp_path / f"alone{idx}"
+        run_experiment(cell_cfg, alone)
+        cell = out / f"cell{idx:03d}"
+        assert sorted(p.name for p in cell.iterdir()) == sorted(p.name for p in alone.iterdir())
+        for path in alone.iterdir():
+            assert (cell / path.name).read_bytes() == path.read_bytes(), (kind, path.name)
+
+
+def test_attack_by_noise_sweep_runs_one_ensemble_per_variance(tmp_path, monkeypatch):
+    from gossipshield import cli
+
+    variances = [0.0, 1.0e-4, 1.0e-2]
+    cfg = _cfg(
+        run={"horizon": 10, "seeds": [1, 2]},
+        sweep={"axes": [
+            {"key": "attack.kind", "values": ["sign_flip", "silent"]},
+            {"key": "noise.variance", "values": variances},
+        ]},
+    )
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
+    sweep_experiment(cfg, serial, max_workers=1)
+    assert ensembles == [[1, 2, 1, 2]] * len(variances)
+    # the pool runs the same groups in other processes
+    sweep_experiment(cfg, parallel, max_workers=2)
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert len(files) == 1 + 6 * 5
+    for rel in files:
+        assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+    for idx, (kind, variance) in enumerate(
+        (k, v) for k in ("sign_flip", "silent") for v in variances
+    ):
+        stored = json.loads((serial / f"cell{idx:03d}" / "config.json").read_text())
+        assert (stored["attack"]["kind"], stored["noise"]["variance"]) == (kind, variance)
+
+
 def _trace_cfg(noise=0.0, replacement=9):
     cfg = _cfg(
         topology={"kind": "complete", "n_agents": 10, "byz_fraction": 0.0, "seed": 1},

@@ -40,7 +40,7 @@ from gossipshield.aggregation import (
     tau_remark4,
 )
 from gossipshield import engine
-from gossipshield.engine import _agent_rngs, _diverged, _row_disagreement
+from gossipshield.engine import EnsembleResult, _agent_rngs, _diverged, _row_disagreement
 from gossipshield.objectives import GlobalProblem
 from gossipshield.attacks import (
     AttackPlan,
@@ -881,6 +881,123 @@ def test_ensemble_shares_each_round_between_its_seeds(monkeypatch):
     )
     assert [log.rounds_completed for log in ens.logs] == [12, 12]
     assert calls == {"agent_cores": 12, "apply": 12}
+
+
+def _member_attack_specs(net):
+    """Every attack kind, ALIE both ways and duplication with a fixed and
+    a round-robin victim."""
+    return [
+        AttackSpec("none"),
+        AttackSpec("sign_flip", s_b=1.5),
+        AttackSpec("alie"),
+        AttackSpec("alie", alie_local=True),
+        AttackSpec("dissensus", d_r=0.7),
+        AttackSpec("perturbed_dup", p_add=0.5, victim=net.reliable[2]),
+        AttackSpec("perturbed_dup", p_mult=1.2),
+        AttackSpec("silent"),
+    ]
+
+
+def _assert_cells_equal_per_spec_ensembles(net, prob, sched, n_rounds, seeds, attacks, kw):
+    """run_ensemble with one attack per member: every member's log equals
+    its own spec's ensemble, and the summary of each spec's members
+    equals that ensemble's, field for field."""
+    mixed = run_ensemble(net, prob, sched, n_rounds, seeds * len(attacks),
+                         attack=[spec for spec in attacks for _ in seeds], **kw)
+    for c, spec in enumerate(attacks):
+        ref = run_ensemble(net, prob, sched, n_rounds, seeds, attack=spec, **kw)
+        logs = mixed.logs[c * len(seeds) : (c + 1) * len(seeds)]
+        for log, ref_log in zip(logs, ref.logs):
+            _assert_logs_identical(log, ref_log, (spec, log.seed))
+        cell = EnsembleResult.from_logs(logs, prob.f_star, sched, kw.get("consts"))
+        for field in dataclasses.fields(ref):
+            got, want = getattr(cell, field.name), getattr(ref, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), (spec, field.name)
+            elif field.name != "logs":
+                assert got == want, (spec, field.name)
+    return mixed
+
+
+@pytest.mark.parametrize("group_size", [None, 3])
+def test_member_attacks_equal_per_spec_ensembles(monkeypatch, group_size):
+    net, prob = _small_setup()
+    if group_size is not None:
+        # three copies per round loop: group boundaries fall inside cells
+        monkeypatch.setattr(engine, "_GROUP_ELEMENTS", group_size * len(net.recv) * prob.dim)
+    specs = _member_attack_specs(net)
+    sched = DecayingSchedule(scale=2.0, k0=10)
+    kw = dict(noise=1e-4, agg="scc", tau=TauSpec("corollary1", 1e3), record_traces=True)
+    seeds = [1, 2]
+    _assert_cells_equal_per_spec_ensembles(net, prob, sched, 30, seeds, specs, kw)
+    # members interleaved, so no two neighbouring copies share a spec and
+    # each spec is falsified by several plans
+    mixed = run_ensemble(net, prob, sched, 30, [s for s in seeds for _ in specs],
+                         attack=specs * len(seeds), **kw)
+    for log, spec in zip(mixed.logs, specs * len(seeds)):
+        _assert_logs_identical(log, run(net, prob, sched, 30, log.seed, attack=spec, **kw), spec)
+
+
+def test_member_attacks_with_a_diverging_cell():
+    net = build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=10)
+    specs = [AttackSpec("none"), AttackSpec("perturbed_dup", p_add=1e15), AttackSpec("silent")]
+    mixed = _assert_cells_equal_per_spec_ensembles(
+        net, prob, ConstantSchedule(0.05), 20, [1, 2, 3], specs, dict(agg="mean", record_traces=True)
+    )
+    assert mixed.statuses == ["completed"] * 3 + ["diverged"] * 3 + ["completed"] * 3
+
+
+def test_member_attacks_share_one_round_loop(monkeypatch):
+    calls = {"agent_cores": 0, "apply": 0}
+    cores, apply = GlobalProblem.agent_cores, AttackPlan.apply
+
+    def counted_cores(self, x):
+        calls["agent_cores"] += 1
+        return cores(self, x)
+
+    def counted_apply(self, messages, k, models):
+        calls["apply"] += 1
+        return apply(self, messages, k, models)
+
+    monkeypatch.setattr(GlobalProblem, "agent_cores", counted_cores)
+    monkeypatch.setattr(AttackPlan, "apply", counted_apply)
+    net, prob = _small_setup()
+    flip, silent = AttackSpec("sign_flip"), AttackSpec("silent")
+    ens = run_ensemble(
+        net, prob, DecayingSchedule(scale=2.0, k0=10), 12, [1, 2, 1, 2, 1, 2],
+        attack=[flip, flip, AttackSpec("none"), AttackSpec("none"), silent, silent],
+        agg="scc", tau=TauSpec("corollary1", 1e3),
+    )
+    assert [log.rounds_completed for log in ens.logs] == [12] * 6
+    # one loop; one plan per attacking run of copies, none for 'none'
+    assert calls == {"agent_cores": 12, "apply": 24}
+
+
+def test_member_attack_lists_are_checked_before_any_round(monkeypatch):
+    calls = []
+
+    def counted(agent):
+        def sample_gradient(x, rng):
+            calls.append(agent)
+            return 2.0 * x
+
+        return dataclasses.replace(_quad_objective(agent), sample_gradient=sample_gradient)
+
+    net = build_network("complete", 4, byzantine_ids=(1,))
+    prob = custom_problem([counted(i) for i in range(4)], net.byzantine)
+    monkeypatch.setattr(engine, "_GROUP_ELEMENTS", 1)
+    sched = ConstantSchedule(0.1)
+    flip = AttackSpec("sign_flip")
+    for attack, match in (
+        ([flip], "2 seeds"),
+        ([flip, flip, flip], "3 attacks"),
+        ([flip, "silent"], "AttackSpec"),
+        ([flip, AttackSpec("perturbed_dup", victim=1)], "victim"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            run_ensemble(net, prob, sched, 5, [1, 2], attack=attack, agg="mean")
+    assert calls == []
 
 
 def test_bad_seed_anywhere_raises_before_any_round():
