@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import ConvergenceBoundInputs, theorem2_rhs, theorem3_rhs
+from .bounds import ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs
 from .config import apply_overrides, build_experiment, load_config
-from .engine import EnsembleResult, run, run_ensemble
+from .engine import EnsembleResult, run_ensemble
 from .errors import ConfigError, GossipShieldError
 from .objectives import benchmark_problem
 from .privacy import global_epsilon, required_variance_local, sensitivity_default
@@ -273,13 +273,13 @@ def _publish(stage: Path, out_dir: Path) -> None:
 def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -> list:
     """Cartesian sweep over the declared axes, one subdirectory per cell.
 
-    Every cell is built and checked before any runs. The builds share one
-    network, problem and set of theory constants wherever their sections
-    agree, and cells that are equal except for their attack form one
-    group: one run_ensemble call whose members are the group's cells
-    times the seeds. Each cell's artifacts are those run_experiment
-    writes for it. With several groups and max_workers other than 1,
-    a process pool runs the groups.
+    Every cell is built and checked before any runs, its bound column
+    included. The builds share one network, problem and set of theory
+    constants wherever their sections agree, and cells that are equal
+    except for their attack form one group: one run_ensemble call whose
+    members are the group's cells times the seeds. Each cell's artifacts
+    are those run_experiment writes for it. With several groups and
+    max_workers other than 1, a process pool runs the groups.
 
     The cells and the summary are written into a temporary sibling of
     out_dir and moved into place only after every cell has returned, so
@@ -301,6 +301,9 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             overrides = [f"{key}={json.dumps(val)}" for key, val in zip(keys, combo)]
             cell_cfg = apply_overrides(_strip_sweep(cfg), overrides)
             cell_exp = build_experiment(cell_cfg, built)
+            if cell_exp.consts is not None:
+                # a bound column dk_bound refuses fails before any group runs
+                dk_bound(cell_exp.consts, 0.0, 0, cell_exp.sched)
             rest = {k: v for k, v in cell_exp.normalized.items() if k != "attack"}
             groups.setdefault(json.dumps(rest, sort_keys=True), []).append(
                 (idx, cell_cfg, cell_exp, str(stage / f"cell{idx:03d}"))
@@ -360,8 +363,9 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
 
     The observed agent's objective is replaced by the configured family in
     the second run; everything else, including every random draw, stays
-    fixed. Emits full per-agent trajectory CSVs for both variants plus the
-    largest per-round deviation an observer of the traces would see.
+    fixed. Each variant's seeds run as one ensemble. Emits full per-agent
+    trajectory CSVs for both variants plus the largest per-round deviation
+    an observer of the traces would see.
     """
     if swap_agent is not None:
         cfg = apply_overrides(cfg, [f"privacy_trace.swap_agent={swap_agent}"])
@@ -384,12 +388,12 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    kwargs = dict(
-        noise=exp.noise,
-        attack=exp.attack,
-        agg=exp.agg,
-        tau=exp.tau,
-        record_traces=True,
+    base_logs, swap_logs = (
+        run_ensemble(
+            exp.net, prob, exp.sched, exp.horizon, exp.seeds, noise=exp.noise,
+            attack=exp.attack, agg=exp.agg, tau=exp.tau, record_traces=True,
+        ).logs
+        for prob in (exp.prob, prob_swapped)
     )
     max_dev = 0.0
     lines = [
@@ -398,9 +402,7 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
         f"masking variance: {_fmt(exp.noise.variance)}",
         "per-seed max per-round trace deviation:",
     ]
-    for seed in exp.seeds:
-        base = run(exp.net, exp.prob, exp.sched, exp.horizon, seed, **kwargs)
-        swap = run(exp.net, prob_swapped, exp.sched, exp.horizon, seed, **kwargs)
+    for seed, base, swap in zip(exp.seeds, base_logs, swap_logs):
         _write_lines(
             out_dir / f"trace_base_seed{seed}.csv",
             _trace_csv(base, exp.config_hash, "base"),

@@ -396,20 +396,6 @@ def _disjoint_union(net: Network, copies: int) -> Network:
     )
 
 
-def _gradient_sampler(prob: GlobalProblem, seeds: list, n_rounds: int):
-    """prob.gradient_sampler over the disjoint union of one copy per seed:
-    the problem's agents tiled once per copy, each drawing from its own
-    seed's purpose-1 streams."""
-    a = prob.n_agents
-    if len(seeds) > 1:
-        prob = dataclasses.replace(
-            prob,
-            objectives=prob.objectives * len(seeds),
-            u_coeffs=None if prob.u_coeffs is None else np.tile(prob.u_coeffs, (len(seeds), 1)),
-        )
-    return prob.gradient_sampler([r for s in seeds for r in _agent_rngs(s, a, 1)], n_rounds)
-
-
 def run(
     net: Network,
     prob: GlobalProblem,
@@ -583,7 +569,7 @@ def _run_group(
     del union
 
     x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in seeds])
-    sample = _gradient_sampler(prob, seeds, n_rounds)
+    sample = prob.gradient_sampler([r for s in seeds for r in _agent_rngs(s, a, 1)], n_rounds)
     masked = noise.variance > 0.0
     if masked:
         noise_rngs = [r for s in seeds for r in _agent_rngs(s, a, 2)]

@@ -11,8 +11,15 @@ covers.
 Every family is a linear combination of eight basis terms; coefficient
 rows live in _U_COEFFS and make batched evaluation a matrix product.
 
+benchmark_problem and custom_problem build their GlobalProblem through
+one assembler, _assemble, which checks the Byzantine ids and fills
+f*, L and the P-L constant, where not given, with the public estimators
+run on the problem it built, so each equals the estimator bit for bit.
+
 GlobalProblem.gradient_sampler is the one place that knows how a round's
-stochastic gradients are drawn from the per-agent streams.
+stochastic gradients are drawn from the per-agent streams; it serves
+several copies of the problem laid end to end, as an ensemble's round
+loop runs them.
 """
 
 from __future__ import annotations
@@ -285,24 +292,40 @@ class GlobalProblem:
     def gradient_sampler(self, rngs: Sequence[np.random.Generator], n_rounds: int):
         """Per-round stochastic gradients of every agent, as x -> grads.
 
-        Agent i draws from rngs[i] exactly what its own sample_gradient
-        would: for the benchmark families one (u, v) pair per round, batched
-        by normal_blocks, with gradient u times the agent's core. Call the
+        rngs may cover several copies of the problem laid end to end:
+        generator c*A + i (A = n_agents) is agent i of copy c, and x and
+        the returned gradients are laid out alike. Each agent draws from
+        its generator exactly what its own sample_gradient would: for the
+        benchmark families one (u, v) pair per round, batched by
+        normal_blocks, with gradient u times the agent's core. Call the
         returned function once per round, at most n_rounds times.
         """
-        if self.u_coeffs is not None:
+        copies, rest = divmod(len(rngs), self.n_agents)
+        if rest or not copies:
+            raise ConfigError(
+                f"{len(rngs)} generators do not cover whole copies of "
+                f"{self.n_agents} agents"
+            )
+        prob = self
+        if copies > 1:
+            prob = dataclasses.replace(
+                self,
+                objectives=self.objectives * copies,
+                u_coeffs=None if self.u_coeffs is None else np.tile(self.u_coeffs, (copies, 1)),
+            )
+        if prob.u_coeffs is not None:
             blocks = normal_blocks(rngs, n_rounds, (2,))
 
             def sample(x):
-                u = 1.0 + self.u_std * next(blocks)[:, 0]
-                return u * self.agent_cores(x)
+                u = 1.0 + prob.u_std * next(blocks)[:, 0]
+                return u * prob.agent_cores(x)
 
             return sample
 
         def sample(x):
             grads = np.empty_like(x)
             for i, rng in enumerate(rngs):
-                g = np.atleast_1d(np.asarray(self.objectives[i].sample_gradient(x[i], rng)))
+                g = np.atleast_1d(np.asarray(prob.objectives[i].sample_gradient(x[i], rng)))
                 grads[i] = g[0] if x.ndim == 1 else g
             return grads
 
@@ -342,14 +365,11 @@ def benchmark_problem(
     The global objective averages the reliable agents only, so the optimum
     moves when Byzantine agents knock families out of the sum; it is always
     recomputed by the grid-plus-refine oracle unless overridden. Landscape
-    constants default to numerical estimates: the gradient-domination
-    constant from a probe grid; smoothness L from central differences of
-    the gradient on a grid, maximised over the distinct families among the
-    reliable agents (agents of one family share a gradient, so this is the
-    per-agent maximum); and (sigma_sq, zeta_sq) from the closed-form
-    variance of the u-scaled gradient at the standard probe points
-    {-2,-1,0,1,2}. Each distinct family's callables are built once and
-    shared by its agents' objectives.
+    constants default to the estimates _assemble takes from the problem
+    itself; (sigma_sq, zeta_sq) are the closed-form variance of the
+    u-scaled gradient at the standard probe points {-2,-1,0,1,2}. Each
+    distinct family's callables are built once and shared by its agents'
+    objectives.
 
     `batch` averages that many independent (u, v) draws per stochastic
     gradient. The draws enter linearly, so this is implemented exactly as
@@ -361,59 +381,14 @@ def benchmark_problem(
         raise ConfigError(f"batch must be a positive draw count, got {batch}")
     u_std = float(u_std) / math.sqrt(batch)
     v_std = float(v_std) / math.sqrt(batch)
-    byz = frozenset(int(b) for b in byzantine)
-    for b in byz:
-        if not 0 <= b < n_agents:
-            raise ConfigError(f"Byzantine id {b} outside 0..{n_agents - 1}")
     families = _assign_families(n_agents, family_of)
     # one set of callables per distinct family, in first-seen order
     shared = {f: _family_callables(f, u_std, v_std) for f in dict.fromkeys(families)}
-    objectives = tuple(LocalObjective(i, f, *shared[f]) for i, f in enumerate(families))
-    reliable = tuple(i for i in range(n_agents) if i not in byz)
-    if not reliable:
-        raise ConfigError("every agent is Byzantine; nothing to optimize")
-
-    u_coeffs = _U_COEFFS[[f - 1 for f in families]]
-    mean_u = u_coeffs[list(reliable)].mean(axis=0)
-
-    def f_vec(x):
-        return mean_u @ _basis_values(x)
-
-    def g_vec(x):
-        return mean_u @ _basis_cores(x)
-
-    if f_star is None:
-        x_star, f_star_val = minimize_scalar_grid(f_vec)
-    else:
-        x_star, f_star_val = None, float(f_star)
-
-    if smoothness is None:
-        smoothness = _family_smoothness(u_coeffs[list(reliable)])
-    if pl_constant is None:
-        pl_constant = _pl_probe_scalar(f_vec, g_vec, f_star_val)
-    if sigma_sq is None or zeta_sq is None:
-        probes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        cores = u_coeffs[list(reliable)] @ _basis_cores(probes)  # (R, 5)
-        if sigma_sq is None:
-            # deviation is (u - 1) * core, so the variance is exact
-            sigma_sq = float(u_std**2 * np.max(cores**2))
-        if zeta_sq is None:
-            zeta_sq = float(np.max((cores - cores.mean(axis=0)) ** 2))
-
-    return GlobalProblem(
-        objectives=objectives,
-        reliable=reliable,
-        dim=1,
-        f_star=f_star_val,
-        x_star=x_star,
-        pl_constant=float(pl_constant),
-        smoothness=float(smoothness),
-        sigma_sq=float(sigma_sq),
-        zeta_sq=float(zeta_sq),
-        u_std=u_std,
-        v_std=v_std,
-        u_coeffs=u_coeffs,
-        mean_u_coeffs=mean_u,
+    return _assemble(
+        [LocalObjective(i, f, *shared[f]) for i, f in enumerate(families)], byzantine,
+        dim=1, f_star=f_star, pl_constant=pl_constant, smoothness=smoothness,
+        sigma_sq=sigma_sq, zeta_sq=zeta_sq, u_std=u_std, v_std=v_std,
+        u_coeffs=_U_COEFFS[[f - 1 for f in families]],
     )
 
 
@@ -435,90 +410,79 @@ def custom_problem(
     Multi-dimensional problems must supply f_star, pl_constant, and
     smoothness explicitly; only the scalar oracle is built in.
     """
+    return _assemble(
+        objectives, byzantine, dim=dim, f_star=f_star, pl_constant=pl_constant,
+        smoothness=smoothness, sigma_sq=sigma_sq, zeta_sq=zeta_sq, u_std=u_std, v_std=v_std,
+    )
+
+
+def _assemble(
+    objectives, byzantine, *, dim, f_star, pl_constant, smoothness, sigma_sq, zeta_sq,
+    u_std, v_std, u_coeffs=None,
+) -> GlobalProblem:
+    """The GlobalProblem behind both builders, its missing constants
+    filled from the problem itself.
+
+    f* and x* come from minimize_scalar_grid(prob.f), L from
+    estimate_smoothness(prob) and the P-L constant from
+    pl_constant_probe(prob, _PL_GRID), each only where not given; only
+    scalar problems can be estimated. (sigma_sq, zeta_sq) have a closed
+    form for the benchmark families (u_coeffs given) and must be given
+    otherwise.
+    """
+    n_agents = len(objectives)
     byz = frozenset(int(b) for b in byzantine)
-    reliable = tuple(i for i in range(len(objectives)) if i not in byz)
+    for b in byz:
+        if not 0 <= b < n_agents:
+            raise ConfigError(f"Byzantine id {b} outside 0..{n_agents - 1}")
+    reliable = tuple(i for i in range(n_agents) if i not in byz)
     if not reliable:
         raise ConfigError("every agent is Byzantine; nothing to optimize")
-
-    if dim == 1:
-
-        def f_vec(x):
-            xs = np.asarray(x, dtype=float)
-            out = np.zeros_like(xs)
-            for i in reliable:
-                out = out + np.asarray(objectives[i].expected_value(xs), dtype=float)
-            return out / len(reliable)
-
-        def g_vec(x):
-            xs = np.asarray(x, dtype=float)
-            out = np.zeros_like(xs)
-            for i in reliable:
-                out = out + np.asarray(objectives[i].expected_gradient(xs), dtype=float)
-            return out / len(reliable)
-
-        x_star = None
-        if f_star is None:
-            x_star, f_star = minimize_scalar_grid(f_vec)
-        if smoothness is None:
-            smoothness = _fd_smoothness(
-                lambda x: np.stack(
-                    [np.asarray(objectives[i].expected_gradient(x)) for i in reliable]
-                )
-            )
-        if pl_constant is None:
-            pl_constant = _pl_probe_scalar(f_vec, g_vec, float(f_star))
-    else:
-        x_star = None
-        if f_star is None or pl_constant is None or smoothness is None:
-            raise ConfigError(
-                "multi-dimensional problems need explicit f_star, "
-                "pl_constant, and smoothness"
-            )
-
-    return GlobalProblem(
-        objectives=tuple(objectives),
-        reliable=reliable,
-        dim=dim,
-        f_star=float(f_star),
-        x_star=x_star,
-        pl_constant=float(pl_constant),
-        smoothness=float(smoothness),
-        sigma_sq=float(sigma_sq),
-        zeta_sq=float(zeta_sq),
-        u_std=u_std,
-        v_std=v_std,
+    if dim != 1 and None in (f_star, pl_constant, smoothness):
+        raise ConfigError(
+            "multi-dimensional problems need explicit f_star, "
+            "pl_constant, and smoothness"
+        )
+    if u_coeffs is None and None in (sigma_sq, zeta_sq):
+        raise ConfigError("custom objectives need explicit sigma_sq and zeta_sq")
+    rows = None if u_coeffs is None else u_coeffs[list(reliable)]
+    nan = math.nan  # each constant is filled in below
+    prob = GlobalProblem(
+        objectives=tuple(objectives), reliable=reliable, dim=dim, f_star=nan, x_star=None,
+        pl_constant=nan, smoothness=nan, sigma_sq=nan, zeta_sq=nan, u_std=u_std, v_std=v_std,
+        u_coeffs=u_coeffs, mean_u_coeffs=None if rows is None else rows.mean(axis=0),
+    )
+    x_star = None
+    if f_star is None:
+        x_star, f_star = minimize_scalar_grid(prob.f)
+    prob = dataclasses.replace(prob, f_star=float(f_star), x_star=x_star)
+    if smoothness is None:
+        smoothness = estimate_smoothness(prob)
+    if pl_constant is None:
+        pl_constant = pl_constant_probe(prob, _PL_GRID)
+    if sigma_sq is None or zeta_sq is None:
+        cores = rows @ _basis_cores(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))  # (R, 5)
+        if sigma_sq is None:
+            # deviation is (u - 1) * core, so the variance is exact
+            sigma_sq = u_std**2 * np.max(cores**2)
+        if zeta_sq is None:
+            zeta_sq = np.max((cores - cores.mean(axis=0)) ** 2)
+    return dataclasses.replace(
+        prob, pl_constant=float(pl_constant), smoothness=float(smoothness),
+        sigma_sq=float(sigma_sq), zeta_sq=float(zeta_sq),
     )
 
 
 _PL_GRID = np.arange(-5.0, 5.0 + 1e-9, 0.01)
 
 
-def _pl_probe_scalar(f_vec, g_vec, f_star: float, grid: np.ndarray = _PL_GRID) -> float:
-    gaps = f_vec(grid) - f_star
-    if np.min(gaps) < -1e-9 * max(1.0, abs(f_star)):
-        raise BrokenOptimumError("probe point below the recorded optimum")
-    keep = gaps > 1e-9  # drop near-optimal points, the ratio there is 0/0
-    if not keep.any():
-        raise ConfigError("probe grid is entirely at the optimum")
-    ratios = 0.5 * g_vec(grid[keep]) ** 2 / gaps[keep]
-    return float(np.min(ratios))
-
-
 def _fd_smoothness(core_batch, grid=None, h: float = 1e-5) -> float:
     """Max curvature over a grid via central differences of the gradient."""
     if grid is None:
-        grid = np.arange(-5.0, 5.0 + 1e-9, 0.01)
+        grid = _PL_GRID
     hi = np.asarray(core_batch(grid + h), dtype=float)
     lo = np.asarray(core_batch(grid - h), dtype=float)
     return float(np.max(np.abs(hi - lo)) / (2.0 * h))
-
-
-def _family_smoothness(coeffs: np.ndarray, grid=None) -> float:
-    """_fd_smoothness of the gradients coeffs @ cores, one row per agent,
-    taken over the distinct rows only: agents of one family share a row,
-    and equal rows have equal differences, so the maximum is the same."""
-    rows = np.unique(coeffs, axis=0)
-    return _fd_smoothness(lambda x: rows @ _basis_cores(x), grid)
 
 
 def pl_constant_probe(prob: GlobalProblem, grid) -> float:
@@ -532,12 +496,14 @@ def pl_constant_probe(prob: GlobalProblem, grid) -> float:
     if grid.size == 0:
         raise ConfigError("empty probe grid")
     if prob.dim == 1 and grid.ndim == 1:
-        return _pl_probe_scalar(
-            lambda x: np.asarray(prob.f(x), dtype=float),
-            lambda x: np.asarray(prob.grad(x), dtype=float),
-            prob.f_star,
-            grid,
-        )
+        gaps = np.asarray(prob.f(grid), dtype=float) - prob.f_star
+        if np.min(gaps) < -1e-9 * max(1.0, abs(prob.f_star)):
+            raise BrokenOptimumError("probe point below the recorded optimum")
+        keep = gaps > 1e-9  # drop near-optimal points, the ratio there is 0/0
+        if not keep.any():
+            raise ConfigError("probe grid is entirely at the optimum")
+        ratios = 0.5 * np.asarray(prob.grad(grid[keep]), dtype=float) ** 2 / gaps[keep]
+        return float(np.min(ratios))
     best = math.inf
     for x in grid:
         gap = float(prob.f(x)) - prob.f_star
@@ -553,12 +519,18 @@ def pl_constant_probe(prob: GlobalProblem, grid) -> float:
 
 
 def estimate_smoothness(prob: GlobalProblem, grid=None) -> float:
-    """Estimate the worst per-agent smoothness constant on a scalar grid."""
+    """Estimate the worst per-agent smoothness constant on a scalar grid.
+
+    For the benchmark families the maximum is taken over the distinct
+    coefficient rows only: agents of one family share a row, and equal
+    rows have equal differences, so the maximum is the same.
+    """
     if prob.dim != 1:
         raise ConfigError("smoothness estimation is scalar-only")
     rel = list(prob.reliable)
     if prob.u_coeffs is not None:
-        return _family_smoothness(prob.u_coeffs[rel], grid)
+        rows = np.unique(prob.u_coeffs[rel], axis=0)
+        return _fd_smoothness(lambda x: rows @ _basis_cores(x), grid)
     return _fd_smoothness(
         lambda x: np.stack(
             [np.asarray(prob.objectives[i].expected_gradient(x)) for i in rel]

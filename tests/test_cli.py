@@ -218,6 +218,22 @@ def test_privacy_trace_pairs(tmp_path):
         privacy_trace(cfg, tmp_path / "missing")
 
 
+def test_privacy_trace_runs_one_ensemble_per_variant(tmp_path, monkeypatch):
+    from gossipshield import cli
+
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
+    cfg = _trace_cfg(noise=1.0e-4)
+    cfg["run"]["seeds"] = [1, 2, 3]
+    out = tmp_path / "tr"
+    privacy_trace(cfg, out)
+    assert ensembles == [[1, 2, 3], [1, 2, 3]]
+    for seed in (1, 2, 3):
+        for label in ("base", "swapped"):
+            lines = (out / f"trace_{label}_seed{seed}.csv").read_text().splitlines()
+            assert lines[1:3] == [f"# seed={seed}", f"# variant={label}"]
+            assert len(lines) == 4 + 26
+
+
 def test_privacy_trace_swap_flag_and_byz_guard(tmp_path):
     cfg = _cfg()
     cfg["privacy_trace"] = {"swap_agent": 3, "replacement_family": 9}
@@ -278,10 +294,12 @@ def test_main_sweep_verb(tmp_path, capsys):
     assert "2 cells" in capsys.readouterr().out
 
 
-# the second cell's bound column is undefined, so the sweep refuses after
-# the first cell has run
-@pytest.mark.filterwarnings("ignore:running outside the theory regime")
-def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys):
+# the second cell's bound column is undefined, so the sweep refuses while
+# it builds its cells, before any cell runs
+def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    from gossipshield import cli
+
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
     cfg = _cfg(
         schedule={"kind": "decaying", "scale": 1.0e-6, "k0": 1000},
         run={"horizon": 10, "seeds": [1], "bound_column": True},
@@ -291,6 +309,7 @@ def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys):
     out = tmp_path / "sweepout"
     assert main(["sweep", str(path), "--out", str(out), "--workers", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert ensembles == []
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.yaml"]
 

@@ -156,11 +156,24 @@ def test_pl_probe_quadratics():
     assert pl_constant_probe(ten, np.linspace(-3, 3, 101)) == pytest.approx(20.0, rel=1e-6)
 
 
+def _estimated_problems():
+    """Benchmark and 1-d custom problems whose constants are all estimated."""
+    mixed = [_quad(0, 1.0), _quad(1, 0.5)] + [family_objective(i, i % 10 + 1) for i in range(2, 12)]
+    return [
+        benchmark_problem(),
+        benchmark_problem(byzantine=range(20)),
+        custom_problem([_quad(0, 3.0)]),
+        custom_problem(mixed, (3,)),
+    ]
+
+
 def test_pl_probe_benchmark_positive():
     p = benchmark_problem()
-    nu = pl_constant_probe(p, np.arange(-5.0, 5.0, 0.01))
-    assert 0.0 < nu < 1.0
-    assert p.pl_constant == pytest.approx(nu, rel=1e-9)
+    assert 0.0 < pl_constant_probe(p, np.arange(-5.0, 5.0, 0.01)) < 1.0
+    # the builders' constants are the public estimators on the built problem
+    for prob in _estimated_problems():
+        assert prob.pl_constant == pl_constant_probe(prob, objectives._PL_GRID)
+        assert (prob.x_star, prob.f_star) == minimize_scalar_grid(prob.f)
 
 
 def test_pl_probe_errors():
@@ -190,7 +203,8 @@ def test_smoothness_estimates():
     assert quad.smoothness == pytest.approx(6.0, rel=1e-5)
     p = benchmark_problem()
     assert 2.0 < p.smoothness < 6.0
-    assert estimate_smoothness(p) == pytest.approx(p.smoothness, rel=1e-9)
+    for prob in _estimated_problems():
+        assert prob.smoothness == estimate_smoothness(prob)
 
 
 def _per_agent_smoothness(u_coeffs, rel):
@@ -313,6 +327,10 @@ def test_builder_validation():
         benchmark_problem(byzantine=range(10), n_agents=10)
     with pytest.raises(ConfigError):
         family_objective(0, 11)
+    with pytest.raises(ConfigError, match="outside"):
+        custom_problem([_quad(0, 1.0), _quad(1, 1.0)], [2])
+    with pytest.raises(ConfigError, match="sigma_sq"):
+        custom_problem([_quad(0, 1.0)], sigma_sq=None)
     with pytest.raises(ConfigError):
         estimate_sigma_zeta(benchmark_problem(), [], 10, np.random.default_rng(0))
     with pytest.raises(ConfigError):
@@ -325,6 +343,40 @@ def test_agent_cores_fast_path_matches_loop():
     fast = p.agent_cores(xs)
     slow = np.array([p.objectives[i].expected_gradient(x) for i, x in enumerate(xs)])
     assert np.allclose(fast, slow, atol=1e-12)
+
+
+def _sampler_problems():
+    """A benchmark problem and a 1-d custom one whose objectives draw."""
+    objs = [family_objective(i, i % 10 + 1) for i in range(12)]
+    return [
+        benchmark_problem(byzantine=[4, 51], n_agents=60),
+        custom_problem(objs, (3,), f_star=0.0, pl_constant=1.0, smoothness=1.0),
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_gradient_sampler_over_copies_equals_one_sampler_per_copy(index):
+    p = _sampler_problems()[index]
+    a, rounds = p.n_agents, 7
+
+    def rngs(seed):
+        return [np.random.default_rng([seed, i]) for i in range(a)]
+
+    both = p.gradient_sampler(rngs(1) + rngs(2), rounds)
+    first, second = p.gradient_sampler(rngs(1), rounds), p.gradient_sampler(rngs(2), rounds)
+    xs = np.random.default_rng(5).uniform(-3.0, 3.0, (rounds, 2 * a))
+    for x in xs:
+        got = both(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.concatenate([first(x[:a]), second(x[a:])]))
+
+
+def test_gradient_sampler_needs_whole_copies():
+    for p in _sampler_problems():
+        rngs = [np.random.default_rng(i) for i in range(2 * p.n_agents + 1)]
+        for n in (0, 1, p.n_agents - 1, p.n_agents + 1, 2 * p.n_agents + 1):
+            with pytest.raises(ConfigError, match="whole copies"):
+                p.gradient_sampler(rngs[:n], 3)
 
 
 def test_custom_problem_requires_constants_beyond_dim_one():
