@@ -15,7 +15,12 @@ one Byzantine agent. Then the run matrix calls ``engine.run`` and
 round-robin and a fixed duplication victim) under the mean and under SCC
 with each radius policy, with masking noise off and on, at 100 agents
 (traces recorded) and at 1000 agents; runs and ensembles that diverge; a
-10-d custom problem; and an ensemble with the theory bound column. Standard output is one
+10-d custom problem; ensembles with one attack per member, where each
+seed repeats once per attack: every attack kind (``none`` included, a
+round-robin and a fixed duplication victim) with masking noise on, at 100
+agents (traces recorded) and at 1000 agents, with the members grouped per
+attack and interleaved, and a 10-d custom problem on 30 agents; and an
+ensemble with the theory bound column. Standard output is one
 ``sha256  case/field`` line per recorded array, plus each member's status,
 so two trees run the engine byte for byte alike exactly when ``diff``
 finds nothing between their outputs. It takes about 10 s on a 2-core VM.
@@ -207,6 +212,72 @@ def _vector_cases(gs, dim: int = 10):
             )
 
 
+def _member_attack_cases(gs):
+    """(name, net, prob, sched, rounds, members, kwargs) of ensembles with
+    one attack per member, where members is a list of (attack name, spec,
+    seed) and every seed repeats once per attack."""
+    sched = gs.DecayingSchedule(scale=10.1886, k0=10)
+    oracle = dict(agg="scc", tau=gs.TauSpec("corollary1", 1000.0))
+    seeds = [1, 2]
+    for n, edge_p, rounds, traces in ((100, 0.5, 60, True), (1000, 0.02, 8, False)):
+        net = gs.build_network("random", n, byz_fraction=0.1, seed=1, edge_p=edge_p)
+        prob = gs.benchmark_problem(net.byzantine, n)
+        specs = {
+            "none": gs.AttackSpec("none"),
+            "sign_flip": gs.AttackSpec("sign_flip", s_b=1.5),
+            "alie": gs.AttackSpec("alie"),
+            "alie_local": gs.AttackSpec("alie", alie_local=True),
+            "dissensus": gs.AttackSpec("dissensus", d_r=0.7),
+            "dup": gs.AttackSpec("perturbed_dup", p_mult=1.2, p_add=0.3),
+            "dup_fixed": gs.AttackSpec("perturbed_dup", p_add=0.5, victim=net.reliable[3]),
+            "silent": gs.AttackSpec("silent"),
+        }
+        kw = dict(noise=1e-6, record_traces=traces, **oracle)
+        grouped = [(name, spec, s) for name, spec in specs.items() for s in seeds]
+        interleaved = [(name, spec, s) for s in seeds for name, spec in specs.items()]
+        yield f"n{n}/grouped", net, prob, sched, rounds, grouped, kw
+        yield f"n{n}/interleaved", net, prob, sched, rounds, interleaved, kw
+        mean_kw = dict(kw, agg="mean", tau=None)
+        yield f"n{n}/grouped_mean", net, prob, sched, rounds, grouped, mean_kw
+
+    # 30 agents keep several 10-d copies in one round loop
+    dim, n = 10, 30
+    rng = np.random.default_rng(12)
+    a = rng.uniform(0.5, 2.0, n)
+    c = 3.0 + rng.standard_normal((n, dim))
+
+    def objective(i):
+        def sample_gradient(x, r):
+            u = r.normal(1.0, 0.1)
+            r.normal(0.0, 0.1)
+            return u * a[i] * (x - c[i])
+
+        return gs.LocalObjective(
+            agent=i, family="quad",
+            expected_value=lambda x: 0.5 * a[i] * float(np.sum((x - c[i]) ** 2)),
+            expected_gradient=lambda x: a[i] * (x - c[i]),
+            sample_value=lambda x, u, v: u * 0.5 * a[i] * float(np.sum((x - c[i]) ** 2)) + v,
+            sample_gradient=sample_gradient,
+        )
+
+    net = gs.build_network("random", n, byz_fraction=0.1, seed=2, edge_p=0.5)
+    prob = gs.custom_problem(
+        [objective(i) for i in range(n)], net.byzantine, dim=dim,
+        f_star=0.0, pl_constant=float(a.min()), smoothness=float(a.max()),
+    )
+    specs = {
+        "none": gs.AttackSpec("none"),
+        "sign_flip": gs.AttackSpec("sign_flip"),
+        "alie": gs.AttackSpec("alie"),
+        "dissensus": gs.AttackSpec("dissensus"),
+        "dup": gs.AttackSpec("perturbed_dup"),
+    }
+    members = [(name, spec, s) for name, spec in specs.items() for s in seeds]
+    yield f"vec{dim}/grouped", net, prob, gs.DecayingSchedule(scale=5.0, k0=10), 20, members, dict(
+        noise=1e-4, record_traces=True, **oracle
+    )
+
+
 def _bound_case(gs):
     net = gs.build_network("random", 10, byz_fraction=0.0, seed=3, edge_p=0.5)
     prob = gs.benchmark_problem(n_agents=10)
@@ -240,6 +311,14 @@ def main(argv=None) -> int:
     for name, net, prob, sched, rounds, kw in [*_cases(gs), *_vector_cases(gs)]:
         _print_log(f"run/{name}", gs.run(net, prob, sched, rounds, 5, **kw))
         _print_ensemble(f"ensemble/{name}", gs.run_ensemble(net, prob, sched, rounds, seeds, **kw))
+    for name, net, prob, sched, rounds, members, kw in _member_attack_cases(gs):
+        ens = gs.run_ensemble(
+            net, prob, sched, rounds, [s for _, _, s in members],
+            attack=[spec for _, spec, _ in members], **kw,
+        )
+        _print_ensemble(f"members/{name}", dataclasses.replace(ens, logs=[]))
+        for m, ((attack, _, seed), log) in enumerate(zip(members, ens.logs)):
+            _print_log(f"members/{name}/{m}/{attack}/seed{seed}", log)
     net, prob, sched, consts = _bound_case(gs)
     _print_ensemble(
         "ensemble/bound", gs.run_ensemble(net, prob, sched, 25, seeds, consts=consts, agg="mean")
