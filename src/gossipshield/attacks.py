@@ -134,8 +134,11 @@ class AttackPlan:
     Built once per run; apply(messages, k, models) overwrites, in the
     round's edge list (messages[e] travels from net.send[e] to
     net.recv[e]), every edge whose sender is Byzantine and leaves the rest
-    alone. Edges into Byzantine receivers are written too but never read,
-    because those agents do not update under a real attack. Receiver
+    alone. Byzantine agents do not update under a real attack, so the
+    engine drops the edges into them from net before building the plan;
+    where such edges are present they are written too but never read.
+    Duplication victims come from each Byzantine agent's out-edges,
+    which survive that drop. Receiver
     statistics are sums over reliable-sender edges, so nothing here is
     (A, A). Everything is a pure function of (k, models), so replays are
     exact.
@@ -184,14 +187,24 @@ class AttackPlan:
         if spec.kind == "perturbed_dup":
             spec.check_victim(net.reliable[: self._rel_idx.size // copies])
             # each Byzantine agent's victims, taken round-robin and kept in
-            # one flat array: the fixed victim of its copy, or its reliable
-            # neighbours (itself when it has none)
+            # one flat array: the fixed victim of its copy, or the reliable
+            # receivers of its out-edges in edge order (itself when it has
+            # none). On a symmetric graph those are its sorted reliable
+            # neighbours, and they stay when the edges into Byzantine
+            # agents are dropped.
             if spec.victim is not None:
-                pools = [[spec.victim + b // n_copy * n_copy] for b in net.byzantine]
+                self._pool = spec.victim + self._byz_idx // n_copy * n_copy
+                self._pool_len = np.ones(self._byz_idx.size, dtype=np.intp)
             else:
-                pools = [net.reliable_neighbors(b) or [b] for b in net.byzantine]
-            self._pool = np.array([v for pool in pools for v in pool], dtype=np.intp)
-            self._pool_len = np.array([len(pool) for pool in pools], dtype=np.intp)
+                out = np.flatnonzero(from_byz & ~net.is_byz[net.recv])
+                lone = np.setdiff1d(self._byz_idx, net.send[out])
+                senders = np.concatenate((net.send[out], lone))
+                self._pool = np.concatenate((net.recv[out], lone))[
+                    np.argsort(senders, kind="stable")
+                ]
+                self._pool_len = np.bincount(
+                    np.searchsorted(self._byz_idx, senders), minlength=self._byz_idx.size
+                )
             self._pool_start = np.cumsum(self._pool_len) - self._pool_len
             # position of each overwritten edge's sender in the Byzantine list
             self._sender_pos = np.searchsorted(self._byz_idx, net.send[self._edges])

@@ -36,6 +36,16 @@ pass and the divergence test are taken per copy. A copy that diverges is
 recorded as its own run would record it and then zeroed while the others
 run on.
 
+Copies that share a seed read one draw: the initial states, the noise
+blocks and, for problems that draw in blocks (the benchmark families),
+the gradient draws are made once per distinct seed and expanded to the
+copies with one take per round. An opaque per-agent sample_gradient
+consumes the generator it is given, so it keeps one per copy. The round
+also leaves out the edges into held agents, the Byzantine agents of
+copies under a real attack: their states are restored after every
+round, so no message, difference, radius or sum is computed for them.
+Copies under 'none' keep every edge.
+
 The metric columns never feed back into the dynamics, so the loop does
 not compute them round by round: it copies each round's reliable states
 and half-steps into row buffers of fixed size per group, and computes the
@@ -375,24 +385,31 @@ def _initial_states(
     return arr.copy()
 
 
-def _disjoint_union(net: Network, copies: int) -> Network:
-    """copies disjoint copies of net; agent s*A + i is agent i of copy s.
+def _disjoint_union(net: Network, attacked) -> Network:
+    """One disjoint copy of net per entry of attacked; agent s*A + i is
+    agent i of copy s. A copy whose entry is true loses the edges into its
+    Byzantine agents, which the round loop holds still under a real
+    attack, so no round gathers, clips or sums them.
 
     Each copy keeps its edges in order behind the copies before it, so the
     union's edge list stays sorted by (recv, send) and every receiver sums
     its edges in the same order as in net.
     """
-    if copies == 1:
+    if len(attacked) == 1 and not (attacked[0] and net.byzantine):
         return net
-    a = net.n_agents
-    shift = a * np.arange(copies)[:, np.newaxis]
+    every, kept = np.arange(len(net.recv)), np.flatnonzero(~net.is_byz[net.recv])
+    parts = [kept if held else every for held in attacked]
+    edges = np.concatenate(parts)
+    base = net.n_agents * np.arange(len(parts))
+    shift = np.repeat(base, [len(part) for part in parts])
+    byz = base[:, np.newaxis] + np.array(net.byzantine, dtype=np.intp)
     return Network(
-        n_agents=copies * a,
-        byzantine=tuple((shift + np.array(net.byzantine, dtype=np.intp)).ravel().tolist()),
-        recv=(shift + net.recv).ravel(),
-        send=(shift + net.send).ravel(),
-        edge_w=np.tile(net.edge_w, copies),
-        self_w=np.tile(net.self_w, copies),
+        n_agents=len(parts) * net.n_agents,
+        byzantine=tuple(byz.ravel().tolist()),
+        recv=net.recv[edges] + shift,
+        send=net.send[edges] + shift,
+        edge_w=net.edge_w[edges],
+        self_w=np.tile(net.self_w, len(parts)),
     )
 
 
@@ -507,21 +524,24 @@ def _member_attacks(attack, n_members: int) -> list:
 def _attack_plans(net: Network, union: Network, attacks: list) -> list:
     """(plan, edges, agents) for each run of consecutive copies that share
     an attack other than 'none': one AttackPlan over a disjoint union of
-    that many copies of net, and the slices of the group's union (one copy
-    of net per attack) whose edges and agents the run's copies occupy.
-    Runs of one length share a union."""
-    plans, unions = [], {len(attacks): union}
-    n_edges, a = len(net.recv), net.n_agents
-    start = 0
+    that many attacked copies of net, and the slices of the group's union
+    (one copy of net per attack, attacked copies without the edges into
+    their Byzantine agents) whose edges and agents the run's copies
+    occupy. Runs of one length share a union."""
+    attacked = [spec.kind != "none" for spec in attacks]
+    unions = {len(attacks): union} if all(attacked) else {}
+    n_kept = int(np.count_nonzero(~net.is_byz[net.recv]))
+    offsets = np.cumsum([0] + [n_kept if held else len(net.recv) for held in attacked])
+    plans, start, a = [], 0, net.n_agents
     for spec, run_ in itertools.groupby(attacks):
         stop = start + len(list(run_))
         if spec.kind != "none":
             n = stop - start
             if n not in unions:
-                unions[n] = _disjoint_union(net, n)
+                unions[n] = _disjoint_union(net, [True] * n)
             plans.append((
                 AttackPlan(spec, unions[n], n),
-                slice(start * n_edges, stop * n_edges),
+                slice(offsets[start], offsets[stop]),
                 slice(start * a, stop * a),
             ))
         start = stop
@@ -544,21 +564,24 @@ def _run_group(
     """One round loop over the disjoint union of one copy of net per seed,
     copy s attacked by attacks[s].
 
-    Every copy draws exactly the streams its seed draws alone, is attacked
-    by a plan that treats it as it would treat it alone, and every receiver
+    Every copy reads exactly the streams its seed draws alone (copies of
+    one seed read one draw, expanded by a take), is attacked by a plan
+    that treats it as it would treat it alone, and every reliable receiver
     sums its own copy's edges in the same order, so each copy's log is bit
-    for bit the log of a run on its seed and attack. A copy that diverges
+    for bit the log of a run on its seed and attack. Held agents, which
+    never update, receive no edges in the round. A copy that diverges
     is recorded as that run would record it and then zeroed in the working
     arrays, so the rounds the others still run raise no warnings for it.
     """
     n_copies = len(seeds)
     a = net.n_agents
-    union = _disjoint_union(net, n_copies)
+    # a Byzantine agent under a real attack never updates its state, so its
+    # copy's round has no edges into it; under 'none' it follows the honest
+    # protocol
+    attacked = [spec.kind != "none" for spec in attacks]
+    union = _disjoint_union(net, attacked)
     rel = np.flatnonzero(~union.is_byz).reshape(n_copies, -1)
     plans = _attack_plans(net, union, attacks)
-    # a Byzantine agent under a real attack never updates its state; under
-    # 'none' it follows the honest protocol
-    attacked = [spec.kind != "none" for spec in attacks]
     held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
     sums = ReceiverSums(union.recv, union.n_agents)
     if tau.kind != "manual":
@@ -568,12 +591,30 @@ def _run_group(
     send, edge_w = union.send, union.edge_w
     del union
 
-    x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in seeds])
-    sample = prob.gradient_sampler([r for s in seeds for r in _agent_rngs(s, a, 1)], n_rounds)
+    # copies of one seed read one set of its streams: the initial states
+    # and every draw block are made once per distinct seed and expanded to
+    # the copies with one take; an opaque sample_gradient consumes the
+    # generator it is given, so it keeps one per copy
+    distinct = {}
+    copy_of = [distinct.setdefault(s, len(distinct)) for s in seeds]
+    copies = rows = None
+    if len(distinct) < n_copies:
+        copies = np.array(copy_of, dtype=np.intp)
+        rows = (copies[:, np.newaxis] * a + np.arange(a)).ravel()
+
+    def streams(keys, purpose):
+        return [r for s in keys for r in _agent_rngs(s, a, purpose)]
+
+    x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in distinct])
+    if rows is not None:
+        x = x.take(rows, axis=0)
+    if prob.block_draws:
+        sample = prob.gradient_sampler(streams(distinct, 1), n_rounds, copies)
+    else:
+        sample = prob.gradient_sampler(streams(seeds, 1), n_rounds)
     masked = noise.variance > 0.0
     if masked:
-        noise_rngs = [r for s in seeds for r in _agent_rngs(s, a, 2)]
-        noise_blocks = normal_blocks(noise_rngs, n_rounds, x.shape[1:])
+        noise_blocks = normal_blocks(streams(distinct, 2), n_rounds, x.shape[1:], rows)
         noise_std = np.sqrt(noise.variance)
 
     n_rows = n_rounds + 1

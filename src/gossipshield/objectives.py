@@ -71,24 +71,31 @@ _BLOCK_ELEMENTS = 1 << 17
 _SCAN_BLOCK = 1 << 14
 
 
-def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=()):
+def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=(), rows=None):
     """Yield n_rounds blocks of standard normals, each (len(rngs),) + shape.
 
     Row i of every block comes from rngs[i], in stream order. Rounds are
     drawn in chunks of up to 512 that batch the same values in the same
     order, so the chunk length never changes a draw. A yielded block is a
     view that the next chunk overwrites.
+
+    rows, an index array, expands each block after the draw: row r of
+    the yielded block is row rows[r] of the drawn one, gathered with one
+    take per round into a buffer the next block overwrites. Copies that
+    share streams (copies of one seed) read one draw this way.
     """
     n = len(rngs)
     chunk = max(1, min(512, n_rounds, _BLOCK_ELEMENTS // (n * math.prod(shape))))
     buf = np.empty((n, chunk) + shape)
+    if rows is not None:
+        out = np.empty((len(rows),) + shape)
     left = n_rounds
     while left > 0:
         m = min(chunk, left)
         for i, rng in enumerate(rngs):
             rng.standard_normal(out=buf[i, :m])
         for k in range(m):
-            yield buf[:, k]
+            yield buf[:, k] if rows is None else np.take(buf[:, k], rows, axis=0, out=out)
         left -= m
 
 
@@ -256,10 +263,10 @@ class GlobalProblem:
         """float(self.f(x)) for every row x of xbars, bit for bit."""
         xbars = np.asarray(xbars, dtype=float)
         if self.mean_u_coeffs is not None:
-            # one basis pass for all rows, then one dot per row: a single
-            # matrix-vector product would sum in another order
+            # one basis pass for all rows, then a stack of one-row dots: a
+            # single matrix-vector product would sum in another order
             basis = np.ascontiguousarray(_basis_values(xbars).T)
-            return np.array([float(self.mean_u_coeffs @ b) for b in basis])
+            return np.matmul(basis[:, None, :], self.mean_u_coeffs[:, None])[:, 0, 0]
         return np.array([float(self.f(x)) for x in xbars])
 
     def grad(self, x):
@@ -289,7 +296,17 @@ class GlobalProblem:
             [obj.expected_gradient(x) for obj, x in zip(self.objectives, x_per_agent)]
         )
 
-    def gradient_sampler(self, rngs: Sequence[np.random.Generator], n_rounds: int):
+    @property
+    def block_draws(self) -> bool:
+        """True when gradient_sampler draws each round as one block of
+        (u, v) pairs (the benchmark families), so copies of one seed can
+        read one draw; False when every agent's own sample_gradient
+        consumes the generator it is given."""
+        return self.u_coeffs is not None
+
+    def gradient_sampler(
+        self, rngs: Sequence[np.random.Generator], n_rounds: int, copies=None
+    ):
         """Per-round stochastic gradients of every agent, as x -> grads.
 
         rngs may cover several copies of the problem laid end to end:
@@ -299,22 +316,37 @@ class GlobalProblem:
         benchmark families one (u, v) pair per round, batched by
         normal_blocks, with gradient u times the agent's core. Call the
         returned function once per round, at most n_rounds times.
+
+        copies lets copies share streams, where block_draws holds: copy s
+        of x reads the draws of copy copies[s] of rngs, and each round's
+        block is expanded to the copies with one take. Opaque samplers
+        need one generator per copy, so they refuse copies.
         """
-        copies, rest = divmod(len(rngs), self.n_agents)
-        if rest or not copies:
+        n_streams, rest = divmod(len(rngs), self.n_agents)
+        if rest or not n_streams:
             raise ConfigError(
                 f"{len(rngs)} generators do not cover whole copies of "
                 f"{self.n_agents} agents"
             )
+        rows = None
+        if copies is not None:
+            copies = np.asarray(copies, dtype=np.intp)
+            if not self.block_draws:
+                raise ConfigError("per-agent sample_gradient oracles cannot share generators")
+            if not (copies.ndim == 1 and len(copies) and 0 <= copies.min()
+                    and copies.max() < n_streams):
+                raise ConfigError(f"copies must index the {n_streams} copies the generators cover")
+            rows = (copies[:, np.newaxis] * self.n_agents + np.arange(self.n_agents)).ravel()
+        n_copies = n_streams if copies is None else len(copies)
         prob = self
-        if copies > 1:
+        if n_copies > 1:
             prob = dataclasses.replace(
                 self,
-                objectives=self.objectives * copies,
-                u_coeffs=None if self.u_coeffs is None else np.tile(self.u_coeffs, (copies, 1)),
+                objectives=self.objectives * n_copies,
+                u_coeffs=None if self.u_coeffs is None else np.tile(self.u_coeffs, (n_copies, 1)),
             )
-        if prob.u_coeffs is not None:
-            blocks = normal_blocks(rngs, n_rounds, (2,))
+        if prob.block_draws:
+            blocks = normal_blocks(rngs, n_rounds, (2,), rows)
 
             def sample(x):
                 u = 1.0 + prob.u_std * next(blocks)[:, 0]

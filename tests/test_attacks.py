@@ -16,6 +16,7 @@ from gossipshield.attacks import (
     sign_flip_msg,
 )
 from gossipshield.schedules import DecayingSchedule
+from gossipshield.topology import Network
 
 
 def _normal_cdf(x):
@@ -203,3 +204,26 @@ def test_plan_deterministic_replay():
     m = models[net.send]
     AttackPlan(AttackSpec(kind="dissensus"), net).apply(m, 2, models)
     assert np.array_equal(models, snap)
+
+
+def test_plan_without_edges_into_byzantine_agents_writes_the_same_messages():
+    # the engine builds plans on the edge list minus the edges into
+    # Byzantine agents; every edge it keeps must carry the message the
+    # full list's plan writes there, round-robin victims included
+    net = build_network("random", 12, 0.25, seed=8, edge_p=0.5)
+    keep = ~net.is_byz[net.recv]
+    pruned = Network(net.n_agents, net.byzantine, net.recv[keep], net.send[keep],
+                     net.edge_w[keep], net.self_w)
+    models = np.random.default_rng(6).normal(size=(12, 2))
+    for spec in (
+        AttackSpec(kind="sign_flip", s_b=1.5),
+        AttackSpec(kind="alie"),
+        AttackSpec(kind="alie", alie_local=True),
+        AttackSpec(kind="dissensus", d_r=0.7),
+        AttackSpec(kind="perturbed_dup", p_mult=1.2, p_add=0.3),
+        AttackSpec(kind="perturbed_dup", victim=net.reliable[1]),
+        AttackSpec(kind="silent"),
+    ):
+        for k in range(5):
+            full = _plan_messages(net, spec, models, k)
+            assert np.array_equal(_plan_messages(pruned, spec, models, k), full[keep]), (spec, k)

@@ -1,6 +1,7 @@
 """Round-loop invariants: determinism, stream isolation, replay identities,
 Byzantine freezing, divergence handling, and the disagreement-bound column."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -972,6 +973,75 @@ def test_member_attacks_share_one_round_loop(monkeypatch):
     assert [log.rounds_completed for log in ens.logs] == [12] * 6
     # one loop; one plan per attacking run of copies, none for 'none'
     assert calls == {"agent_cores": 12, "apply": 24}
+
+
+def test_copies_of_one_seed_build_its_generators_once(monkeypatch):
+    built = collections.Counter()
+    agent_rngs = engine._agent_rngs
+
+    def counted(seed, n_agents, purpose):
+        built[seed, purpose] += 1
+        return agent_rngs(seed, n_agents, purpose)
+
+    monkeypatch.setattr(engine, "_agent_rngs", counted)
+    flip, silent, alie = AttackSpec("sign_flip"), AttackSpec("silent"), AttackSpec("alie")
+    # the attack zoo's layout: cells of members, each cell running every seed
+    attacks = [flip, flip, silent, silent, alie, alie]
+    kw = dict(attack=attacks, noise=1e-4, agg="scc", tau=TauSpec("corollary1", 1e3))
+    net, prob = _small_setup()
+    ens = run_ensemble(net, prob, DecayingSchedule(scale=2.0, k0=10), 5, [1, 2] * 3, **kw)
+    assert ens.statuses == ["completed"] * 6
+    assert built == {(1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1}
+    # an opaque sample_gradient consumes its generators, so gradient
+    # streams stay per copy; the noise block is still drawn per seed
+    built.clear()
+    vnet, vprob, _ = _noisy_vector_setup()
+    ens = run_ensemble(vnet, vprob, DecayingSchedule(scale=0.5, k0=10), 5, [1, 2] * 3, **kw)
+    assert ens.statuses == ["completed"] * 6
+    assert built == {(1, 1): 3, (2, 1): 3, (1, 2): 1, (2, 2): 1}
+
+
+def test_edges_into_held_receivers_leave_the_round(monkeypatch):
+    seen = []
+    diffs = engine.edge_diffs
+
+    def spy(messages, self_models, sums):
+        seen.append((len(messages), sums.counts.copy()))
+        return diffs(messages, self_models, sums)
+
+    monkeypatch.setattr(engine, "edge_diffs", spy)
+    net, prob = _small_setup()
+    full = np.bincount(net.recv, minlength=net.n_agents)
+    held = np.where(net.is_byz, 0, full)
+    assert held.sum() < full.sum()
+    attacks = [AttackSpec("sign_flip"), AttackSpec("none"), AttackSpec("perturbed_dup")]
+    run_ensemble(net, prob, DecayingSchedule(scale=2.0, k0=10), 4, [1, 1, 2], attack=attacks,
+                 agg="scc", tau=TauSpec("corollary1", 1e3))
+    # a 'none' copy keeps every edge; an attacked one has none into its
+    # Byzantine agents and every other edge
+    expect = np.concatenate([held, full, held])
+    assert len(seen) == 4
+    for n_edges, counts in seen:
+        assert n_edges == expect.sum()
+        assert np.array_equal(counts, expect)
+
+
+def test_opaque_sampler_with_repeated_seeds_equals_separate_runs():
+    net, prob, _ = _noisy_vector_setup()
+    sched = DecayingSchedule(scale=0.5, k0=10)
+    specs = [AttackSpec("none"), AttackSpec("sign_flip"), AttackSpec("perturbed_dup"),
+             AttackSpec("dissensus")]
+    seeds = [1, 2, 3]
+    kw = dict(noise=1e-4, agg="scc", tau=TauSpec("corollary1", 1e3), record_traces=True)
+    for members in (
+        [(spec, s) for spec in specs for s in seeds],
+        [(spec, s) for s in seeds for spec in specs],
+    ):
+        ens = run_ensemble(net, prob, sched, 15, [s for _, s in members],
+                           attack=[spec for spec, _ in members], **kw)
+        for log, (spec, seed) in zip(ens.logs, members):
+            _assert_logs_identical(log, run(net, prob, sched, 15, seed, attack=spec, **kw),
+                                   (spec, seed))
 
 
 def test_member_attack_lists_are_checked_before_any_round(monkeypatch):

@@ -316,6 +316,16 @@ def test_f_rows_is_f_per_row():
     assert list(vec.f_rows(pts)) == [float(vec.f(x)) for x in pts]
 
 
+def test_benchmark_f_rows_equal_f_per_row_at_every_scale():
+    # the rows are one stacked matmul of one-row dots; each must still be
+    # float(f(x)) exactly, from tiny to large states
+    rng = np.random.default_rng(8)
+    prob = benchmark_problem(byzantine=[3, 57])
+    for scale in 10.0 ** np.arange(-9, 4):
+        xs = rng.normal(scale=scale, size=100)
+        assert [float(prob.f(x)) for x in xs] == list(prob.f_rows(xs)), scale
+
+
 def test_builder_validation():
     with pytest.raises(ConfigError):
         benchmark_problem(n_agents=55)
@@ -369,6 +379,30 @@ def test_gradient_sampler_over_copies_equals_one_sampler_per_copy(index):
         got = both(x)
         assert got.shape == x.shape
         assert np.array_equal(got, np.concatenate([first(x[:a]), second(x[a:])]))
+
+
+def test_gradient_sampler_copies_share_streams():
+    bench, opaque = _sampler_problems()
+    a, rounds = bench.n_agents, 7
+
+    def rngs(seed):
+        return [np.random.default_rng([seed, i]) for i in range(a)]
+
+    # copies 0 and 2 read seed 1's streams, copy 1 reads seed 2's
+    shared = bench.gradient_sampler(rngs(1) + rngs(2), rounds, copies=[0, 1, 0])
+    refs = [bench.gradient_sampler(rngs(s), rounds) for s in (1, 2, 1)]
+    xs = np.random.default_rng(6).uniform(-3.0, 3.0, (rounds, 3 * a))
+    for x in xs:
+        expect = np.concatenate([ref(x[c * a : (c + 1) * a]) for c, ref in enumerate(refs)])
+        assert np.array_equal(shared(x), expect)
+    for copies in ([], [0, 2], [-1], [[0, 1]]):
+        with pytest.raises(ConfigError, match="copies"):
+            bench.gradient_sampler(rngs(1) + rngs(2), rounds, copies=copies)
+    # an opaque sample_gradient consumes the generator it is given
+    assert bench.block_draws and not opaque.block_draws
+    with pytest.raises(ConfigError, match="cannot share"):
+        opaque.gradient_sampler([np.random.default_rng(i) for i in range(opaque.n_agents)],
+                                rounds, copies=[0, 0])
 
 
 def test_gradient_sampler_needs_whole_copies():
