@@ -19,11 +19,14 @@ with each radius policy, with masking noise off and on, at 100 agents
 seed repeats once per attack: every attack kind (``none`` included, a
 round-robin and a fixed duplication victim) with masking noise on, at 100
 agents (traces recorded) and at 1000 agents, with the members grouped per
-attack and interleaved, and a 10-d custom problem on 30 agents; and an
-ensemble with the theory bound column. Standard output is one
+attack and interleaved; at 100 agents also two layouts in which specs
+recur in separated runs of different lengths (sign flip between ``none``
+and ``silent``; global ALIE and both duplication victims between each
+other and dissensus), with seeds repeating; a 10-d custom problem on 30
+agents; and an ensemble with the theory bound column. Standard output is one
 ``sha256  case/field`` line per recorded array, plus each member's status,
 so two trees run the engine byte for byte alike exactly when ``diff``
-finds nothing between their outputs. It takes about 10 s on a 2-core VM.
+finds nothing between their outputs. It takes 12–20 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -239,6 +242,14 @@ def _member_attack_cases(gs):
         yield f"n{n}/interleaved", net, prob, sched, rounds, interleaved, kw
         mean_kw = dict(kw, agg="mean", tau=None)
         yield f"n{n}/grouped_mean", net, prob, sched, rounds, grouped, mean_kw
+        if n == 100:
+            # one spec recurring in separated runs of different lengths
+            names = ["sign_flip", "sign_flip", "none", "sign_flip", "silent"] + ["sign_flip"] * 3
+            recurring = [(name, specs[name], s) for name, s in zip(names, [1, 2, 1, 3, 2, 2, 3, 1])]
+            yield "n100/recurring", net, prob, sched, rounds, recurring, kw
+            names = ["alie", "dup", "dup_fixed", "alie", "dissensus", "dup", "alie", "dup_fixed"]
+            recurring = [(name, specs[name], s) for name, s in zip(names, [1, 1, 2, 2, 1, 2, 3, 1])]
+            yield "n100/recurring_stats", net, prob, sched, rounds, recurring, kw
 
     # 30 agents keep several 10-d copies in one round loop
     dim, n = 10, 30
