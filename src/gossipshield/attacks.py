@@ -131,33 +131,37 @@ def perturbed_dup_msg(victim_state: np.ndarray, p_mult: float, p_add: float) -> 
 class AttackPlan:
     """Per-network precomputation that falsifies Byzantine messages.
 
-    Built once per run; apply(messages, k, models) overwrites, in the
-    round's edge list (messages[e] travels from net.send[e] to
-    net.recv[e]), every edge whose sender is Byzantine and leaves the rest
-    alone. Byzantine agents do not update under a real attack, so the
-    engine drops the edges into them from net before building the plan;
-    where such edges are present they are written too but never read.
-    Duplication victims come from each Byzantine agent's out-edges,
-    which survive that drop. Receiver
+    Built once per round loop; apply(messages, k, models) overwrites, in
+    the round's edge list (messages[e] travels from net.send[e] to
+    net.recv[e]), every edge whose sender is a Byzantine agent of the
+    plan's copies and leaves the rest alone. Byzantine agents do not
+    update under a real attack, so the engine drops the edges into them
+    from net before building the plan; where such edges are present they
+    are written too but never read. Duplication victims come from each
+    Byzantine agent's out-edges, which survive that drop. Receiver
     statistics are sums over reliable-sender edges, so nothing here is
     (A, A). Everything is a pure function of (k, models), so replays are
     exact.
 
-    net may be the disjoint union of `copies` copies of one network, agent
-    s*A + i being agent i of copy s, as the engine builds for a group of
-    seeds. Neighbourhood statistics never cross copies by construction;
-    the global ALIE statistic, its coefficient and a fixed victim are
-    taken per copy, so each copy is attacked exactly as it would be alone.
+    net may be the disjoint union of len(copies) copies of one network,
+    agent s*A + i being agent i of copy s, as the engine builds for a
+    group of seeds; copies is a boolean mask over them, true on the copies
+    this plan attacks (by default net is one copy, attacked). The plan
+    reads and writes only its own copies' agents and edges. Neighbourhood
+    statistics never cross copies by construction; the global ALIE
+    statistic, its coefficient and a fixed victim are taken per copy, so
+    each copy is attacked exactly as it would be alone.
     """
 
-    def __init__(self, spec: AttackSpec, net: Network, copies: int = 1):
+    def __init__(self, spec: AttackSpec, net: Network, copies=(True,)):
         self.spec = spec
         n = net.n_agents
-        self._copies = copies
-        n_copy = n // copies
-        self._byz_idx = np.flatnonzero(net.is_byz)
-        self._rel_idx = np.flatnonzero(~net.is_byz)
-        from_byz = net.byzantine_edges()
+        n_copy = n // len(copies)
+        n_rel = n_copy - int(np.count_nonzero(net.is_byz[:n_copy]))
+        mine = np.repeat(np.asarray(copies, dtype=bool), n_copy)
+        self._byz_idx = np.flatnonzero(net.is_byz & mine)
+        self._rel_idx = np.flatnonzero(~net.is_byz & mine)
+        from_byz = net.byzantine_edges() & mine[net.send]
         self._edges = np.flatnonzero(from_byz)
         self._to = net.recv[self._edges]
 
@@ -179,13 +183,14 @@ class AttackPlan:
             self._byz_wsum = net.weight_split()[1]
 
         if spec.kind == "alie":
-            self._alie_a = alie_coefficient(n_copy, self._rel_idx.size // copies)
+            self._alie_a = alie_coefficient(n_copy, n_rel)
             self._alie_global = not spec.alie_local
-            # the copy each overwritten edge's sender belongs to
-            self._edge_copy = net.send[self._edges] // n_copy
+            self._n_rel = n_rel
+            # each overwritten edge's copy, counted among the plan's copies
+            self._edge_copy = (np.cumsum(copies) - 1)[net.send[self._edges] // n_copy]
 
         if spec.kind == "perturbed_dup":
-            spec.check_victim(net.reliable[: self._rel_idx.size // copies])
+            spec.check_victim(net.reliable[:n_rel])
             # each Byzantine agent's victims, taken round-robin and kept in
             # one flat array: the fixed victim of its copy, or the reliable
             # receivers of its out-edges in edge order (itself when it has
@@ -229,7 +234,7 @@ class AttackPlan:
         if kind == "alie":
             if self._alie_global:
                 # alie_msg over each copy's reliable models
-                rel = models[self._rel_idx].reshape((self._copies, -1) + models.shape[1:])
+                rel = models[self._rel_idx].reshape((-1, self._n_rel) + models.shape[1:])
                 vals = rel.mean(axis=1) - self._alie_a * rel.std(axis=1)
                 messages[self._edges] = vals[self._edge_copy]
             else:

@@ -29,10 +29,11 @@ numpy call of a round and each copy's log is bit for bit the log of a run
 on its seed. Seeds run in consecutive groups whose edge arrays stay
 under a fixed element budget; run() is the group of one. Copies may carry
 different attacks (a sweep's attack cells run this way, and a seed may
-then appear once per cell): each run of consecutive copies that share an
-attack is falsified by one plan over its own slice of the round's edges.
-Only the global ALIE statistic, a fixed duplication victim, the metric
-pass and the divergence test are taken per copy. A copy that diverges is
+then appear once per cell): every copy under one attack spec, wherever it
+sits in the group, is falsified by one plan over the round's whole edge
+list, which writes only those copies' edges. Only the global ALIE
+statistic, a fixed duplication victim, the metric pass and the divergence
+test are taken per copy. A copy that diverges is
 recorded as its own run would record it and then zeroed while the others
 run on.
 
@@ -62,7 +63,6 @@ is admissible for them.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -521,33 +521,6 @@ def _member_attacks(attack, n_members: int) -> list:
     return attacks
 
 
-def _attack_plans(net: Network, union: Network, attacks: list) -> list:
-    """(plan, edges, agents) for each run of consecutive copies that share
-    an attack other than 'none': one AttackPlan over a disjoint union of
-    that many attacked copies of net, and the slices of the group's union
-    (one copy of net per attack, attacked copies without the edges into
-    their Byzantine agents) whose edges and agents the run's copies
-    occupy. Runs of one length share a union."""
-    attacked = [spec.kind != "none" for spec in attacks]
-    unions = {len(attacks): union} if all(attacked) else {}
-    n_kept = int(np.count_nonzero(~net.is_byz[net.recv]))
-    offsets = np.cumsum([0] + [n_kept if held else len(net.recv) for held in attacked])
-    plans, start, a = [], 0, net.n_agents
-    for spec, run_ in itertools.groupby(attacks):
-        stop = start + len(list(run_))
-        if spec.kind != "none":
-            n = stop - start
-            if n not in unions:
-                unions[n] = _disjoint_union(net, [True] * n)
-            plans.append((
-                AttackPlan(spec, unions[n], n),
-                slice(offsets[start], offsets[stop]),
-                slice(start * a, stop * a),
-            ))
-        start = stop
-    return plans
-
-
 def _run_group(
     net: Network,
     prob: GlobalProblem,
@@ -565,8 +538,10 @@ def _run_group(
     copy s attacked by attacks[s].
 
     Every copy reads exactly the streams its seed draws alone (copies of
-    one seed read one draw, expanded by a take), is attacked by a plan
-    that treats it as it would treat it alone, and every reliable receiver
+    one seed read one draw, expanded by a take), is attacked by the one
+    plan of its spec, built on the group's union with a mask of the copies
+    under that spec, which treats it as it would treat it alone, and
+    every reliable receiver
     sums its own copy's edges in the same order, so each copy's log is bit
     for bit the log of a run on its seed and attack. Held agents, which
     never update, receive no edges in the round. A copy that diverges
@@ -581,7 +556,17 @@ def _run_group(
     attacked = [spec.kind != "none" for spec in attacks]
     union = _disjoint_union(net, attacked)
     rel = np.flatnonzero(~union.is_byz).reshape(n_copies, -1)
-    plans = _attack_plans(net, union, attacks)
+    # one plan per distinct attacking spec, over the copies it attacks;
+    # specs compare as `in` does (identity, then ==), never by hash: a
+    # schedule in p_mult or p_add need not hash
+    specs = []
+    for spec in attacks:
+        if spec.kind != "none" and spec not in specs:
+            specs.append(spec)
+    plans = [
+        AttackPlan(spec, union, [other is spec or other == spec for other in attacks])
+        for spec in specs
+    ]
     held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
     sums = ReceiverSums(union.recv, union.n_agents)
     if tau.kind != "manual":
@@ -690,8 +675,8 @@ def _run_group(
                 break
 
         messages = half.take(send, axis=0)
-        for plan, edges, agents in plans:
-            plan.apply(messages[edges], k, x[agents])
+        for plan in plans:
+            plan.apply(messages, k, x)
 
         diffs, norms = edge_diffs(messages, half, sums)
         del messages  # one E-sized array fewer while the radii and sums run

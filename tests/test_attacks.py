@@ -15,6 +15,7 @@ from gossipshield.attacks import (
     perturbed_dup_msg,
     sign_flip_msg,
 )
+from gossipshield.engine import _disjoint_union
 from gossipshield.schedules import DecayingSchedule
 from gossipshield.topology import Network
 
@@ -206,6 +207,21 @@ def test_plan_deterministic_replay():
     assert np.array_equal(models, snap)
 
 
+def _every_kind(net):
+    """One spec of every kind, ALIE both ways and duplication with a
+    round-robin and a fixed victim."""
+    return (
+        AttackSpec(kind="none"),
+        AttackSpec(kind="sign_flip", s_b=1.5),
+        AttackSpec(kind="alie"),
+        AttackSpec(kind="alie", alie_local=True),
+        AttackSpec(kind="dissensus", d_r=0.7),
+        AttackSpec(kind="perturbed_dup", p_mult=1.2, p_add=0.3),
+        AttackSpec(kind="perturbed_dup", victim=net.reliable[1]),
+        AttackSpec(kind="silent"),
+    )
+
+
 def test_plan_without_edges_into_byzantine_agents_writes_the_same_messages():
     # the engine builds plans on the edge list minus the edges into
     # Byzantine agents; every edge it keeps must carry the message the
@@ -215,15 +231,32 @@ def test_plan_without_edges_into_byzantine_agents_writes_the_same_messages():
     pruned = Network(net.n_agents, net.byzantine, net.recv[keep], net.send[keep],
                      net.edge_w[keep], net.self_w)
     models = np.random.default_rng(6).normal(size=(12, 2))
-    for spec in (
-        AttackSpec(kind="sign_flip", s_b=1.5),
-        AttackSpec(kind="alie"),
-        AttackSpec(kind="alie", alie_local=True),
-        AttackSpec(kind="dissensus", d_r=0.7),
-        AttackSpec(kind="perturbed_dup", p_mult=1.2, p_add=0.3),
-        AttackSpec(kind="perturbed_dup", victim=net.reliable[1]),
-        AttackSpec(kind="silent"),
-    ):
+    for spec in _every_kind(net):
         for k in range(5):
             full = _plan_messages(net, spec, models, k)
             assert np.array_equal(_plan_messages(pruned, spec, models, k), full[keep]), (spec, k)
+
+
+def test_plan_on_masked_copies_writes_what_a_one_copy_plan_writes():
+    # the engine builds one plan per spec on the group's union, masked to
+    # the copies under that spec; each of them must be falsified exactly
+    # as alone, and every other copy's edges left as they are
+    net = build_network("random", 12, 0.25, seed=8, edge_p=0.5)
+    mask = [True, False, True]
+    union, alone = _disjoint_union(net, mask), _disjoint_union(net, [True])
+    a, e_alone = net.n_agents, len(alone.recv)
+    starts = [0, e_alone, e_alone + len(net.recv)]
+    models = np.random.default_rng(7).normal(size=(3 * a, 2))
+    for spec in _every_kind(net):
+        plan = AttackPlan(spec, union, mask)
+        for k in range(4):
+            messages = models[union.send]
+            plan.apply(messages, k, models)
+            honest = models[union.send]
+            for s, start in enumerate(starts):
+                stop = start + (e_alone if mask[s] else len(net.recv))
+                if mask[s]:
+                    expect = _plan_messages(alone, spec, models[s * a : (s + 1) * a], k)
+                else:
+                    expect = honest[start:stop]
+                assert np.array_equal(messages[start:stop], expect), (spec, k, s)

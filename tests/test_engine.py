@@ -932,7 +932,7 @@ def test_member_attacks_equal_per_spec_ensembles(monkeypatch, group_size):
     seeds = [1, 2]
     _assert_cells_equal_per_spec_ensembles(net, prob, sched, 30, seeds, specs, kw)
     # members interleaved, so no two neighbouring copies share a spec and
-    # each spec is falsified by several plans
+    # each spec's one plan covers separated copies
     mixed = run_ensemble(net, prob, sched, 30, [s for s in seeds for _ in specs],
                          attack=specs * len(seeds), **kw)
     for log, spec in zip(mixed.logs, specs * len(seeds)):
@@ -964,15 +964,41 @@ def test_member_attacks_share_one_round_loop(monkeypatch):
     monkeypatch.setattr(GlobalProblem, "agent_cores", counted_cores)
     monkeypatch.setattr(AttackPlan, "apply", counted_apply)
     net, prob = _small_setup()
-    flip, silent = AttackSpec("sign_flip"), AttackSpec("silent")
-    ens = run_ensemble(
-        net, prob, DecayingSchedule(scale=2.0, k0=10), 12, [1, 2, 1, 2, 1, 2],
-        attack=[flip, flip, AttackSpec("none"), AttackSpec("none"), silent, silent],
-        agg="scc", tau=TauSpec("corollary1", 1e3),
-    )
-    assert [log.rounds_completed for log in ens.logs] == [12] * 6
-    # one loop; one plan per attacking run of copies, none for 'none'
-    assert calls == {"agent_cores": 12, "apply": 24}
+    flip, silent, none = AttackSpec("sign_flip"), AttackSpec("silent"), AttackSpec("none")
+    for attacks in (
+        [flip, flip, none, none, silent, silent],
+        # flip recurs in separated runs of different lengths
+        [flip, none, flip, flip, silent, AttackSpec("sign_flip")],
+    ):
+        calls.update(agent_cores=0, apply=0)
+        ens = run_ensemble(
+            net, prob, DecayingSchedule(scale=2.0, k0=10), 12, [1, 2, 1, 2, 1, 2],
+            attack=attacks, agg="scc", tau=TauSpec("corollary1", 1e3),
+        )
+        assert [log.rounds_completed for log in ens.logs] == [12] * 6
+        # one loop; one plan per distinct attacking spec, none for 'none'
+        assert calls == {"agent_cores": 12, "apply": 24}, attacks
+
+
+@dataclasses.dataclass
+class _UnhashableOffset:
+    """A schedule that compares by value but cannot be hashed."""
+
+    scale: float
+
+    def alpha(self, k):
+        return self.scale / (k + 1)
+
+
+def test_member_attacks_with_an_unhashable_schedule_equal_separate_runs():
+    net, prob = _small_setup()
+    specs = [AttackSpec("perturbed_dup", p_add=_UnhashableOffset(0.3)) for _ in range(2)]
+    attacks = [specs[0], AttackSpec("none"), specs[1], AttackSpec("silent")]
+    sched = DecayingSchedule(scale=2.0, k0=10)
+    kw = dict(noise=1e-4, agg="scc", tau=TauSpec("corollary1", 1e3), record_traces=True)
+    ens = run_ensemble(net, prob, sched, 15, [1, 2, 2, 1], attack=attacks, **kw)
+    for log, spec in zip(ens.logs, attacks):
+        _assert_logs_identical(log, run(net, prob, sched, 15, log.seed, attack=spec, **kw), spec)
 
 
 def test_copies_of_one_seed_build_its_generators_once(monkeypatch):
