@@ -62,7 +62,7 @@ class AttackSpec:
             raise ConfigError(
                 f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}"
             )
-        if self.kind == "sign_flip" and self.s_b < 0:
+        if self.kind == "sign_flip" and not self.s_b >= 0:  # NaN fails too
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
 
     def check_victim(self, reliable) -> None:

@@ -279,8 +279,8 @@ def _parse_noise(section: dict, sched: StepSizeSchedule):
         }
         return variance, True, norm
     variance = _as_float(section.get("variance", 0.0), f"{path}.variance")
-    if variance < 0:
-        raise ConfigError(f"{path}.variance: must be nonnegative")
+    if not variance >= 0:  # NaN fails too
+        raise ConfigError(f"{path}.variance: must be nonnegative, got {variance}")
     return variance, False, {"variance": variance}
 
 
@@ -511,6 +511,10 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         if theory_mode and not sweep_axes:
             # a sweep's base config is only a template; its cells are checked
             validate_schedule(sched, consts, strict=True)
+    if not sweep_axes:
+        # so a sweep refuses a cell whose fixed victim is Byzantine before
+        # any cell runs
+        attack.check_victim(net.reliable)
 
     normalized = {
         "topology": topo_norm,

@@ -411,6 +411,9 @@ def benchmark_problem(
     batch = int(batch)
     if batch < 1:
         raise ConfigError(f"batch must be a positive draw count, got {batch}")
+    for name, std in (("u_std", u_std), ("v_std", v_std)):
+        if not float(std) >= 0:  # NaN fails too
+            raise ConfigError(f"{name} must be nonnegative, got {std}")
     u_std = float(u_std) / math.sqrt(batch)
     v_std = float(v_std) / math.sqrt(batch)
     families = _assign_families(n_agents, family_of)

@@ -33,7 +33,7 @@ class NoiseSpec:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
+        if not self.variance >= 0:  # NaN fails too
             raise ConfigError(f"noise variance must be nonnegative, got {self.variance}")
 
 

@@ -26,7 +26,7 @@ class DecayingSchedule:
     kind = "decaying"
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:  # NaN fails too
             raise ConfigError(f"step-size scale must be positive, got {self.scale}")
         if self.k0 < 1:
             raise ConfigError(f"decay offset k0 must be at least 1, got {self.k0}")
@@ -45,7 +45,7 @@ class ConstantSchedule:
     kind = "constant"
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:  # NaN fails too
             raise ConfigError(f"step-size scale must be positive, got {self.scale}")
 
     def alpha(self, k):

@@ -85,6 +85,8 @@ def test_spec_validation():
         AttackSpec(kind="meteor")
     with pytest.raises(ConfigError):
         AttackSpec(kind="sign_flip", s_b=-0.5)
+    with pytest.raises(ConfigError):
+        AttackSpec(kind="sign_flip", s_b=float("nan"))
     AttackSpec(kind="sign_flip", s_b=0.0)  # zero deviation allowed
 
 

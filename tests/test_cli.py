@@ -314,6 +314,28 @@ def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.yaml"]
 
 
+def test_main_refuses_a_sweep_cell_whose_fixed_victim_is_byzantine(tmp_path, capsys, monkeypatch):
+    from gossipshield import cli
+
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
+    # agent 5 is reliable at byz_fraction 0.0 and 0.1 and Byzantine at 0.2
+    cfg = _cfg(
+        topology={"kind": "random", "n_agents": 20, "byz_fraction": 0.1, "seed": 2, "edge_p": 0.9},
+        attack={"kind": "perturbed_dup", "victim": 5},
+        run={"horizon": 10, "seeds": [1]},
+        sweep={"axes": [{"key": "topology.byz_fraction", "values": [0.0, 0.1, 0.2, 0.3]}]},
+    )
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "sweepout"
+    with pytest.raises(ConfigError, match="victim 5"):
+        sweep_experiment(cfg, out, max_workers=1)
+    assert main(["sweep", str(path), "--out", str(out), "--workers", "1"]) == 2
+    assert "victim 5" in capsys.readouterr().err
+    assert ensembles == []
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["case.yaml"]
+
+
 def test_sweep_into_existing_directory_replaces_its_own_files(tmp_path):
     cfg = _cfg(
         run={"horizon": 6, "seeds": [1]},

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gossipshield import ConfigError, DecayingSchedule, RegimeError
+from gossipshield import ConfigError, ConstantSchedule, DecayingSchedule, RegimeError
 from gossipshield.config import (
     apply_overrides,
     build_experiment,
@@ -163,6 +163,32 @@ def test_tau_value_must_be_finite():
         cfg = apply_overrides(_base_cfg(), [f"aggregation.tau.value={raw}"])
         with pytest.raises(ConfigError, match="aggregation.tau.value"):
             build_experiment(cfg)
+
+
+def test_nan_inputs_refused():
+    # NaN passes a check written as `value < 0`; each of these ran to an
+    # end before, unmasked or diverged
+    nan = float("nan")
+    for build in (
+        lambda: DecayingSchedule(scale=nan, k0=10),
+        lambda: ConstantSchedule(nan),
+    ):
+        with pytest.raises(ConfigError, match="scale"):
+            build()
+    for key, message in (
+        ("noise.variance", "noise.variance"),
+        ("schedule.scale", "scale"),
+        ("problem.u_std", "u_std"),
+        ("problem.v_std", "v_std"),
+        ("attack.s_b", "sign-flip scale"),
+    ):
+        cfg = apply_overrides(_base_cfg(), [f"{key}=.nan"])
+        with pytest.raises(ConfigError, match=message):
+            build_experiment(cfg)
+    cfg = _base_cfg()
+    cfg["schedule"] = {"kind": "constant", "scale": nan}
+    with pytest.raises(ConfigError, match="scale"):
+        build_experiment(cfg)
 
 
 def test_noise_from_local_budget():

@@ -337,6 +337,11 @@ def test_builder_validation():
         benchmark_problem(byzantine=range(10), n_agents=10)
     with pytest.raises(ConfigError):
         family_objective(0, 11)
+    for std in (float("nan"), -0.1):
+        with pytest.raises(ConfigError, match="u_std"):
+            benchmark_problem(u_std=std)
+        with pytest.raises(ConfigError, match="v_std"):
+            benchmark_problem(v_std=std)
     with pytest.raises(ConfigError, match="outside"):
         custom_problem([_quad(0, 1.0), _quad(1, 1.0)], [2])
     with pytest.raises(ConfigError, match="sigma_sq"):

@@ -18,6 +18,8 @@ from gossipshield.schedules import ConstantSchedule, DecayingSchedule
 def test_noise_spec_validation():
     with pytest.raises(ConfigError):
         NoiseSpec(-1.0)
+    with pytest.raises(ConfigError):
+        NoiseSpec(float("nan"))
 
 
 def test_sensitivity_default():
