@@ -33,9 +33,8 @@ then appear once per cell): every copy under one attack spec, wherever it
 sits in the group, is falsified by one plan over the round's whole edge
 list, which writes only those copies' edges. Only the global ALIE
 statistic, a fixed duplication victim, the metric pass and the divergence
-test are taken per copy. A copy that diverges is
-recorded as its own run would record it and then zeroed while the others
-run on.
+test are taken per copy. A copy that diverges is recorded as its own run
+would record it and then zeroed while the others run on.
 
 Copies that share a seed read one draw: the initial states, the noise
 blocks and, for problems that draw in blocks (the benchmark families),
@@ -538,15 +537,15 @@ def _run_group(
     copy s attacked by attacks[s].
 
     Every copy reads exactly the streams its seed draws alone (copies of
-    one seed read one draw, expanded by a take), is attacked by the one
+    one seed read one draw, expanded by a take). It is attacked by the one
     plan of its spec, built on the group's union with a mask of the copies
-    under that spec, which treats it as it would treat it alone, and
-    every reliable receiver
-    sums its own copy's edges in the same order, so each copy's log is bit
-    for bit the log of a run on its seed and attack. Held agents, which
-    never update, receive no edges in the round. A copy that diverges
-    is recorded as that run would record it and then zeroed in the working
-    arrays, so the rounds the others still run raise no warnings for it.
+    under that spec, which treats it as it would treat it alone. Every
+    reliable receiver sums its own copy's edges in the same order, so each
+    copy's log is bit for bit the log of a run on its seed and attack. Held
+    agents, which never update, receive no edges in the round. A copy that
+    diverges is recorded as that run would record it and then zeroed in
+    the working arrays, so the rounds the others still run raise no
+    warnings for it.
     """
     n_copies = len(seeds)
     a = net.n_agents

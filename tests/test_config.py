@@ -166,8 +166,8 @@ def test_tau_value_must_be_finite():
 
 
 def test_nan_inputs_refused():
-    # NaN passes a check written as `value < 0`; each of these ran to an
-    # end before, unmasked or diverged
+    # NaN passes a check written as `value < 0`, and each of these would
+    # then run to an end, unmasked or diverged, instead of being refused
     nan = float("nan")
     for build in (
         lambda: DecayingSchedule(scale=nan, k0=10),
