@@ -15,6 +15,8 @@ bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -64,6 +66,10 @@ class AttackSpec:
             )
         if self.kind == "sign_flip" and not self.s_b >= 0:  # NaN fails too
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
+        for name in ("d_r", "p_mult", "p_add"):
+            value = getattr(self, name)  # a schedule (alpha method) is not checked
+            if isinstance(value, numbers.Real) and math.isnan(value):
+                raise ConfigError(f"attack {name} must not be NaN")
 
     def check_victim(self, reliable) -> None:
         """Refuse a fixed duplication victim outside the given reliable ids."""

@@ -140,9 +140,22 @@ def config_hash(normalized: dict) -> str:
     ).hexdigest()
 
 
+def _parse_yaml(text: str, where: str):
+    """yaml.safe_load's result, parsed by libyaml where PyYAML has it;
+    a YAML error becomes a ConfigError that keeps its line and column."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
+
+
 def load_config(path) -> dict:
-    text = Path(path).read_text()
-    data = yaml.safe_load(text)
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}") from exc
+    data = _parse_yaml(text, str(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping of sections")
     return data
@@ -161,7 +174,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
             node = node.setdefault(p, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {key!r} crosses a non-section value")
-        node[parts[-1]] = yaml.safe_load(raw)
+        node[parts[-1]] = _parse_yaml(raw, f"override {item!r}")
     return out
 
 

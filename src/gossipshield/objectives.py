@@ -16,6 +16,18 @@ one assembler, _assemble, which checks the Byzantine ids and fills
 f*, L and the P-L constant, where not given, with the public estimators
 run on the problem it built, so each equals the estimator bit for bit.
 
+f* comes from minimize_scalar_grid, a scan of a 1e-4 grid on [-10, 10]
+in fixed blocks. Given a bound on |f'| (the slope contract: a finite
+slope also promises a finite f), it first samples every 64th grid point,
+bounds each block from below by its samples less slope times half the
+sample spacing, and scans only the blocks whose bound does not exceed the
+best value found, lowest bound first. The blocks keep their boundaries,
+so every value compared comes from the same call on the same array as in
+the full scan, and ties keep the lowest index: the point is the full
+scan's, bit for bit. The assembler passes the slope of the benchmark
+families (|mean coefficients| @ _core_bounds); custom objectives have no
+known slope and take the full scan.
+
 GlobalProblem.gradient_sampler is the one place that knows how a round's
 stochastic gradients are drawn from the per-agent streams; it serves
 several copies of the problem laid end to end, as an ensemble's round
@@ -67,8 +79,11 @@ _V_COEFFS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 # Elements in one pre-drawn block buffer (1 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 17
-# Grid points per block of the optimum scan in minimize_scalar_grid.
+# Grid points per block of the optimum scan in minimize_scalar_grid, and
+# grid points per sample of its bounding pass; the block is a multiple of
+# the stride, so every block starts on a sample.
 _SCAN_BLOCK = 1 << 14
+_SCAN_STRIDE = 64
 
 
 def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=(), rows=None):
@@ -137,6 +152,12 @@ def _basis_cores(x):
     )
 
 
+def _core_bounds(radius: float) -> np.ndarray:
+    """Largest |_basis_cores(x)| of each basis term over [-radius, radius],
+    so |u_coeffs| @ _core_bounds(R) bounds the slope of a family mix."""
+    return np.array([2.0 * radius, 1.0, 1.0, 2.0 / 3.0, 2.0, 1.0, 2.0 * radius, 0.0])
+
+
 @dataclasses.dataclass(frozen=True)
 class LocalObjective:
     """One agent's objective: expectation plus its stochastic oracle.
@@ -187,20 +208,75 @@ def _family_callables(family: int, u_std: float, v_std: float) -> tuple:
     return expected_value, expected_gradient, sample_value, sample_gradient
 
 
-def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12):
+def _block_bounds(fun, xs, slope):
+    """Lower bound on fun over each _SCAN_BLOCK block of the grid xs.
+
+    fun is evaluated once on every _SCAN_STRIDE-th point and the last;
+    every grid point lies within h/2 of a sample of its own block or of
+    the next block's first one (h the largest sample spacing), so
+    |f'| <= slope bounds the block by its samples' minimum less
+    slope * h / 2. The 1e-9 relative margin covers the last bits by
+    which a value computed in another array may differ.
+    """
+    n = len(xs)
+    at = np.append(np.arange(0, n - 1, _SCAN_STRIDE), n - 1)
+    samples = np.asarray(fun(xs[at]), dtype=float)
+    bad = np.isnan(samples)
+    if bad.any():
+        _refuse_nan(xs[at[np.argmax(bad)]])
+    first = np.arange(0, n, _SCAN_BLOCK) // _SCAN_STRIDE  # each block's first sample
+    low = np.minimum.reduceat(samples, first)
+    low[:-1] = np.minimum(low[:-1], samples[first[1:]])
+    h = float(np.max(np.diff(xs[at])))
+    return low - slope * h / 2.0 - 1e-9 * (1.0 + np.abs(low))
+
+
+def _refuse_nan(x):
+    raise ConfigError(
+        f"the objective is NaN at x = {float(x)!r}; pass f_star for an "
+        "objective that is undefined on the scanned interval"
+    )
+
+
+def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12, slope=math.inf):
     """Global scalar minimum: brute grid scan, then golden-section refine.
 
     ``fun`` must accept a numpy array. The grid is evaluated in blocks of
     _SCAN_BLOCK points, which bounds the scan's temporaries. The grid's
     first lowest point brackets the refine, and (x_min, f_min) come from
     the bracket alone. Returns (x_min, f_min).
+
+    ``slope`` is a bound on |f'| over [lo, hi], and a finite one promises
+    a finite f there. With it, a sample pass evaluates fun on every
+    _SCAN_STRIDE-th grid point and the last, which gives each block a
+    lower bound (_block_bounds); blocks are then scanned in order of
+    rising bound, and the scan stops at the first bound above the lowest
+    value found. Ties keep the lowest grid index, so the scan returns the
+    point the full scan returns. Blocks keep their boundaries whatever
+    the order, so each value compared comes from the same call on the
+    same array as in the full scan, bit for bit. With the default
+    infinite slope, and for a one-block grid, there is no sample pass and
+    every block is scanned in order.
+
+    A NaN value raises ConfigError naming an x where fun gave it; with
+    the full scan, the first such grid point (argmin lands on a block's
+    first NaN, which no comparison would otherwise keep).
     """
     xs = np.arange(lo, hi + coarse, coarse)
+    starts = range(0, len(xs), _SCAN_BLOCK)
+    bounds = np.full(len(starts), -np.inf)
+    if math.isfinite(slope) and len(starts) > 1:
+        bounds = _block_bounds(fun, xs, slope)
     i, best = 0, np.inf
-    for b0 in range(0, len(xs), _SCAN_BLOCK):
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] > best:
+            break
+        b0 = starts[k]
         vals = np.asarray(fun(xs[b0 : b0 + _SCAN_BLOCK]), dtype=float)
         j = int(np.argmin(vals))
-        if vals[j] < best:
+        if np.isnan(vals[j]):
+            _refuse_nan(xs[b0 + j])
+        if vals[j] < best or (vals[j] == best and b0 + j < i):
             i, best = b0 + j, vals[j]
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, len(xs) - 1)]
@@ -458,7 +534,9 @@ def _assemble(
     """The GlobalProblem behind both builders, its missing constants
     filled from the problem itself.
 
-    f* and x* come from minimize_scalar_grid(prob.f), L from
+    f* and x* come from minimize_scalar_grid(prob.f), bounded by the
+    families' slope where u_coeffs are given (the same point as the full
+    scan, fewer blocks evaluated), L from
     estimate_smoothness(prob) and the P-L constant from
     pl_constant_probe(prob, _PL_GRID), each only where not given; only
     scalar problems can be estimated. (sigma_sq, zeta_sq) have a closed
@@ -489,7 +567,10 @@ def _assemble(
     )
     x_star = None
     if f_star is None:
-        x_star, f_star = minimize_scalar_grid(prob.f)
+        slope = math.inf  # custom objectives: no known slope, the full scan
+        if rows is not None:  # the families' slope on the scan's default [-10, 10]
+            slope = float(np.abs(prob.mean_u_coeffs) @ _core_bounds(10.0))
+        x_star, f_star = minimize_scalar_grid(prob.f, slope=slope)
     prob = dataclasses.replace(prob, f_star=float(f_star), x_star=x_star)
     if smoothness is None:
         smoothness = estimate_smoothness(prob)

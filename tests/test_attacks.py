@@ -90,6 +90,22 @@ def test_spec_validation():
     AttackSpec(kind="sign_flip", s_b=0.0)  # zero deviation allowed
 
 
+def test_spec_refuses_nan_parameters():
+    # a NaN dissensus scale or duplication perturbation ran to "diverged"
+    nan = float("nan")
+    for kwargs in (
+        {"kind": "dissensus", "d_r": nan},
+        {"kind": "perturbed_dup", "p_mult": nan},
+        {"kind": "perturbed_dup", "p_add": np.float64(nan)},
+    ):
+        name = [key for key in kwargs if key != "kind"][0]
+        with pytest.raises(ConfigError, match=f"{name} must not be NaN"):
+            AttackSpec(**kwargs)
+    # schedules are not numbers and pass unchecked, as do finite values
+    AttackSpec(kind="perturbed_dup", p_mult=DecayingSchedule(scale=1.0, k0=10), p_add=0.5)
+    AttackSpec(kind="dissensus", d_r=-2.0)
+
+
 def _delivered(net, messages):
     """Per-edge messages keyed by (receiver, sender)."""
     return {(int(i), int(j)): messages[e] for e, (i, j) in enumerate(zip(net.recv, net.send))}

@@ -268,6 +268,23 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_main_reports_unreadable_configs(tmp_path, capsys):
+    # each of these exited 1 with a traceback
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("topology: {kind: random\n")
+    recipe = Path(gossipshield.__file__).parent / "recipes" / "star_signflip.yaml"
+    for argv, message in (
+        (["run", str(bad)], "line 1, column 11"),
+        (["run", str(tmp_path / "nowhere.yaml")], "cannot read the config"),
+        (["run", str(recipe), "--set", "attack.kind=[x"], "override 'attack.kind=[x'"),
+    ):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["run.bound_column", "run.theory_mode"])
 # the bound column warns that the schedule is outside the regime, then refuses
 @pytest.mark.filterwarnings("ignore:running outside the theory regime")

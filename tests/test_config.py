@@ -1,7 +1,12 @@
 """Config schema: strict validation, canonical hashing, object assembly."""
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+import yaml
+
+import gossipshield
 from gossipshield import ConfigError, ConstantSchedule, DecayingSchedule, RegimeError
 from gossipshield.config import (
     apply_overrides,
@@ -181,6 +186,9 @@ def test_nan_inputs_refused():
         ("problem.u_std", "u_std"),
         ("problem.v_std", "v_std"),
         ("attack.s_b", "sign-flip scale"),
+        ("attack.d_r", "d_r"),
+        ("attack.p_mult", "p_mult"),
+        ("attack.p_add", "p_add"),
     ):
         cfg = apply_overrides(_base_cfg(), [f"{key}=.nan"])
         with pytest.raises(ConfigError, match=message):
@@ -353,3 +361,53 @@ def test_load_config_rejects_non_mapping(tmp_path):
     good = tmp_path / "good.yaml"
     good.write_text("topology:\n  kind: complete\n  n_agents: 10\n")
     assert load_config(good)["topology"]["n_agents"] == 10
+
+
+_RECIPES = sorted((Path(gossipshield.__file__).parent / "recipes").glob("*.yaml"))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
+    assert len(_RECIPES) == 7
+    scalars = []
+    for path in _RECIPES:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        # the override strings a sweep builds for its cells
+        for axis in fast.get("sweep", {}).get("axes", []):
+            scalars += [json.dumps(value) for value in axis["values"]]
+    assert len(scalars) == 17
+    for raw in scalars + ["5", "1.0e-4", "true", "null", "-.inf", "[1, 2]", "{a: 1}"]:
+        assert yaml.load(raw, Loader=yaml.CSafeLoader) == yaml.load(raw, Loader=yaml.SafeLoader)
+
+    used = []
+    real_load = yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    parsed = load_config(_RECIPES[0])
+    assert used == [yaml.CSafeLoader]
+    # without libyaml the pure-Python parser reads the same dict
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert load_config(_RECIPES[0]) == parsed
+    assert apply_overrides({}, ["run.horizon=5"]) == {"run": {"horizon": 5}}
+    assert used[1:] == [yaml.SafeLoader, yaml.SafeLoader]
+
+
+def test_unreadable_configs_are_config_errors(tmp_path):
+    # a YAML syntax error, a missing file and a malformed override raised
+    # yaml's or the OS's own exceptions, which the command line did not catch
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("topology: {kind: random\n")
+    with pytest.raises(ConfigError, match="(?s)bad.yaml: invalid YAML.*line 1, column 11") as err:
+        load_config(bad)
+    assert isinstance(err.value.__cause__, yaml.YAMLError)
+    with pytest.raises(ConfigError, match="cannot read") as err:
+        load_config(tmp_path / "nowhere.yaml")
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    with pytest.raises(ConfigError, match="override 'attack.kind=\\[x': invalid YAML"):
+        apply_overrides(_base_cfg(), ["attack.kind=[x"])

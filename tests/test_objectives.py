@@ -137,6 +137,58 @@ def test_blocked_grid_scan_matches_the_one_shot_scan(monkeypatch):
         assert (got.x_star, got.f_star) == (ref.x_star, ref.f_star)
 
 
+def _counting(fun):
+    """fun plus a list of how many points each call evaluated."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return fun(x)
+
+    return counted, sizes
+
+
+def test_bounded_scan_skips_blocks_and_keeps_the_full_scans_point():
+    p = benchmark_problem()
+    full, full_sizes = _counting(p.f)
+    bounded, bounded_sizes = _counting(p.f)
+    slope = float(np.abs(p.mean_u_coeffs) @ objectives._core_bounds(10.0))
+    assert slope == pytest.approx(2.5)
+    assert minimize_scalar_grid(bounded, slope=slope) == minimize_scalar_grid(full)
+    assert (p.x_star, p.f_star) == minimize_scalar_grid(full)
+    # the full scan reads 200 001 grid points; the bounded one a sample of
+    # 3 126 and the one block that holds x* = 0
+    assert sum(full_sizes) > 200_001 > 10 * sum(bounded_sizes)
+    assert bounded_sizes[:2] == [3126, objectives._SCAN_BLOCK]
+
+
+def test_grid_scan_refuses_nan():
+    # a NaN in the block that holds the minimum used to drop that block,
+    # and the scan returned (-0.1696, 1.448) for the minimum at (0.5, 1.0)
+    def f(x):
+        x = np.asarray(x)
+        return np.where(np.abs(x - 1.0) < 5e-5, np.nan, (x - 0.5) ** 2 + 1.0)
+
+    for kwargs in ({}, {"slope": 25.0}):
+        with pytest.raises(ConfigError, match="NaN at x = .*pass f_star") as err:
+            minimize_scalar_grid(f, **kwargs)
+        x = float(str(err.value).split("x = ")[1].split(";")[0])
+        assert x == pytest.approx(1.0, abs=1e-9)
+        # the first NaN is named, here the grid's first point
+        with pytest.raises(ConfigError, match="NaN at x = -10.0;"):
+            minimize_scalar_grid(lambda x: np.where(np.asarray(x) < 0, np.nan, x), **kwargs)
+    with pytest.raises(ConfigError, match="f_star"):
+        custom_problem([LocalObjective(0, "nan", f, f, f, f)])
+
+
+@pytest.mark.parametrize("radius", [1.0, 10.0, 100.0])
+def test_core_bounds_hold_on_the_interval(radius):
+    bounds = objectives._core_bounds(radius)[:, np.newaxis]
+    grid = np.linspace(-radius, radius, int(round(2 * radius / 1e-4)) + 1)
+    for chunk in np.array_split(grid, max(1, len(grid) >> 16)):
+        assert np.all(np.abs(objectives._basis_cores(chunk)) <= bounds)
+
+
 def test_grid_oracle_simple_functions():
     # x resolution is limited by the value plateau (~sqrt(eps)); the value
     # itself is what downstream gap computations consume
@@ -241,6 +293,20 @@ def test_family_smoothness_equals_per_agent_form(case):
     ref_problem, ref_estimate = _per_agent_smoothness(p.u_coeffs, rel)
     assert p.smoothness == ref_problem
     assert estimate_smoothness(p) == ref_estimate
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_family_cases(), st.floats(0.0, 2.0), st.integers(1, 8))
+@example((1000, None, list(range(0, 1000, 10))), 0.1, 1)
+@example((1000, [10] * 500 + [9] * 500, list(range(500, 1000))), 0.5, 3)
+def test_bounded_optimum_equals_the_full_scan(case, u_std, batch):
+    # the builders scan with the families' slope bound; the full scan
+    # (infinite slope) must find the very same point. Family 10 alone is
+    # lowest at both ends of [-10, 10], in the first and the last block.
+    n, family_of, byz = case
+    p = benchmark_problem(byz, n, u_std=u_std, batch=batch, family_of=family_of,
+                          pl_constant=1.0, smoothness=1.0, sigma_sq=0.0, zeta_sq=0.0)
+    assert (p.x_star, p.f_star) == minimize_scalar_grid(p.f)
 
 
 def test_family_objectives_share_callables():
