@@ -252,6 +252,10 @@ def _parse_problem(section: dict, net: Network, net_key: list, built: dict | Non
     v_std = _as_float(section.get("v_std", 0.1), f"{path}.v_std")
     batch = _as_int(section.get("batch", 1), f"{path}.batch")
     family_of = section.get("family_of")
+    if family_of is not None:
+        if not isinstance(family_of, list):
+            raise ConfigError(f"{path}.family_of: expected a list of integers, got {family_of!r}")
+        family_of = [_as_int(f, f"{path}.family_of[{i}]") for i, f in enumerate(family_of)]
     overrides = {}
     for key in ("f_star", "pl_constant", "smoothness", "sigma_sq", "zeta_sq"):
         if key in section:
@@ -268,7 +272,7 @@ def _parse_problem(section: dict, net: Network, net_key: list, built: dict | Non
     ))
     norm = {"kind": kind, "u_std": u_std, "v_std": v_std, "batch": batch}
     if family_of is not None:
-        norm["family_of"] = [int(f) for f in family_of]
+        norm["family_of"] = family_of
     norm.update(overrides)
     return prob, norm, key
 

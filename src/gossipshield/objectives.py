@@ -90,9 +90,15 @@ def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=(), 
     """Yield n_rounds blocks of standard normals, each (len(rngs),) + shape.
 
     Row i of every block comes from rngs[i], in stream order. Rounds are
-    drawn in chunks of up to 512 that batch the same values in the same
-    order, so the chunk length never changes a draw. A yielded block is a
-    view that the next chunk overwrites.
+    drawn in chunks that batch the same values in the same order, so the
+    chunk length never changes a draw. A chunk is sized to a byte budget
+    of _BLOCK_ELEMENTS values (1 MiB), which bounds a wide ensemble's
+    buffer, within 32 to 512 rounds. The 32-round floor exists because
+    each chunk makes one standard_normal call per generator: at 10^4
+    agents the budget alone leaves 6 to 13 rounds per chunk, and those
+    Python calls then dominate the round. Past 4096 values per round the
+    floor lets the buffer outgrow the budget. A yielded block is a view
+    that the next chunk overwrites.
 
     rows, an index array, expands each block after the draw: row r of
     the yielded block is row rows[r] of the drawn one, gathered with one
@@ -100,7 +106,7 @@ def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=(), 
     share streams (copies of one seed) read one draw this way.
     """
     n = len(rngs)
-    chunk = max(1, min(512, n_rounds, _BLOCK_ELEMENTS // (n * math.prod(shape))))
+    chunk = max(1, min(512, n_rounds, max(32, _BLOCK_ELEMENTS // (n * math.prod(shape)))))
     buf = np.empty((n, chunk) + shape)
     if rows is not None:
         out = np.empty((len(rows),) + shape)
@@ -442,8 +448,14 @@ class GlobalProblem:
 
 def _assign_families(n_agents: int, family_of: Sequence[int] | None) -> list:
     if family_of is not None:
+        if isinstance(family_of, (str, bytes)) or not isinstance(family_of, (Sequence, np.ndarray)):
+            raise ConfigError(f"family_of must be a list of integers, got {family_of!r}")
         if len(family_of) != n_agents:
             raise ConfigError("family assignment length must equal n_agents")
+        for i, f in enumerate(family_of):
+            # bools and floats are refused, not coerced: int(1.5) is 1
+            if isinstance(f, bool) or not isinstance(f, (int, np.integer)):
+                raise ConfigError(f"family_of[{i}] must be an integer, got {f!r}")
         return [int(f) for f in family_of]
     if n_agents % N_FAMILIES != 0:
         raise ConfigError(

@@ -285,6 +285,22 @@ def test_main_reports_unreadable_configs(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_main_refuses_non_integer_families(tmp_path, capsys):
+    # the float list ran as families 1-5; the NaN exited 1 with a traceback
+    recipe = Path(gossipshield.__file__).parent / "recipes" / "star_signflip.yaml"
+    cfg = yaml.safe_load(recipe.read_text())
+    n = cfg["topology"]["n_agents"]
+    for bad in (1.5, float("nan")):
+        cfg["problem"] = {"family_of": [bad] + [1] * (n - 1)}
+        path = tmp_path / "families.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem.family_of[0]: expected an integer")
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("key", ["run.bound_column", "run.theory_mode"])
 # the bound column warns that the schedule is outside the regime, then refuses
 @pytest.mark.filterwarnings("ignore:running outside the theory regime")

@@ -199,6 +199,26 @@ def test_nan_inputs_refused():
         build_experiment(cfg)
 
 
+def test_family_of_must_be_a_list_of_integers():
+    # int() coercion ran the string and the float list as families 1-5,
+    # under one config hash, and the bools as family 1
+    for family_of, message in (
+        ("1234512345", r"problem\.family_of: expected a list of integers"),
+        ([1.5, 2, 3, 4, 5, 1, 2, 3, 4, 5], r"problem\.family_of\[0\]: expected an integer"),
+        ([True] * 10, r"problem\.family_of\[0\]: expected an integer"),
+        ([1, 2, float("nan")] + [1] * 7, r"problem\.family_of\[2\]: expected an integer"),
+    ):
+        cfg = _base_cfg()
+        cfg["problem"] = {"family_of": family_of}
+        with pytest.raises(ConfigError, match=message):
+            build_experiment(cfg)
+    cfg = _base_cfg()
+    cfg["problem"] = {"family_of": [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]}
+    exp = build_experiment(cfg)
+    assert exp.normalized["problem"]["family_of"] == [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
+    assert [obj.family for obj in exp.prob.objectives] == [1, 2, 3, 4, 5] * 2
+
+
 def test_noise_from_local_budget():
     cfg = _base_cfg()
     cfg["noise"] = {

@@ -322,6 +322,62 @@ def test_family_objectives_share_callables():
         benchmark_problem(n_agents=3, family_of=[1, 11, 2])
 
 
+def test_family_assignment_refuses_non_integers():
+    # each of these was coerced with int() and ran as families 1-5 or 1;
+    # the NaN entry raised a bare ValueError
+    for family_of, message in (
+        ("1234512345", "list of integers"),
+        ([1.5, 2, 3, 4, 5, 1, 2, 3, 4, 5], r"family_of\[0\].*1\.5"),
+        ([True] * 10, r"family_of\[0\].*True"),
+        ([1, 2, 3, float("nan"), 5, 1, 2, 3, 4, 5], r"family_of\[3\].*nan"),
+        (5, "list of integers"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            benchmark_problem(n_agents=10, family_of=family_of)
+    # any sequence of integers, numpy's included, still builds
+    families = [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
+    for family_of in (tuple(families), np.array(families)):
+        p = benchmark_problem(n_agents=10, family_of=family_of)
+        assert [obj.family for obj in p.objectives] == families
+        assert all(type(obj.family) is int for obj in p.objectives)
+
+
+class _CountingStream:
+    """A generator that records the length of every standard_normal call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, out):
+        self.calls.append(len(out))
+        return self.rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (10,)])
+@pytest.mark.parametrize("rows", [None, [2, 0, 2, 1]])
+# budget in rounds -> the chunk it sets: the byte budget itself, the
+# 32-round floor under a smaller budget, the 512-round cap over a larger one
+@pytest.mark.parametrize("budget, chunk", [(50, 50), (5, 32), (1000, 512)])
+def test_normal_blocks_equal_each_streams_draw(monkeypatch, shape, rows, budget, chunk):
+    n_rounds, seeds = 700, (3, 4, 5)
+    monkeypatch.setattr(objectives, "_BLOCK_ELEMENTS", budget * len(seeds) * math.prod(shape))
+    streams = [_CountingStream(s) for s in seeds]
+    blocks = [b.copy() for b in objectives.normal_blocks(
+        streams, n_rounds, shape, None if rows is None else np.array(rows))]
+    calls = [chunk] * (n_rounds // chunk) + [n_rounds % chunk] * (n_rounds % chunk > 0)
+    assert all(s.calls == calls for s in streams)
+    refs = [np.random.default_rng(s) for s in seeds]
+    draws = [r.standard_normal((n_rounds,) + shape) for r in refs]
+    picked = range(len(seeds)) if rows is None else rows
+    assert len(blocks) == n_rounds
+    for k, block in enumerate(blocks):
+        assert block.shape == (len(picked),) + shape
+        assert np.array_equal(block, np.stack([draws[i][k] for i in picked]))
+    # every stream ends where the one-shot draw leaves it
+    assert all(s.rng.random() == r.random() for s, r in zip(streams, refs))
+
+
 def test_sigma_zeta_deterministic_and_identical():
     p = benchmark_problem(u_std=0.0, v_std=0.0, sigma_sq=None, zeta_sq=None)
     rng = np.random.default_rng(0)

@@ -166,6 +166,21 @@ def test_random_pairs_match_one_shot_draw(monkeypatch, block):
         assert rng.random() == ref_rng.random()
 
 
+def test_random_pairs_transient_is_bounded():
+    # The per-block pieces and their concatenation hold the pairs twice;
+    # one 512 KiB draw block adds less than that again at this size. A
+    # block of 2^20 uniforms alone (8 MiB) is 13 times the pairs.
+    tracemalloc.start()
+    try:
+        iu, ju = _random_pairs(np.random.default_rng(1), 4000, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pair_bytes = iu.nbytes + ju.nbytes
+    assert len(iu) > 30_000
+    assert peak < 4 * pair_bytes
+
+
 def test_rho_upper_bound_complete_one_byzantine():
     net = build_network("complete", 4, byzantine_ids=(3,))
     # each reliable agent: reliable weight 1/2, Byzantine weight 1/4
