@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs
-from .config import apply_overrides, build_experiment, load_config
+from .config import apply_overrides, build_experiment, load_config, set_path
 from .engine import EnsembleResult, run_ensemble
 from .errors import ConfigError, GossipShieldError
 from .objectives import benchmark_problem
@@ -298,8 +298,10 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
     try:
         groups = {}
         for idx, combo in enumerate(cells):
-            overrides = [f"{key}={json.dumps(val)}" for key, val in zip(keys, combo)]
-            cell_cfg = apply_overrides(_strip_sweep(cfg), overrides)
+            cell_cfg = _strip_sweep(cfg)
+            for key, val in zip(keys, combo):
+                # a key that is no string names no section, and is refused
+                set_path(cell_cfg, str(key), val)
             cell_exp = build_experiment(cell_cfg, built)
             if cell_exp.consts is not None:
                 # a bound column dk_bound refuses fails before any group runs

@@ -1,17 +1,27 @@
 """Config-file schema: parse, validate, and assemble whole experiments.
 
-The file is YAML with fixed sections; unknown keys anywhere are an error,
-so typos fail loudly instead of silently running defaults. Every parsed
-config normalizes to a canonical primitive dict whose JSON hash stamps
-all artifacts, making re-runs verifiable.
+The file is YAML with fixed sections. Each section has one spec, a table
+that maps each of its keys to a reader and a default; `_fields` reads a
+section by its spec, and a few lines of code state the rules that span
+keys. Unknown keys anywhere are an error, so typos fail loudly instead
+of silently running defaults. A section's result is its normalized form,
+a canonical primitive dict: the runtime objects are built from it, and
+its JSON hash stamps all artifacts, making re-runs verifiable. A new key
+is one spec entry.
+
+YAML reads `1e-6` as a number here, as it reads `1.0e-6`. `null` stands
+for an absent key under problem.family_of, attack.victim, privacy.local
+and privacy.global, and is an error everywhere else.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import yaml
@@ -38,37 +48,79 @@ from .topology import (
 
 __all__ = ["Experiment", "load_config", "build_experiment", "config_hash"]
 
-_SECTIONS = {
-    "topology",
-    "problem",
-    "schedule",
-    "noise",
-    "attack",
-    "aggregation",
-    "run",
-    "sweep",
-    "privacy",
-}
+# spec defaults: the key must be given, or is left out when absent
+_REQUIRED = object()
+_OMIT = object()
 
 
-def _check_keys(section: dict, allowed, path: str) -> None:
+def _fields(section: dict, path: str, spec: dict) -> dict:
+    """The normalized form of one section, read by its spec.
+
+    spec maps each allowed key to (reader, default). The reader takes the
+    value and the key's dotted path, checks the value and returns its
+    normalized form, or _OMIT to leave the key out. An absent key takes
+    its default through the same reader, unless the default is _REQUIRED
+    (an error) or _OMIT. The path of the whole config is "".
+    """
+    where = path or "config"
     if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected a mapping of keys, got {section!r}")
-    unknown = sorted(set(section) - set(allowed))
+        raise ConfigError(f"{where}: expected a mapping of keys, got {section!r}")
+    unknown = sorted(set(section) - set(spec), key=str)  # YAML keys may be numbers
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(spec)}")
+    out = {}
+    for key, (read, default) in spec.items():
+        at = f"{path}.{key}" if path else key
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{at}: missing required key")
+        if value is not _OMIT:
+            value = read(value, at)
+        if value is not _OMIT:
+            out[key] = value
+    return out
 
 
-def _need(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return section[key]
+def _section(spec: dict):
+    return lambda value, path: _fields(value, path, spec)
+
+
+def _or_null(read):
+    """read, except that null stands for an absent key."""
+    return lambda value, path: _OMIT if value is None else read(value, path)
+
+
+def _raw(value, path: str):
+    """The value as given: the constructor it reaches checks a kind."""
+    return value
+
+
+def _choice(*options):
+    def read(value, path: str):
+        if value not in options:
+            raise ConfigError(f"{path}: expected {'|'.join(options)}, got {value!r}")
+        return value
+
+    return read
+
+
+def _as_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean")
+    return value
 
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def _nonnegative(value, path: str) -> float:
+    value = _as_float(value, path)
+    if not value >= 0:  # NaN fails too
+        raise ConfigError(f"{path}: must be nonnegative, got {value}")
+    return value
 
 
 def _as_int(value, path: str) -> int:
@@ -84,31 +136,225 @@ def _as_seed(value, path: str) -> int:
     return seed
 
 
-def _schedule_from(section: dict, path: str) -> StepSizeSchedule:
-    _check_keys(section, {"kind", "scale", "k0"}, path)
-    kind = _need(section, "kind", path)
-    scale = _as_float(_need(section, "scale", path), f"{path}.scale")
-    if kind == "decaying":
-        k0 = _as_int(_need(section, "k0", path), f"{path}.k0")
-        return DecayingSchedule(scale=scale, k0=k0)
-    if kind == "constant":
-        if "k0" in section:
-            raise ConfigError(f"{path}: constant schedules take no k0")
-        return ConstantSchedule(scale=scale)
-    raise ConfigError(f"{path}.kind: expected decaying|constant, got {kind!r}")
+def _int_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
+    return [_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _schedule_dict(sched: StepSizeSchedule) -> dict:
-    out = {"kind": sched.kind, "scale": sched.scale}
-    if isinstance(sched, DecayingSchedule):
-        out["k0"] = sched.k0
-    return out
+def _agent_ids(value, path: str) -> list:
+    """Sorted distinct ids, the set build_network flags."""
+    return sorted(set(_int_list(value, path)))
+
+
+def _nonempty_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    return value
+
+
+def _seed_list(value, path: str) -> list:
+    seeds = [_as_seed(s, path) for s in _nonempty_list(value, path)]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{path}: duplicate seeds")
+    return seeds
+
+
+_SCHEDULE = {
+    "kind": (_choice("decaying", "constant"), _REQUIRED),
+    "scale": (_as_float, _REQUIRED),
+    "k0": (_as_int, _OMIT),
+}
+
+
+def _schedule(section: dict, path: str) -> dict:
+    norm = _fields(section, path, _SCHEDULE)
+    if norm["kind"] == "constant" and "k0" in norm:
+        raise ConfigError(f"{path}: constant schedules take no k0")
+    if norm["kind"] == "decaying" and "k0" not in norm:
+        raise ConfigError(f"{path}.k0: missing required key")
+    return norm
 
 
 def _scalar_or_schedule(value, path: str):
     if isinstance(value, dict):
-        return _schedule_from(value, path)
+        return _schedule(value, path)
     return _as_float(value, path)
+
+
+def _runtime(value):
+    """The runtime value of a normalized scalar or schedule."""
+    if not isinstance(value, dict):
+        return value
+    if value["kind"] == "decaying":
+        return DecayingSchedule(scale=value["scale"], k0=value["k0"])
+    return ConstantSchedule(scale=value["scale"])
+
+
+_TOPOLOGY = {
+    "kind": (_raw, _REQUIRED),
+    "n_agents": (_as_int, _REQUIRED),
+    "byz_fraction": (_as_float, 0.0),
+    "byzantine_ids": (_agent_ids, _OMIT),
+    "seed": (_as_seed, 0),
+    "edge_p": (_as_float, 0.3),
+}
+
+
+def _topology(section: dict, path: str) -> dict:
+    norm = _fields(section, path, _TOPOLOGY)
+    if "byzantine_ids" in norm:
+        if "byz_fraction" in section:
+            raise ConfigError(f"{path}: give either byz_fraction or byzantine_ids")
+        # explicit ids replace the fraction; configs without them keep the
+        # normalized form, and so the hash, they always had
+        del norm["byz_fraction"]
+    return norm
+
+
+_PROBLEM = {
+    "kind": (_choice("benchmark"), "benchmark"),
+    "u_std": (_as_float, 0.1),
+    "v_std": (_as_float, 0.1),
+    "batch": (_as_int, 1),
+    "family_of": (_or_null(_int_list), _OMIT),
+    # landscape constants that override the problem's own estimates
+    "f_star": (_as_float, _OMIT),
+    "pl_constant": (_as_float, _OMIT),
+    "smoothness": (_as_float, _OMIT),
+    "sigma_sq": (_as_float, _OMIT),
+    "zeta_sq": (_as_float, _OMIT),
+}
+
+# a per-gradient (epsilon, delta) budget under a gradient bound
+_BUDGET = {
+    "epsilon": (_as_float, _REQUIRED),
+    "delta": (_as_float, _REQUIRED),
+    "grad_bound": (_as_float, _REQUIRED),
+}
+
+_NOISE = {
+    "variance": (_nonnegative, 0.0),
+    "from_local_dp": (_section(_BUDGET), _OMIT),
+}
+
+
+def _noise(section: dict, path: str) -> dict:
+    norm = _fields(section, path, _NOISE)
+    if "from_local_dp" in norm:
+        if "variance" in section:
+            raise ConfigError(f"{path}: give either variance or from_local_dp")
+        del norm["variance"]
+    return norm
+
+
+_ATTACK = {
+    "kind": (_choice(*ATTACK_KINDS), "none"),
+    "s_b": (_as_float, _OMIT),
+    "d_r": (_as_float, _OMIT),
+    "p_mult": (_scalar_or_schedule, _OMIT),
+    "p_add": (_scalar_or_schedule, _OMIT),
+    "victim": (_or_null(_as_int), _OMIT),
+    "alie_local": (_as_bool, _OMIT),
+}
+
+_TAU = {
+    "kind": (_raw, "manual"),
+    "value": (_scalar_or_schedule, _REQUIRED),
+}
+
+
+def _tau(section: dict, path: str) -> dict:
+    norm = _fields(section, path, _TAU)
+    if isinstance(norm["value"], float) and not math.isfinite(norm["value"]):
+        raise ConfigError(f"{path}.value: expected a finite radius, got {norm['value']!r}")
+    return norm
+
+
+_AGGREGATION = {
+    "kind": (_choice("scc", "mean"), "scc"),
+    "tau": (_tau, _OMIT),
+    "allow_oracle": (_as_bool, False),
+}
+
+
+def _aggregation(section: dict, path: str) -> dict:
+    norm = _fields(section, path, _AGGREGATION)
+    if norm["kind"] == "mean":
+        if "tau" in norm:
+            raise ConfigError(f"{path}: the averaging baseline takes no tau")
+        return norm
+    if "tau" not in norm:
+        raise ConfigError(f"{path}.tau: missing required key")
+    tau_kind = norm["tau"]["kind"]
+    if tau_kind in ("corollary1", "remark4") and not norm["allow_oracle"]:
+        raise ConfigError(
+            f"{path}.tau.kind {tau_kind!r} reads ground-truth labels; "
+            "set aggregation.allow_oracle: true to accept that"
+        )
+    return norm
+
+
+_RUN = {
+    "horizon": (_as_int, _REQUIRED),
+    "seeds": (_seed_list, _REQUIRED),
+    "theory_mode": (_as_bool, False),
+    "bound_column": (_as_bool, False),
+}
+
+_AXIS = {
+    "key": (_raw, _REQUIRED),
+    "values": (_nonempty_list, _REQUIRED),
+}
+
+
+def _axes(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list")
+    return [_fields(axis, f"{path}[{i}]", _AXIS) for i, axis in enumerate(value)]
+
+
+def _sweep(section: dict, path: str):
+    norm = _fields(section, path, {"axes": (_axes, [])})
+    return norm if norm["axes"] else _OMIT
+
+
+# the inputs of the whole-run privacy accounting, less the run's horizon
+_GLOBAL_BUDGET = {
+    "delta": (_as_float, _REQUIRED),
+    "grad_bound": (_as_float, _REQUIRED),
+    "total_samples": (_as_int, _REQUIRED),
+    "batch_size": (_as_int, _REQUIRED),
+    "renyi_order": (_as_float, _OMIT),
+}
+
+_PRIVACY = {
+    "local": (_or_null(_section(_BUDGET)), _OMIT),
+    "global": (_or_null(_section(_GLOBAL_BUDGET)), _OMIT),
+}
+
+
+def _privacy(section: dict, path: str):
+    return _fields(section, path, _PRIVACY) or _OMIT
+
+_PRIVACY_TRACE = {
+    "swap_agent": (_as_int, _REQUIRED),
+    "replacement_family": (_as_int, _REQUIRED),
+}
+
+# the sections of a config; empty sweep and privacy sections are left out
+_CONFIG = {
+    "topology": (_topology, _REQUIRED),
+    "problem": (_section(_PROBLEM), {}),
+    "schedule": (_schedule, _REQUIRED),
+    "noise": (_noise, {}),
+    "attack": (_section(_ATTACK), {}),
+    "aggregation": (_aggregation, {}),
+    "run": (_section(_RUN), _REQUIRED),
+    "sweep": (_sweep, _OMIT),
+    "privacy": (_privacy, _OMIT),
+    "privacy_trace": (_section(_PRIVACY_TRACE), _OMIT),
+}
 
 
 @dataclasses.dataclass
@@ -140,10 +386,25 @@ def config_hash(normalized: dict) -> str:
     ).hexdigest()
 
 
+# YAML 1.1 floats need a decimal point, so it reads 1e-6 as a string
+_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$")
+
+
+@functools.lru_cache(maxsize=2)
+def _loader(base):
+    """base with one more implicit resolver, which reads 1e-6 as a float."""
+    loader = type("Loader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789")
+    )
+    return loader
+
+
 def _parse_yaml(text: str, where: str):
-    """yaml.safe_load's result, parsed by libyaml where PyYAML has it;
-    a YAML error becomes a ConfigError that keeps its line and column."""
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    """yaml.safe_load's result, parsed by libyaml where PyYAML has it and
+    with exponents read as numbers; a YAML error becomes a ConfigError
+    that keeps its line and column."""
+    loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     try:
         return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
@@ -161,6 +422,17 @@ def load_config(path) -> dict:
     return data
 
 
+def set_path(cfg: dict, key: str, value) -> None:
+    """Set the dotted key of cfg to value, adding the sections on its way."""
+    *parents, last = key.split(".")
+    node = cfg
+    for p in parents:
+        node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {key!r} crosses a non-section value")
+    node[last] = value
+
+
 def apply_overrides(cfg: dict, overrides) -> dict:
     """Apply dotted key=value strings; values parse as YAML scalars."""
     out = json.loads(json.dumps(cfg))
@@ -168,13 +440,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
-        parts = key.split(".")
-        node = out
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r} crosses a non-section value")
-        node[parts[-1]] = _parse_yaml(raw, f"override {item!r}")
+        set_path(out, key, _parse_yaml(raw, f"override {item!r}"))
     return out
 
 
@@ -195,280 +461,6 @@ def _shared(built: dict | None, key: list, make):
     return built[key]
 
 
-def _parse_topology(section: dict, built: dict | None):
-    path = "topology"
-    _check_keys(
-        section,
-        {"kind", "n_agents", "byz_fraction", "byzantine_ids", "seed", "edge_p"},
-        path,
-    )
-    kind = _need(section, "kind", path)
-    n = _as_int(_need(section, "n_agents", path), f"{path}.n_agents")
-    frac = _as_float(section.get("byz_fraction", 0.0), f"{path}.byz_fraction")
-    seed = _as_seed(section.get("seed", 0), f"{path}.seed")
-    edge_p = _as_float(section.get("edge_p", 0.3), f"{path}.edge_p")
-    ids = None
-    if "byzantine_ids" in section:
-        if "byz_fraction" in section:
-            raise ConfigError(f"{path}: give either byz_fraction or byzantine_ids")
-        raw = section["byzantine_ids"]
-        if not isinstance(raw, list):
-            raise ConfigError(f"{path}.byzantine_ids: expected a list of agent ids")
-        ids = [_as_int(b, f"{path}.byzantine_ids") for b in raw]
-    key = ["network", kind, n, frac, seed, edge_p, ids]
-    net = _shared(built, key, lambda: build_network(
-        kind, n, byz_fraction=frac, seed=seed, edge_p=edge_p, byzantine_ids=ids
-    ))
-    # explicit ids replace the fraction; configs without them keep the
-    # normalized form, and so the hash, they always had
-    norm = {"kind": kind, "n_agents": n}
-    if ids is None:
-        norm["byz_fraction"] = frac
-    else:
-        norm["byzantine_ids"] = list(net.byzantine)
-    norm.update(seed=seed, edge_p=edge_p)
-    return net, norm, key
-
-
-def _parse_problem(section: dict, net: Network, net_key: list, built: dict | None):
-    path = "problem"
-    allowed = {
-        "kind",
-        "u_std",
-        "v_std",
-        "batch",
-        "family_of",
-        "f_star",
-        "pl_constant",
-        "smoothness",
-        "sigma_sq",
-        "zeta_sq",
-    }
-    _check_keys(section, allowed, path)
-    kind = section.get("kind", "benchmark")
-    if kind != "benchmark":
-        raise ConfigError(f"{path}.kind: only 'benchmark' runs from configs")
-    u_std = _as_float(section.get("u_std", 0.1), f"{path}.u_std")
-    v_std = _as_float(section.get("v_std", 0.1), f"{path}.v_std")
-    batch = _as_int(section.get("batch", 1), f"{path}.batch")
-    family_of = section.get("family_of")
-    if family_of is not None:
-        if not isinstance(family_of, list):
-            raise ConfigError(f"{path}.family_of: expected a list of integers, got {family_of!r}")
-        family_of = [_as_int(f, f"{path}.family_of[{i}]") for i, f in enumerate(family_of)]
-    overrides = {}
-    for key in ("f_star", "pl_constant", "smoothness", "sigma_sq", "zeta_sq"):
-        if key in section:
-            overrides[key] = _as_float(section[key], f"{path}.{key}")
-    key = ["problem", net_key, u_std, v_std, batch, family_of, overrides]
-    prob = _shared(built, key, lambda: benchmark_problem(
-        byzantine=net.byzantine,
-        n_agents=net.n_agents,
-        u_std=u_std,
-        v_std=v_std,
-        batch=batch,
-        family_of=family_of,
-        **overrides,
-    ))
-    norm = {"kind": kind, "u_std": u_std, "v_std": v_std, "batch": batch}
-    if family_of is not None:
-        norm["family_of"] = family_of
-    norm.update(overrides)
-    return prob, norm, key
-
-
-def _parse_noise(section: dict, sched: StepSizeSchedule):
-    path = "noise"
-    _check_keys(section, {"variance", "from_local_dp"}, path)
-    if "from_local_dp" in section:
-        if "variance" in section:
-            raise ConfigError(f"{path}: give either variance or from_local_dp")
-        sub = section["from_local_dp"]
-        _check_keys(sub, {"epsilon", "delta", "grad_bound"}, f"{path}.from_local_dp")
-        eps = _as_float(_need(sub, "epsilon", path), f"{path}.epsilon")
-        delta = _as_float(_need(sub, "delta", path), f"{path}.delta")
-        bound = _as_float(_need(sub, "grad_bound", path), f"{path}.grad_bound")
-        variance = required_variance_local(
-            eps, delta, sensitivity_default(bound), sched
-        )
-        norm = {
-            "from_local_dp": {"epsilon": eps, "delta": delta, "grad_bound": bound}
-        }
-        return variance, True, norm
-    variance = _as_float(section.get("variance", 0.0), f"{path}.variance")
-    if not variance >= 0:  # NaN fails too
-        raise ConfigError(f"{path}.variance: must be nonnegative, got {variance}")
-    return variance, False, {"variance": variance}
-
-
-def _parse_attack(section: dict):
-    path = "attack"
-    allowed = {"kind", "s_b", "d_r", "p_mult", "p_add", "victim", "alie_local"}
-    _check_keys(section, allowed, path)
-    kind = section.get("kind", "none")
-    if kind not in ATTACK_KINDS:
-        raise ConfigError(f"{path}.kind: expected one of {ATTACK_KINDS}, got {kind!r}")
-    kwargs = {}
-    norm = {"kind": kind}
-    for key in ("s_b", "d_r"):
-        if key in section:
-            kwargs[key] = _as_float(section[key], f"{path}.{key}")
-            norm[key] = kwargs[key]
-    for key in ("p_mult", "p_add"):
-        if key in section:
-            kwargs[key] = _scalar_or_schedule(section[key], f"{path}.{key}")
-            norm[key] = (
-                _schedule_dict(kwargs[key])
-                if isinstance(kwargs[key], (DecayingSchedule, ConstantSchedule))
-                else kwargs[key]
-            )
-    if section.get("victim") is not None:
-        kwargs["victim"] = _as_int(section["victim"], f"{path}.victim")
-        norm["victim"] = kwargs["victim"]
-    if "alie_local" in section:
-        if not isinstance(section["alie_local"], bool):
-            raise ConfigError(f"{path}.alie_local: expected a boolean")
-        kwargs["alie_local"] = section["alie_local"]
-        norm["alie_local"] = kwargs["alie_local"]
-    return AttackSpec(kind=kind, **kwargs), norm
-
-
-def _parse_aggregation(section: dict):
-    path = "aggregation"
-    _check_keys(section, {"kind", "tau", "allow_oracle"}, path)
-    kind = section.get("kind", "scc")
-    if kind not in ("scc", "mean"):
-        raise ConfigError(f"{path}.kind: expected scc|mean, got {kind!r}")
-    allow_oracle = section.get("allow_oracle", False)
-    if not isinstance(allow_oracle, bool):
-        raise ConfigError(f"{path}.allow_oracle: expected a boolean")
-    norm = {"kind": kind, "allow_oracle": allow_oracle}
-    if kind == "mean":
-        if "tau" in section:
-            raise ConfigError(f"{path}: the averaging baseline takes no tau")
-        return kind, None, norm
-    sub = _need(section, "tau", path)
-    _check_keys(sub, {"kind", "value"}, f"{path}.tau")
-    tau_kind = sub.get("kind", "manual")
-    value = _scalar_or_schedule(_need(sub, "value", f"{path}.tau"), f"{path}.tau.value")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path}.tau.value: expected a finite radius, got {value!r}")
-    if tau_kind in ("corollary1", "remark4") and not allow_oracle:
-        raise ConfigError(
-            f"{path}.tau.kind {tau_kind!r} reads ground-truth labels; "
-            "set aggregation.allow_oracle: true to accept that"
-        )
-    tau = TauSpec(kind=tau_kind, value=value)
-    norm["tau"] = {
-        "kind": tau_kind,
-        "value": _schedule_dict(value)
-        if isinstance(value, (DecayingSchedule, ConstantSchedule))
-        else value,
-    }
-    return kind, tau, norm
-
-
-def _parse_run(section: dict):
-    path = "run"
-    allowed = {"horizon", "seeds", "theory_mode", "bound_column"}
-    _check_keys(section, allowed, path)
-    horizon = _as_int(_need(section, "horizon", path), f"{path}.horizon")
-    seeds = _need(section, "seeds", path)
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"{path}.seeds: expected a nonempty list")
-    seeds = [_as_seed(s, f"{path}.seeds") for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{path}.seeds: duplicate seeds")
-    theory_mode = section.get("theory_mode", False)
-    bound_column = section.get("bound_column", False)
-    for name, val in (("theory_mode", theory_mode), ("bound_column", bound_column)):
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}.{name}: expected a boolean")
-    norm = {
-        "horizon": horizon,
-        "seeds": seeds,
-        "theory_mode": theory_mode,
-        "bound_column": bound_column,
-    }
-    return horizon, seeds, theory_mode, bound_column, norm
-
-
-def _parse_sweep(section: dict):
-    path = "sweep"
-    _check_keys(section, {"axes"}, path)
-    axes = section.get("axes", [])
-    if not isinstance(axes, list):
-        raise ConfigError(f"{path}.axes: expected a list")
-    parsed = []
-    norm = []
-    for idx, axis in enumerate(axes):
-        apath = f"{path}.axes[{idx}]"
-        if not isinstance(axis, dict):
-            raise ConfigError(f"{apath}: expected a mapping with key and values")
-        _check_keys(axis, {"key", "values"}, apath)
-        key = _need(axis, "key", apath)
-        values = _need(axis, "values", apath)
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{apath}.values: expected a nonempty list")
-        parsed.append((key, values))
-        norm.append({"key": key, "values": values})
-    return parsed, norm
-
-
-def _parse_privacy(section: dict, horizon: int):
-    path = "privacy"
-    _check_keys(section, {"local", "global"}, path)
-    local = section.get("local")
-    local_norm = None
-    if local is not None:
-        _check_keys(local, {"epsilon", "delta", "grad_bound"}, f"{path}.local")
-        local_norm = {
-            "epsilon": _as_float(_need(local, "epsilon", path), f"{path}.local.epsilon"),
-            "delta": _as_float(_need(local, "delta", path), f"{path}.local.delta"),
-            "grad_bound": _as_float(
-                _need(local, "grad_bound", path), f"{path}.local.grad_bound"
-            ),
-        }
-    budget = None
-    global_norm = None
-    gsec = section.get("global")
-    if gsec is not None:
-        allowed = {"delta", "grad_bound", "total_samples", "batch_size", "renyi_order"}
-        _check_keys(gsec, allowed, f"{path}.global")
-        budget = DpBudget(
-            delta=_as_float(_need(gsec, "delta", path), f"{path}.global.delta"),
-            grad_bound=_as_float(
-                _need(gsec, "grad_bound", path), f"{path}.global.grad_bound"
-            ),
-            total_samples=_as_int(
-                _need(gsec, "total_samples", path), f"{path}.global.total_samples"
-            ),
-            batch_size=_as_int(
-                _need(gsec, "batch_size", path), f"{path}.global.batch_size"
-            ),
-            horizon=horizon,
-            renyi_order=(
-                _as_float(gsec["renyi_order"], f"{path}.global.renyi_order")
-                if "renyi_order" in gsec
-                else None
-            ),
-        )
-        global_norm = {
-            "delta": budget.delta,
-            "grad_bound": budget.grad_bound,
-            "total_samples": budget.total_samples,
-            "batch_size": budget.batch_size,
-        }
-        if budget.renyi_order is not None:
-            global_norm["renyi_order"] = budget.renyi_order
-    norm = {}
-    if local_norm is not None:
-        norm["local"] = local_norm
-    if global_norm is not None:
-        norm["global"] = global_norm
-    return local_norm, budget, norm
-
-
 def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
     """Validate the whole config and assemble every runtime object.
 
@@ -477,44 +469,49 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
     earlier build used the same arguments, and added to it otherwise.
     Every section is still parsed and checked.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a mapping of sections")
-    _check_keys(cfg, _SECTIONS | {"privacy_trace"}, "config")
-    for required in ("topology", "schedule", "run"):
-        if required not in cfg:
-            raise ConfigError(f"config: missing required section {required!r}")
-
-    net, topo_norm, net_key = _parse_topology(cfg["topology"], built)
-    prob, prob_norm, prob_key = _parse_problem(cfg.get("problem", {}), net, net_key, built)
-    sched = _schedule_from(cfg["schedule"], "schedule")
-    variance, noise_derived, noise_norm = _parse_noise(cfg.get("noise", {}), sched)
-    attack, attack_norm = _parse_attack(cfg.get("attack", {}))
-    agg, tau, agg_norm = _parse_aggregation(cfg.get("aggregation", {}))
-    horizon, seeds, theory_mode, bound_column, run_norm = _parse_run(cfg["run"])
-    sweep_axes, sweep_norm = _parse_sweep(cfg.get("sweep", {}))
-    local_dp, budget, priv_norm = _parse_privacy(cfg.get("privacy", {}), horizon)
+    normalized = _fields(cfg, "", _CONFIG)
+    topo = normalized["topology"]
+    net = _shared(built, ["network", topo], lambda: build_network(**topo))
+    problem = normalized["problem"]
+    prob_key = ["problem", topo, problem]
+    prob = _shared(built, prob_key, lambda: benchmark_problem(
+        byzantine=net.byzantine,
+        n_agents=net.n_agents,
+        **{k: v for k, v in problem.items() if k != "kind"},
+    ))
+    sched = _runtime(normalized["schedule"])
+    local = normalized["noise"].get("from_local_dp")
+    if local is None:
+        variance = normalized["noise"]["variance"]
+    else:
+        variance = required_variance_local(
+            local["epsilon"], local["delta"], sensitivity_default(local["grad_bound"]), sched
+        )
+    attack = AttackSpec(**{k: _runtime(v) for k, v in normalized["attack"].items()})
+    agg = normalized["aggregation"]
+    tau = None
+    if "tau" in agg:
+        tau = TauSpec(**{k: _runtime(v) for k, v in agg["tau"].items()})
+    run = normalized["run"]
+    sweep_axes = [
+        (axis["key"], axis["values"]) for axis in normalized.get("sweep", {}).get("axes", [])
+    ]
+    privacy = normalized.get("privacy", {})
+    budget = None
+    if "global" in privacy:
+        budget = DpBudget(horizon=run["horizon"], **privacy["global"])
 
     trace_swap = None
-    trace_norm = None
-    if "privacy_trace" in cfg:
-        tsec = cfg["privacy_trace"]
-        _check_keys(tsec, {"swap_agent", "replacement_family"}, "privacy_trace")
-        agent = _as_int(
-            _need(tsec, "swap_agent", "privacy_trace"), "privacy_trace.swap_agent"
-        )
-        family = _as_int(
-            _need(tsec, "replacement_family", "privacy_trace"),
-            "privacy_trace.replacement_family",
-        )
-        if agent not in net.reliable:
+    if "privacy_trace" in normalized:
+        trace = normalized["privacy_trace"]
+        if trace["swap_agent"] not in net.reliable:
             raise ConfigError(
                 "privacy_trace.swap_agent: the observed agent must be reliable"
             )
-        trace_swap = (agent, family)
-        trace_norm = {"swap_agent": agent, "replacement_family": family}
+        trace_swap = (trace["swap_agent"], trace["replacement_family"])
 
     consts = None
-    if theory_mode or bound_column:
+    if run["theory_mode"] or run["bound_column"]:
         consts = _shared(built, ["consts", prob_key, variance], lambda: theory_constants(
             net,
             rho_upper_bound(net),
@@ -525,29 +522,13 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
             variance,
             prob.dim,
         ))
-        if theory_mode and not sweep_axes:
+        if run["theory_mode"] and not sweep_axes:
             # a sweep's base config is only a template; its cells are checked
             validate_schedule(sched, consts, strict=True)
     if not sweep_axes:
         # so a sweep refuses a cell whose fixed victim is Byzantine before
         # any cell runs
         attack.check_victim(net.reliable)
-
-    normalized = {
-        "topology": topo_norm,
-        "problem": prob_norm,
-        "schedule": _schedule_dict(sched),
-        "noise": noise_norm,
-        "attack": attack_norm,
-        "aggregation": agg_norm,
-        "run": run_norm,
-    }
-    if sweep_norm:
-        normalized["sweep"] = {"axes": sweep_norm}
-    if priv_norm:
-        normalized["privacy"] = priv_norm
-    if trace_norm:
-        normalized["privacy_trace"] = trace_norm
 
     return Experiment(
         normalized=normalized,
@@ -557,14 +538,14 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         sched=sched,
         noise=NoiseSpec(variance),
         attack=attack,
-        agg=agg,
+        agg=agg["kind"],
         tau=tau,
-        horizon=horizon,
-        seeds=seeds,
+        horizon=run["horizon"],
+        seeds=run["seeds"],
         consts=consts,
         sweep_axes=sweep_axes,
         budget=budget,
-        local_dp=local_dp,
+        local_dp=privacy.get("local"),
         trace_swap=trace_swap,
-        noise_derived=noise_derived,
+        noise_derived=local is not None,
     )

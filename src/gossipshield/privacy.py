@@ -76,8 +76,6 @@ class DpBudget:
     total_samples: int
     batch_size: int
     horizon: int
-    epsilon: float | None = None
-    sensitivity: float | None = None
     renyi_order: float | None = None
 
     def __post_init__(self):
@@ -92,14 +90,6 @@ class DpBudget:
             )
         if self.horizon < 0:
             raise ConfigError("horizon must be nonnegative")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive when given")
-
-    @property
-    def effective_sensitivity(self) -> float:
-        if self.sensitivity is not None:
-            return self.sensitivity
-        return sensitivity_default(self.grad_bound)
 
 
 @dataclasses.dataclass(frozen=True)

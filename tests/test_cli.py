@@ -413,3 +413,39 @@ def test_main_rejects_an_empty_section_key(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 2
     assert "noise: expected a mapping" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exponent_floats_without_a_decimal_point(tmp_path):
+    # YAML 1.1 reads 1e-06 as a string, and json.dumps(1e-06) is 1e-06: a
+    # sweep over these values built its cells by writing each value out
+    # and parsing it back, and exited 2 with "expected a number, got
+    # '1e-06'"; 1e-6 in a file or a --set override did the same
+    axes = [{"key": "noise.variance", "values": [0.0, 1.0e-6, 1e-05]}]
+    cfg = _cfg(run={"horizon": 5, "seeds": [1]}, sweep={"axes": axes})
+    sweep_experiment(cfg, tmp_path / "sweep", max_workers=1)
+    rows = (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[2:]] == [
+        "noise.variance=0.0", "noise.variance=1e-06", "noise.variance=1e-05",
+    ]
+    stored = json.loads((tmp_path / "sweep" / "cell001" / "config.json").read_text())
+    assert stored["noise"]["variance"] == 1e-6
+
+    text = yaml.safe_dump(_cfg(run={"horizon": 5, "seeds": [1]}))
+    assert "variance: 0.0001" in text
+    path = tmp_path / "exp.yaml"
+    path.write_text(text.replace("variance: 0.0001", "variance: 1e-6"))
+    for argv, variance in (
+        ([], 1e-6),
+        (["--set", "noise.variance=1E-5"], 1e-5),
+        (["--set", "aggregation.tau.value=1e+16"], 1e-6),
+    ):
+        out = tmp_path / "run"
+        assert main(["run", str(path), "--out", str(out), *argv]) == 0
+        stored = json.loads((out / "config.json").read_text())
+        assert stored["noise"]["variance"] == variance
+    assert stored["aggregation"]["tau"]["value"] == 1e16
+
+    # a sweep key crosses no value, as an override does not
+    cfg["sweep"] = {"axes": [{"key": "run.horizon.nested", "values": [1]}]}
+    with pytest.raises(ConfigError, match="crosses a non-section value"):
+        sweep_experiment(cfg, tmp_path / "crossing")

@@ -96,6 +96,15 @@ def test_unknown_keys_rejected(mutate):
         build_experiment(cfg)
 
 
+def test_unknown_keys_of_two_types_rejected():
+    # YAML keys need not be strings; sorting 1 and 'x' into the message
+    # raised a TypeError with a traceback
+    cfg = _base_cfg()
+    cfg["topology"].update({1: 2, "x": 3})
+    with pytest.raises(ConfigError, match=r"topology: unknown keys \[1, 'x'\]"):
+        build_experiment(cfg)
+
+
 def test_missing_and_malformed_sections():
     for drop in ("topology", "schedule", "run"):
         cfg = _base_cfg()
@@ -239,6 +248,23 @@ def test_noise_from_local_budget():
     cfg["noise"] = {"variance": -1.0}
     with pytest.raises(ConfigError, match="nonnegative"):
         build_experiment(cfg)
+
+
+def test_budget_errors_name_the_full_path():
+    # the (epsilon, delta, grad_bound) budget was read twice; the copy under
+    # noise.from_local_dp named noise.epsilon and noise in its errors, and
+    # a missing key under privacy.local named privacy
+    for section, sub in (("noise", "from_local_dp"), ("privacy", "local")):
+        for budget, message in (
+            ({"delta": 0.01, "grad_bound": 5.0}, "epsilon: missing required key"),
+            ({"epsilon": "tight", "delta": 0.01, "grad_bound": 5.0}, "epsilon: expected a number"),
+            ({"epsilon": None, "delta": 0.01, "grad_bound": 5.0}, "epsilon: expected a number"),
+        ):
+            cfg = _base_cfg()
+            cfg[section] = {sub: budget}
+            with pytest.raises(ConfigError) as err:
+                build_experiment(cfg)
+            assert str(err.value).startswith(f"{section}.{sub}.{message}")
 
 
 def test_attack_schedule_valued_params():
@@ -398,7 +424,8 @@ def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
         for axis in fast.get("sweep", {}).get("axes", []):
             scalars += [json.dumps(value) for value in axis["values"]]
     assert len(scalars) == 17
-    for raw in scalars + ["5", "1.0e-4", "true", "null", "-.inf", "[1, 2]", "{a: 1}"]:
+    exponents = ["1e-6", "-2E+3", "1_0e5", "1.e-2", "1.0e6"]
+    for raw in scalars + exponents + ["5", "1.0e-4", "true", "null", "-.inf", "[1, 2]", "{a: 1}"]:
         assert yaml.load(raw, Loader=yaml.CSafeLoader) == yaml.load(raw, Loader=yaml.SafeLoader)
 
     used = []
@@ -410,12 +437,19 @@ def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
 
     monkeypatch.setattr(yaml, "load", spy)
     parsed = load_config(_RECIPES[0])
-    assert used == [yaml.CSafeLoader]
+    fast = [apply_overrides({}, [f"v={raw}"])["v"] for raw in exponents]
+    assert fast == [1e-6, -2e3, 1e6, 1e-2, 1e6]
+    # libyaml's loader, which also reads exponents as numbers
+    assert len(used) == 1 + len(exponents)
+    assert all(issubclass(loader, yaml.CSafeLoader) for loader in used)
     # without libyaml the pure-Python parser reads the same dict
+    used.clear()
     monkeypatch.delattr(yaml, "CSafeLoader")
     assert load_config(_RECIPES[0]) == parsed
     assert apply_overrides({}, ["run.horizon=5"]) == {"run": {"horizon": 5}}
-    assert used[1:] == [yaml.SafeLoader, yaml.SafeLoader]
+    assert [apply_overrides({}, [f"v={raw}"])["v"] for raw in exponents] == fast
+    assert len(used) == 2 + len(exponents)
+    assert all(issubclass(loader, yaml.SafeLoader) for loader in used)
 
 
 def test_unreadable_configs_are_config_errors(tmp_path):

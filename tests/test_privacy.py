@@ -157,9 +157,3 @@ def test_budget_validation():
         DpBudget(delta=0.5, grad_bound=-1.0, total_samples=5, batch_size=1, horizon=1)
     with pytest.raises(ConfigError):
         DpBudget(delta=0.5, grad_bound=1.0, total_samples=5, batch_size=1, horizon=-2)
-    b = DpBudget(delta=0.5, grad_bound=1.5, total_samples=5, batch_size=1, horizon=1)
-    assert b.effective_sensitivity == 3.0
-    override = DpBudget(
-        delta=0.5, grad_bound=1.5, total_samples=5, batch_size=1, horizon=1, sensitivity=7.0
-    )
-    assert override.effective_sensitivity == 7.0
