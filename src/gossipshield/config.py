@@ -226,16 +226,17 @@ _PROBLEM = {
     "zeta_sq": (_as_float, _OMIT),
 }
 
-# a per-gradient (epsilon, delta) budget under a gradient bound
-_BUDGET = {
+# a per-gradient (epsilon, delta) budget under a gradient bound, the one
+# reader of noise.from_local_dp and privacy.local
+_budget = _section({
     "epsilon": (_as_float, _REQUIRED),
     "delta": (_as_float, _REQUIRED),
     "grad_bound": (_as_float, _REQUIRED),
-}
+})
 
 _NOISE = {
     "variance": (_nonnegative, 0.0),
-    "from_local_dp": (_section(_BUDGET), _OMIT),
+    "from_local_dp": (_budget, _OMIT),
 }
 
 
@@ -329,7 +330,7 @@ _GLOBAL_BUDGET = {
 }
 
 _PRIVACY = {
-    "local": (_or_null(_section(_BUDGET)), _OMIT),
+    "local": (_or_null(_budget), _OMIT),
     "global": (_or_null(_section(_GLOBAL_BUDGET)), _OMIT),
 }
 
