@@ -414,7 +414,7 @@ _RECIPES = sorted((Path(gossipshield.__file__).parent / "recipes").glob("*.yaml"
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
-    assert len(_RECIPES) == 7
+    assert len(_RECIPES) == 8
     scalars = []
     for path in _RECIPES:
         text = path.read_text()
@@ -753,6 +753,7 @@ _RECIPE_HASHES = {
     "noise_sweep": "9af1a4e9de295a5e10f1147b7da8ef900bee1c27f5bd38c443d7a58136a1a3a3",
     "random_alie": "704d3e479c886ec3a889362bd3cf94c624c2a7b7814186e3a474263c1a78b674",
     "star_signflip": "8d0775b5875faa52b0180fcdd7cd3707c0537edea049ab527376877da2a767b5",
+    "theory_bound": "ce380732f78ac1ef2fde93f894a8d021a0f8897919a6374f397202929e215e75",
 }
 _FULL_HASHES = [
     (_FULL, "14e2346f6f7f29f82e20836c54e52cc2c5fff783fba033dc209ed8e732455671"),
