@@ -186,6 +186,26 @@ def lemma2_rhs(consts: TheoryConstants, d_k: float, alpha_k: float) -> float:
     return lead + sampling + masking
 
 
+def _floors(consts: TheoryConstants) -> tuple:
+    """The two terms both gap bounds end with, which no horizon shrinks:
+    the attacker-contraction floor and the masking-noise floor."""
+    nu, eta, r = consts.pl_constant, consts.eta, consts.n_reliable
+    rho_sq = consts.rho**2
+    return (
+        BoundTerm(
+            "contraction_floor",
+            64.0 * r * rho_sq * (consts.grad_variance + consts.heterogeneity)
+            / (nu * eta),
+            "byzantine",
+        ),
+        BoundTerm(
+            "masking_floor",
+            4.0 * consts.dim / nu * (1.0 + 8.0 * r * rho_sq / eta) * consts.noise_var,
+            "privacy",
+        ),
+    )
+
+
 def theorem2_rhs(inputs: ConvergenceBoundInputs) -> BoundBreakdown:
     """Optimal-gap ceiling for the decaying schedule, term by term.
 
@@ -244,18 +264,7 @@ def theorem2_rhs(inputs: ConvergenceBoundInputs) -> BoundBreakdown:
             / log_span,
             "byzantine",
         ),
-        BoundTerm(
-            "contraction_floor",
-            64.0 * r * rho_sq * (consts.grad_variance + consts.heterogeneity)
-            / (nu * eta),
-            "byzantine",
-        ),
-        BoundTerm(
-            "masking_floor",
-            4.0 * consts.dim / nu * (1.0 + 8.0 * r * rho_sq / eta) * consts.noise_var,
-            "privacy",
-        ),
-    )
+    ) + _floors(consts)
     return BoundBreakdown(total=sum(t.value for t in terms), terms=terms)
 
 
@@ -298,18 +307,7 @@ def theorem3_rhs(inputs: ConvergenceBoundInputs) -> BoundBreakdown:
             consts.smoothness * consts.grad_variance * alpha / nu,
             "sampling",
         ),
-        BoundTerm(
-            "contraction_floor",
-            64.0 * r * rho_sq * (consts.grad_variance + consts.heterogeneity)
-            / (eta * nu),
-            "byzantine",
-        ),
-        BoundTerm(
-            "masking_floor",
-            4.0 * consts.dim / nu * (1.0 + 8.0 * r * rho_sq / eta) * consts.noise_var,
-            "privacy",
-        ),
-    )
+    ) + _floors(consts)
     return BoundBreakdown(total=sum(t.value for t in terms), terms=terms)
 
 

@@ -55,42 +55,35 @@ def _write_lines(path: Path, lines) -> None:
             fh.write(line + "\n")
 
 
+def _rows(k, columns):
+    """One CSV row per round of k: the round, then a cell per column, each
+    the repr of its float as _fmt writes it; a None column is empty cells."""
+    cells = [
+        [""] * len(k) if col is None else map(repr, np.asarray(col, dtype=float).tolist())
+        for col in columns
+    ]
+    for row in zip(map(str, np.asarray(k).tolist()), *cells):
+        yield ",".join(row)
+
+
 def _seed_csv(log, cfg_hash: str):
     yield f"# config_hash={cfg_hash}"
     yield f"# seed={log.seed}"
     yield f"# status={log.status}"
     yield _RUN_COLUMNS
-    bound = log.dk_bound
-    for i in range(len(log.k)):
-        yield ",".join(
-            (
-                str(int(log.k[i])),
-                _fmt(log.consensus[i]),
-                _fmt(log.pre_agg[i]),
-                _fmt(log.f_bar[i]),
-                _fmt(log.f_best[i]),
-                _fmt(log.gap[i]),
-                _fmt(bound[i]) if bound is not None else "",
-            )
-        )
+    yield from _rows(
+        log.k, (log.consensus, log.pre_agg, log.f_bar, log.f_best, log.gap, log.dk_bound)
+    )
 
 
 def _ensemble_csv(ens, cfg_hash: str, seeds):
     yield f"# config_hash={cfg_hash}"
     yield "# seeds=" + "|".join(str(s) for s in seeds)
     yield _ENSEMBLE_COLUMNS
-    for i in range(len(ens.k)):
-        yield ",".join(
-            (
-                str(int(ens.k[i])),
-                _fmt(ens.consensus_mean[i]),
-                _fmt(ens.pre_agg_mean[i]),
-                _fmt(ens.f_bar_mean[i]),
-                _fmt(ens.gap_mean_of_min[i]),
-                _fmt(ens.gap_min_of_mean[i]),
-                _fmt(ens.dk_bound[i]) if ens.dk_bound is not None else "",
-            )
-        )
+    yield from _rows(ens.k, (
+        ens.consensus_mean, ens.pre_agg_mean, ens.f_bar_mean,
+        ens.gap_mean_of_min, ens.gap_min_of_mean, ens.dk_bound,
+    ))
 
 
 def _bounds_block(exp, ens):
@@ -356,8 +349,7 @@ def _trace_csv(log, cfg_hash: str, label: str):
     yield f"# variant={label}"
     n = log.traces.shape[1]
     yield "k," + ",".join(f"x_{i}" for i in range(n))
-    for i in range(len(log.k)):
-        yield str(int(log.k[i])) + "," + ",".join(_fmt(v) for v in log.traces[i])
+    yield from _rows(log.k, log.traces.T)
 
 
 def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> dict:
@@ -405,14 +397,10 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
         "per-seed max per-round trace deviation:",
     ]
     for seed, base, swap in zip(exp.seeds, base_logs, swap_logs):
-        _write_lines(
-            out_dir / f"trace_base_seed{seed}.csv",
-            _trace_csv(base, exp.config_hash, "base"),
-        )
-        _write_lines(
-            out_dir / f"trace_swapped_seed{seed}.csv",
-            _trace_csv(swap, exp.config_hash, "swapped"),
-        )
+        for label, log in (("base", base), ("swapped", swap)):
+            _write_lines(
+                out_dir / f"trace_{label}_seed{seed}.csv", _trace_csv(log, exp.config_hash, label)
+            )
         rows = min(len(base.k), len(swap.k))
         dev = float(
             np.max(np.abs(base.traces[:rows] - swap.traces[:rows]))

@@ -50,8 +50,8 @@ The metric columns never feed back into the dynamics, so the loop does
 not compute them round by round: it copies each round's reliable states
 and half-steps into row buffers of fixed size per group, and computes the
 disagreement, pre-aggregation disagreement and f(x-bar) of a whole chunk
-of rows in one pass per copy when the buffer fills and when the loop
-ends. Every value is bit-equal to its per-row definition
+of rows of every copy in one pass when the buffer fills and when the loop
+ends; each log keeps its own copy's rows up to its end. Every value is bit-equal to its per-row definition
 (consensus_error of the reliable rows, GlobalProblem.f of their mean).
 
 The loop derives no theory constants: a caller that wants the bound
@@ -371,16 +371,14 @@ def _keyed_uniforms(seed: int, n_agents: int, dim: int) -> np.ndarray:
 def _initial_states(
     seed: int, n_agents: int, dim: int, x0
 ) -> np.ndarray:
+    shape = (n_agents,) if dim == 1 else (n_agents, dim)
     if x0 is None:
-        arr = _keyed_uniforms(seed, n_agents, dim)
-        return arr[:, 0] if dim == 1 else arr
+        return _keyed_uniforms(seed, n_agents, dim).reshape(shape)
     arr = np.asarray(x0, dtype=float)
     if arr.ndim == 0:
-        shape = (n_agents,) if dim == 1 else (n_agents, dim)
         return np.full(shape, float(arr))
-    expect = (n_agents,) if dim == 1 else (n_agents, dim)
-    if arr.shape != expect:
-        raise ConfigError(f"initial states must have shape {expect}, got {arr.shape}")
+    if arr.shape != shape:
+        raise ConfigError(f"initial states must have shape {shape}, got {arr.shape}")
     return arr.copy()
 
 
@@ -609,45 +607,43 @@ def _run_group(
     half_traces = np.empty((n_rounds,) + x.shape) if record_traces else None
 
     # the reliable states and half-steps of up to `chunk` rows of each copy
-    # wait here until their metrics are computed in one pass per copy
+    # wait here until their metrics are computed in one pass over all copies
     row_shape = (rel.shape[1],) + x.shape[1:]
     chunk = max(1, min(n_rows, _METRIC_ELEMENTS // (n_copies * math.prod(row_shape))))
     x_rows = np.empty((n_copies, chunk) + row_shape)
     half_rows = np.empty((n_copies, chunk) + row_shape)
 
-    # per copy: rows recorded, half-steps recorded, and how the run ended;
-    # a live copy has recorded every round so far
-    rows = [0] * n_copies
-    n_half = [0] * n_copies
-    status = ["completed"] * n_copies
-    diverged_at = [None] * n_copies
-    final_x = [None] * n_copies
-    live = np.ones(n_copies, dtype=bool)
+    # per copy: the round it diverged in (n_rounds while it runs on) and
+    # its states when it ended
+    end = np.full(n_copies, n_rounds)
+    final_x = np.empty((n_copies, a) + x.shape[1:])
 
-    def flush(start: int, stop: int, half_stop: int) -> None:
-        for s in range(n_copies):
-            # a copy that has ended records nothing past its last rows
-            stop_s = stop if live[s] else min(stop, rows[s])
-            half_s = half_stop if live[s] else min(half_stop, n_half[s])
-            if stop_s <= start:
-                continue
-            xs = x_rows[s, : stop_s - start]
-            # f first: the disagreement pass overwrites the rows it reads
-            col_f[s, start:stop_s] = prob.f_rows(xs.mean(axis=1))
-            col_consensus[s, start:stop_s] = _row_disagreement(xs)
-            col_pre[s, start:half_s] = _row_disagreement(half_rows[s, : half_s - start])
+    def flush(start: int, stop: int) -> None:
+        """Metric rows start..stop of every copy in one pass; a copy that
+        ended keeps only its own prefix of them."""
+        n, n_half = stop - start, min(stop, n_rounds) - start
+        xs = x_rows[:, :n]
+        # f first: the disagreement pass overwrites the rows it reads
+        xbars = xs.mean(axis=2).reshape((-1,) + x.shape[1:])
+        col_f[:, start:stop] = prob.f_rows(xbars).reshape(n_copies, n)
+        col_consensus[:, start:stop] = _row_disagreement(
+            xs.reshape((-1,) + row_shape)).reshape(n_copies, n)
+        col_pre[:, start : start + n_half] = _row_disagreement(
+            half_rows[:, :n_half].reshape((-1,) + row_shape)).reshape(n_copies, n_half)
 
-    def end_copies(bad: np.ndarray, k: int) -> None:
-        """Record every live copy in bad as diverged in round k with its
-        current states, then zero the bad copies of x and half."""
-        for s in np.flatnonzero(bad & live):
-            status[s], diverged_at[s] = "diverged", k
-            rows[s], n_half[s] = k + 1, k + 1
-            final_x[s] = x[s * a : (s + 1) * a].copy()
-            live[s] = False
+    def end_copies(bad: np.ndarray, k: int) -> bool:
+        """Record every running copy in bad as diverged in round k with its
+        current states, then zero the bad copies of x and half and the rows
+        they buffered past their end, which the metric pass computes but no
+        log keeps. Returns whether any copy still runs."""
         for s in np.flatnonzero(bad):
-            x[s * a : (s + 1) * a] = 0.0
-            half[s * a : (s + 1) * a] = 0.0
+            if end[s] == n_rounds:
+                end[s] = k
+                final_x[s] = x[s * a : (s + 1) * a]
+            past = max(end[s] + 1 - start, 0)
+            x_rows[s, past:] = half_rows[s, past:] = 0.0
+            x[s * a : (s + 1) * a] = half[s * a : (s + 1) * a] = 0.0
+        return bool((end == n_rounds).any())
 
     start = 0
     x.take(rel, axis=0, out=x_rows[:, 0])
@@ -668,10 +664,8 @@ def _run_group(
             half_traces[k] = half
 
         bad = _diverged(half.reshape(n_copies, -1))
-        if bad.any():
-            end_copies(bad, k)
-            if not live.any():
-                break
+        if bad.any() and not end_copies(bad, k):
+            break
 
         messages = half.take(send, axis=0)
         for plan in plans:
@@ -692,22 +686,20 @@ def _run_group(
         x = new_states
 
         if k + 1 - start == chunk:
-            flush(start, k + 1, k + 1)
+            flush(start, k + 1)
             start = k + 1
         bad = _diverged(x.take(rel, axis=0, out=x_rows[:, k + 1 - start]))
-        if bad.any():
-            end_copies(bad, k)
-            if not live.any():
-                break
-    for s in np.flatnonzero(live):
-        rows[s], n_half[s] = k + 1, k
-        final_x[s] = x[s * a : (s + 1) * a].copy()
-    flush(start, max(rows), max(n_half))
+        if bad.any() and not end_copies(bad, k):
+            break
+    live = end == n_rounds
+    final_x[live] = x.reshape(final_x.shape)[live]
+    flush(start, int(end.max()) + 1)
 
     logs = []
     for s, seed in enumerate(seeds):
-        ks = np.arange(rows[s])
-        f_col = col_f[s, : rows[s]]
+        rows = end[s] + 1
+        ks = np.arange(rows)
+        f_col = col_f[s, :rows]
         bound_col = None
         if consts is not None:
             bound_col = np.asarray(dk_bound(consts, col_consensus[s, 0], ks, sched))
@@ -715,19 +707,20 @@ def _run_group(
         logs.append(
             MetricsLog(
                 k=ks,
-                consensus=col_consensus[s, : rows[s]].copy(),
-                pre_agg=col_pre[s, : rows[s]].copy(),
+                consensus=col_consensus[s, :rows].copy(),
+                pre_agg=col_pre[s, :rows].copy(),
                 f_bar=f_col.copy(),
                 f_best=np.minimum.accumulate(f_col),
                 gap=optimal_gap_series(f_col, prob.f_star),
                 seed=seed,
-                status=status[s],
-                diverged_at=diverged_at[s],
+                status="completed" if live[s] else "diverged",
+                diverged_at=None if live[s] else int(end[s]),
                 dk_bound=bound_col,
                 final_x=final_x[s],
-                traces=None if traces is None else traces[: rows[s], agents].copy(),
+                traces=None if traces is None else traces[:rows, agents].copy(),
                 half_traces=(
-                    None if half_traces is None else half_traces[: n_half[s], agents].copy()
+                    None if half_traces is None
+                    else half_traces[: min(rows, n_rounds), agents].copy()
                 ),
             )
         )

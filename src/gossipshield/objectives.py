@@ -368,15 +368,10 @@ class GlobalProblem:
         return g if g > 0.0 else 0.0
 
     def agent_cores(self, x_per_agent: np.ndarray) -> np.ndarray:
-        """Expected gradient of each agent's objective at that agent's point.
-
-        Scalar problems only; gradient_sampler multiplies by the u draws.
-        """
-        if self.u_coeffs is not None:
-            return np.einsum("ab,ba->a", self.u_coeffs, _basis_cores(x_per_agent))
-        return np.array(
-            [obj.expected_gradient(x) for obj, x in zip(self.objectives, x_per_agent)]
-        )
+        """Expected gradient of each benchmark-family agent at its own point;
+        gradient_sampler multiplies by the u draws. Other problems draw
+        through each agent's own sample_gradient."""
+        return np.einsum("ab,ba->a", self.u_coeffs, _basis_cores(x_per_agent))
 
     @property
     def block_draws(self) -> bool:
@@ -614,36 +609,26 @@ def _fd_smoothness(core_batch, grid=None, h: float = 1e-5) -> float:
 
 
 def pl_constant_probe(prob: GlobalProblem, grid) -> float:
-    """Smallest gradient-domination ratio over the probe grid.
+    """Smallest gradient-domination ratio over a scalar probe grid.
 
-    Returns inf over the grid of 0.5 * ||grad f||^2 / (f - f_star), an
+    Returns inf over the grid of 0.5 * f'(x)^2 / (f(x) - f_star), an
     upper estimate of the largest constant the inequality supports.
-    Points at the optimum are skipped; points below it raise.
+    Points at the optimum are skipped; points below it raise, and a
+    multi-dimensional problem or grid is refused.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if prob.dim != 1 or grid.ndim != 1:
+        raise ConfigError("the P-L probe is scalar-only: a 1-d problem on a 1-d grid")
     if grid.size == 0:
         raise ConfigError("empty probe grid")
-    if prob.dim == 1 and grid.ndim == 1:
-        gaps = np.asarray(prob.f(grid), dtype=float) - prob.f_star
-        if np.min(gaps) < -1e-9 * max(1.0, abs(prob.f_star)):
-            raise BrokenOptimumError("probe point below the recorded optimum")
-        keep = gaps > 1e-9  # drop near-optimal points, the ratio there is 0/0
-        if not keep.any():
-            raise ConfigError("probe grid is entirely at the optimum")
-        ratios = 0.5 * np.asarray(prob.grad(grid[keep]), dtype=float) ** 2 / gaps[keep]
-        return float(np.min(ratios))
-    best = math.inf
-    for x in grid:
-        gap = float(prob.f(x)) - prob.f_star
-        if gap < -1e-9 * max(1.0, abs(prob.f_star)):
-            raise BrokenOptimumError("probe point below the recorded optimum")
-        if gap <= 1e-9:
-            continue
-        g = np.asarray(prob.grad(x), dtype=float)
-        best = min(best, 0.5 * float(g @ g) / gap)
-    if not math.isfinite(best):
+    gaps = np.asarray(prob.f(grid), dtype=float) - prob.f_star
+    if np.min(gaps) < -1e-9 * max(1.0, abs(prob.f_star)):
+        raise BrokenOptimumError("probe point below the recorded optimum")
+    keep = gaps > 1e-9  # drop near-optimal points, the ratio there is 0/0
+    if not keep.any():
         raise ConfigError("probe grid is entirely at the optimum")
-    return best
+    ratios = 0.5 * np.asarray(prob.grad(grid[keep]), dtype=float) ** 2 / gaps[keep]
+    return float(np.min(ratios))
 
 
 def estimate_smoothness(prob: GlobalProblem, grid=None) -> float:

@@ -861,6 +861,21 @@ def test_diverged_member_raises_no_warning_for_the_others():
     assert ens.logs[2].diverged_at == 62 and ens.logs[0].rounds_completed == 200
 
 
+def test_rows_buffered_past_a_members_end_raise_no_warning():
+    # the perturbed member diverges in round 0 and, zeroed, again in every
+    # round after; the rows it buffers past its end reach 1e99, where f
+    # overflows, and the metric pass computes them with every other row
+    net = build_network("random", 10, byz_fraction=0.2, seed=3, edge_p=0.6)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=10)
+    attacks = [AttackSpec("none"), AttackSpec("perturbed_dup", p_add=1e100)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ens = run_ensemble(net, prob, ConstantSchedule(0.05), 20, [1, 1], attack=attacks, agg="mean")
+    assert ens.statuses == ["completed", "diverged"]
+    assert ens.logs[1].diverged_at == 0 and len(ens.logs[1].k) == 1
+    assert ens.logs[0].rounds_completed == 20
+
+
 def test_ensemble_shares_each_round_between_its_seeds(monkeypatch):
     calls = {"agent_cores": 0, "apply": 0}
     cores, apply = GlobalProblem.agent_cores, AttackPlan.apply

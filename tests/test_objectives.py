@@ -244,6 +244,19 @@ def test_pl_probe_errors():
         broken.gap(0.0)
 
 
+def test_pl_probe_is_scalar_only():
+    # the probe reads a scalar problem on a 1-d grid; anything else is refused
+    bowl = LocalObjective(
+        0, "bowl", lambda x: float(np.sum(np.square(x))), lambda x: 2.0 * np.asarray(x),
+        lambda x, u, v: float(np.sum(np.square(x))), lambda x, rng: 2.0 * np.asarray(x),
+    )
+    vec = custom_problem([bowl], dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    with pytest.raises(ConfigError, match="scalar-only"):
+        pl_constant_probe(vec, np.ones((3, 10)))
+    with pytest.raises(ConfigError, match="scalar-only"):
+        pl_constant_probe(benchmark_problem(), np.ones((3, 2)))
+
+
 def test_gap_clamps_rounding_noise():
     p = benchmark_problem()
     assert p.gap(p.x_star) >= 0.0
