@@ -569,8 +569,10 @@ def _run_group(
     if tau.kind != "manual":
         rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
         byz_weight = union.weight_split()[1]
-    # the rounds read only these of the union; its receivers live on in sums
-    send, edge_w = union.send, union.edge_w
+    # the rounds read only these of the union; its receivers live on in sums.
+    # numpy's take copies a read-only index on every call, and the union's
+    # arrays are frozen, so the rounds gather through a writable copy of send
+    send, edge_w = union.send.copy(), union.edge_w
     del union
 
     # copies of one seed read one set of its streams: the initial states
