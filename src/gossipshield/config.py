@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import re
+from collections.abc import Hashable
 from pathlib import Path
 
 import yaml
@@ -391,10 +392,31 @@ def config_hash(normalized: dict) -> str:
 _EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$")
 
 
+def _construct_mapping(self, node, deep=False):
+    """SafeConstructor's mapping, except that a key given twice is an
+    error: YAML would keep the last value without a word. Merge keys
+    (<<) are SafeConstructor's to resolve."""
+    seen = set()
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue
+        key = self.construct_object(key_node, deep=deep)
+        if not isinstance(key, Hashable):
+            break  # SafeConstructor refuses it below
+        if key in seen:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping", node.start_mark,
+                f"found duplicate key {key!r}", key_node.start_mark,
+            )
+        seen.add(key)
+    return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+
+
 @functools.lru_cache(maxsize=2)
 def _loader(base):
-    """base with one more implicit resolver, which reads 1e-6 as a float."""
-    loader = type("Loader", (base,), {})
+    """base with one more implicit resolver, which reads 1e-6 as a float,
+    and mappings that refuse a repeated key."""
+    loader = type("Loader", (base,), {"construct_mapping": _construct_mapping})
     loader.add_implicit_resolver(
         "tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789")
     )

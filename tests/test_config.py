@@ -452,6 +452,27 @@ def test_libyaml_and_pure_python_loaders_agree(monkeypatch):
     assert all(issubclass(loader, yaml.SafeLoader) for loader in used)
 
 
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure_python"])
+def test_repeated_keys_refused(tmp_path, monkeypatch, libyaml):
+    # YAML keeps the last value of a repeated key without a word
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    path = tmp_path / "dup.yaml"
+    path.write_text("noise: {variance: 1.0, variance: 2.0}\n")
+    with pytest.raises(ConfigError, match=r"(?s)dup.yaml: invalid YAML.*duplicate key 'variance'.*line 1"):
+        load_config(path)
+    path.write_text("noise:\n  variance: 1.0\nrun: {horizon: 5}\nnoise:\n  variance: 2.0\n")
+    with pytest.raises(ConfigError, match=r"(?s)duplicate key 'noise'.*line 4, column 1"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="duplicate key 'a'"):
+        apply_overrides({}, ["noise={a: 1, a: 2}"])
+    # a merge key still gives way to the keys written beside it
+    path.write_text("base: &b {variance: 1.0}\nnoise:\n  <<: *b\n  variance: 2.0\n")
+    assert load_config(path)["noise"] == {"variance": 2.0}
+
+
 def test_unreadable_configs_are_config_errors(tmp_path):
     # a YAML syntax error, a missing file and a malformed override raised
     # yaml's or the OS's own exceptions, which the command line did not catch
