@@ -293,8 +293,7 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
         for idx, combo in enumerate(cells):
             cell_cfg = _strip_sweep(cfg)
             for key, val in zip(keys, combo):
-                # a key that is no string names no section, and is refused
-                set_path(cell_cfg, str(key), val)
+                set_path(cell_cfg, key, val)
             cell_exp = build_experiment(cell_cfg, built)
             if cell_exp.consts is not None:
                 # a bound column dk_bound refuses fails before any group runs

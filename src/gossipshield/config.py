@@ -304,8 +304,15 @@ _RUN = {
     "bound_column": (_as_bool, False),
 }
 
+def _axis_key(value, path: str) -> str:
+    """A dotted key whose first part names a config section."""
+    if not isinstance(value, str) or value.split(".")[0] not in _CONFIG:
+        raise ConfigError(f"{path}: expected a dotted key into a config section, got {value!r}")
+    return value
+
+
 _AXIS = {
-    "key": (_raw, _REQUIRED),
+    "key": (_axis_key, _REQUIRED),
     "values": (_nonempty_list, _REQUIRED),
 }
 

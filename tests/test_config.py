@@ -565,7 +565,6 @@ _ACCEPTED = [
     ([("topology.byz_fraction", 0.0), ("attack", {"kind": "none"}), ("run.bound_column", True), ("run.theory_mode", False)], "4a6924a6229cbc630d386ac9a87848057cb5920c34a66fffa67f623593c30d14"),
     ([("run.theory_mode", True), ("sweep", {"axes": [{"key": "attack.s_b", "values": [0.5, 1.0]}]})], "e28eaaef04925e27f927d57cdfbc483bc25298f8603c8ea176654f1b8272638d"),
     ([("sweep", {"axes": _AXES})], "504f3ce5456be891f1a61f1bb44c3c9303503d5941b9b941d9a53f8988ebf619"),
-    ([("sweep", {"axes": [{"key": None, "values": [1]}]})], "2a2043e8ef9b01a8d1af96f2a58bab84abe47682fcb7858c7e7294cac0257cae"),
     ([("sweep", {})], "ae330a10a81576e17a6c6421ba17c91993e85c41163dc671d6d428f6e59b0bf3"),
     ([("sweep", {"axes": []})], "ae330a10a81576e17a6c6421ba17c91993e85c41163dc671d6d428f6e59b0bf3"),
     ([("privacy", {"local": _LOCAL})], "ccbfb590dd2695886c9d6d2caf928d9377cf87bfddaaae4eefc6539c81e47642"),
@@ -671,6 +670,12 @@ _REFUSED = [
     ([("privacy_trace", {"swap_agent": 3})], ConfigError, "privacy_trace.*replacement_family"),
     ([("privacy_trace", {"swap_agent": 3.0, "replacement_family": 7})], ConfigError, r"privacy_trace\.swap_agent: expected an integer"),
     ([("privacy_trace", {"swap_agent": 3, "replacement_family": 7, "seed": 1})], ConfigError, "privacy_trace: unknown keys"),
+    # a sweep axis key must be a dotted key into a config section; the
+    # first of these got a config_hash before, and its sweep then failed
+    # building its first cell
+    ([("sweep", {"axes": [{"key": None, "values": [1]}]})], ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
+    ([("sweep", {"axes": [_AXES[0], {"key": "nosuch.x", "values": [1]}]})], ConfigError, r"sweep\.axes\[1\]\.key: expected a dotted key"),
+    ([("sweep", {"axes": [{"key": 3, "values": [1]}]})], ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
 ]
 
 _FULL = _edited([
@@ -751,7 +756,7 @@ _NULLS = [
     (_FULL, "sweep.axes", ConfigError, r"sweep\.axes: expected a list"),
     (_edited([("sweep.axes", [None])], _FULL), "", ConfigError, r"sweep\.axes\[0\]: expected a mapping"),
     (_edited([("sweep.axes", [{"key": "attack.s_b", "values": None}])], _FULL), "", ConfigError, r"sweep\.axes\[0\]\.values: expected a nonempty list"),
-    (_edited([("sweep.axes", [{"key": None, "values": [1]}])], _FULL), "", None, "ef44bfad5449f330c8d9263c6995e64ee67a85d48fb58bc0583c35aef8d4eca1"),
+    (_edited([("sweep.axes", [{"key": None, "values": [1]}])], _FULL), "", ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
     (_FULL, "privacy.local", None, "b4d5fed0d2659e23291e6aca059bee2df8f69850d5216f168e9f0f25b05c9576"),
     (_FULL, "privacy.global", None, "34e8548e2611475cb415d2a10b24b18a05396106f7d24658669a5cc8558fed30"),
     (_FULL, "privacy.local.epsilon", ConfigError, r"privacy\.local\.epsilon: expected a number"),
