@@ -9,6 +9,8 @@ import yaml
 import gossipshield
 from gossipshield.cli import main, privacy_trace, run_experiment, sweep_experiment
 from gossipshield.errors import ConfigError
+from gossipshield.privacy import required_variance_local, sensitivity_default
+from gossipshield.schedules import DecayingSchedule
 
 
 def _cfg(**over):
@@ -449,3 +451,64 @@ def test_exponent_floats_without_a_decimal_point(tmp_path):
     cfg["sweep"] = {"axes": [{"key": "run.horizon.nested", "values": [1]}]}
     with pytest.raises(ConfigError, match="crosses a non-section value"):
         sweep_experiment(cfg, tmp_path / "crossing")
+
+
+def _summary(tmp_path, cfg, name="out"):
+    run_experiment(cfg, tmp_path / name)
+    return (tmp_path / name / "summary.txt").read_text().splitlines()
+
+
+def test_summary_prints_the_theory_block_in_regime(tmp_path):
+    # demos/theory_bound_check.py's regime: no Byzantine agents, stepped at
+    # the network's theta_min and k0 for this masking variance
+    cfg = _cfg(
+        topology={"kind": "random", "n_agents": 50, "byz_fraction": 0.0, "seed": 2, "edge_p": 0.2},
+        schedule={"kind": "decaying", "scale": 0.005565153427786793, "k0": 13},
+        noise={"variance": 1.0e-6},
+        attack={"kind": "none"},
+        aggregation={"kind": "scc", "tau": {"kind": "manual", "value": 1.0e6}},
+        run={"horizon": 30, "seeds": [1, 2], "bound_column": True},
+    )
+    lines = _summary(tmp_path, cfg)
+    block = lines[lines.index("theory:") + 1 :]
+    assert block[0].startswith("  contraction rho=0.0 admissible=")
+    assert block[1].startswith("  mixing=") and block[1].endswith(" k0=13")
+    assert block[2] == (
+        "  theta=0.005565153427786793 theta_min=0.005565153427786793 regime_valid=True"
+    )
+    last = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[-1]
+    assert block[3] == f"  disagreement ceiling final={last.split(',')[-1]}"
+    total = float(block[4].removeprefix("  gap ceiling total="))
+    terms = [line.split(" = ") for line in block[5:]]
+    assert [name for name, _ in terms] == [
+        "    initial_gap (initial)", "    sampling_tail (sampling)",
+        "    disagreement_contraction (byzantine)", "    disagreement_mean (disagreement)",
+        "    disagreement_weighted (byzantine)", "    contraction_floor (byzantine)",
+        "    masking_floor (privacy)",
+    ]
+    # the total is the sum of its parts; no Byzantine agent, no Byzantine term
+    assert total == sum(float(value) for _, value in terms)
+    assert [value for name, value in terms if "byzantine" in name] == ["0.0"] * 3
+
+    # a run of no rounds has no decaying-regime gap bound
+    cfg["run"]["horizon"] = 0
+    lines = _summary(tmp_path, cfg, "empty")
+    assert lines[-1] == "  gap ceiling skipped: decaying-regime bound needs at least one round"
+
+
+def test_summary_prints_the_local_budget(tmp_path):
+    local = {"epsilon": 0.5, "delta": 0.01, "grad_bound": 5.0}
+    need = required_variance_local(0.5, 0.01, sensitivity_default(5.0), DecayingSchedule(2.0, 10))
+    lines = _summary(tmp_path, _cfg(privacy={"local": local}))
+    privacy = lines[lines.index("privacy:") + 1 :]
+    assert privacy == [
+        "  masking variance=0.0001 (configured)",
+        f"  local budget (eps=0.5, delta=0.01): required variance={need!r} met=False",
+    ]
+    # masking derived from the same budget meets it
+    cfg = _cfg(noise={"from_local_dp": local}, privacy={"local": local})
+    privacy = _summary(tmp_path, cfg, "derived")[-2:]
+    assert privacy == [
+        f"  masking variance={need!r} (derived from local budget)",
+        f"  local budget (eps=0.5, delta=0.01): required variance={need!r} met=True",
+    ]
