@@ -304,6 +304,7 @@ _RUN = {
     "bound_column": (_as_bool, False),
 }
 
+
 def _axis_key(value, path: str) -> str:
     """A dotted key whose first part names a config section."""
     if not isinstance(value, str) or value.split(".")[0] not in _CONFIG:

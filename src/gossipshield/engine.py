@@ -51,7 +51,7 @@ not compute them round by round: it copies each round's reliable states
 and half-steps into row buffers of fixed size per group, and computes the
 disagreement, pre-aggregation disagreement and f(x-bar) of a whole chunk
 of rows of every copy in one pass when the buffer fills and when the loop
-ends; each log keeps its own copy's rows up to its end. Every value is bit-equal to its per-row definition
+ends. Every value is bit-equal to its per-row definition
 (consensus_error of the reliable rows, GlobalProblem.f of their mean).
 
 The loop derives no theory constants: a caller that wants the bound
