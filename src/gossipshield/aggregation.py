@@ -6,7 +6,9 @@ kernel over a whole round's edge list instead: edge_diffs takes every
 edge's difference and norm once, tau_edges turns the norms into oracle
 radii, and scc_edges clips and sums. The plain mean is scc_edges with an
 unbounded radius. Edge and per-agent paths are equivalence-tested
-against each other, gossip_mean included.
+against each other, gossip_mean included. No library code calls the
+per-agent rules; they stay here as the oracles those tests compare the
+kernel against and as the per-agent API the package exports.
 
 Every per-receiver sum goes through one ReceiverSums per edge list, built
 once: a fixed CSR matrix for one value per edge, bit-equal to

@@ -10,6 +10,12 @@ message per reliable receiver; the others broadcast one message per
 Byzantine sender per round. The 'none' kind means the labeled agents run
 the honest protocol, which is what makes attack-free equivalence testable
 bit for bit.
+
+The round loop falsifies through AttackPlan, one pass over a round's
+whole edge list. The per-message functions (sign_flip_msg, alie_msg,
+dissensus_msg, perturbed_dup_msg) are not called by library code; they
+stay as the per-agent API and as the oracles the tests check the plan
+against.
 """
 
 from __future__ import annotations

@@ -242,9 +242,6 @@ def test_pl_probe_errors():
         pl_constant_probe(broken, [0.0, 1.0])
     with pytest.raises(BrokenOptimumError):
         broken.gap(0.0)
-
-
-def test_pl_probe_is_scalar_only():
     # the probe reads a scalar problem on a 1-d grid; anything else is refused
     bowl = LocalObjective(
         0, "bowl", lambda x: float(np.sum(np.square(x))), lambda x: 2.0 * np.asarray(x),
