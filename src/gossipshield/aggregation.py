@@ -11,11 +11,13 @@ per-agent rules; they stay here as the oracles those tests compare the
 kernel against and as the per-agent API the package exports.
 
 Every per-receiver sum goes through one ReceiverSums per edge list, built
-once: a fixed CSR matrix for one value per edge, bit-equal to
-np.bincount and about twice as fast, and contiguous segment sums for
-vector values. The engine's edge list may be the disjoint union of
-several copies of a network (one per seed of an ensemble); the kernel
-never needs to know, because each receiver only ever sums its own edges.
+once for the round's state dimension: a fixed CSR matrix for one value
+per edge under scalar states, np.bincount (bit-equal to it, and no
+scipy.sparse to load) for the one scalar sum of a vector round, and
+contiguous segment sums for vector values. The engine's edge list may
+be the disjoint union of several copies of a network (one per seed of
+an ensemble); the kernel never needs to know, because each receiver
+only ever sums its own edges.
 
 Silent peers are represented by zero vectors in the inbox; that
 substitution happens at delivery time, before aggregation sees anything.
@@ -157,22 +159,27 @@ def tau_remark4(
 class ReceiverSums:
     """Per-receiver sums over one fixed edge list sorted by receiver.
 
-    Built once per edge list. Scalar values (one per edge) go through a
-    CSR matrix of receivers x edges holding 1.0 on each edge: its matvec
-    adds every receiver's edges in edge order starting from +0.0, exactly
-    as np.bincount does, at half the cost per edge. Vector values (E, d)
-    are summed one contiguous segment of edges per receiver with
-    np.add.reduceat, which measured several times faster than a bincount
-    per column at d = 10. Receivers with no edge get 0.
-
-    scipy.sparse is imported when the matrix is first needed, so a run
-    that never sums scalars does not load it.
+    Built once per edge list, for rounds on states of dim coordinates.
+    Scalar values (one per edge) are summed by one of two kernels that
+    both add every receiver's edges in edge order starting from +0.0, so
+    their sums are bit-equal:
+    - with scalar states (dim 1), where every sum of a round is scalar, a
+      CSR matrix of receivers x edges holding 1.0 on each edge, built at
+      the first sum: its matvec costs a fifth to a third of np.bincount
+      at 2-4 * 10^4 edges;
+    - with vector states, where a round's one scalar sum is the oracle
+      radius numerator, np.bincount, so the run never loads scipy.sparse.
+    Vector values (E, d) are summed one contiguous segment of edges per
+    receiver with np.add.reduceat, which measured several times faster
+    than a bincount per column at d = 10. Receivers with no edge get 0.
     """
 
-    def __init__(self, recv: np.ndarray, n_agents: int):
+    def __init__(self, recv: np.ndarray, n_agents: int, dim: int = 1):
         self.n_agents = n_agents
         self.counts = np.bincount(recv, minlength=n_agents)
         self._n_edges = len(recv)
+        # the bincount kernel's receivers; None selects the matrix
+        self._recv = None if dim == 1 else recv
         self._indptr = np.concatenate(([0], np.cumsum(self.counts)))
         self._has = self.counts > 0
         self._starts = self._indptr[:-1][self._has]
@@ -180,6 +187,9 @@ class ReceiverSums:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         if values.ndim == 1:
+            if self._recv is not None:
+                # with no edges, bincount returns integer zeros
+                return np.bincount(self._recv, values, minlength=self.n_agents).astype(float)
             if self._matrix is None:
                 from scipy.sparse import csr_array
 

@@ -15,7 +15,6 @@ import math
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +309,9 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
                 for pair in _run_cells([(idx, e, out) for idx, _, e, out in group])
             ]
         else:
+            # imported here: only a pool loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             jobs = [[(idx, c, out) for idx, c, _, out in group] for group in groups]
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 results = [pair for pairs in pool.map(_sweep_worker, jobs) for pair in pairs]

@@ -565,7 +565,7 @@ def _run_group(
         for spec in specs
     ]
     held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
-    sums = ReceiverSums(union.recv, union.n_agents)
+    sums = ReceiverSums(union.recv, union.n_agents, prob.dim)
     if tau.kind != "manual":
         rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
         byz_weight = union.weight_split()[1]

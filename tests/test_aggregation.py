@@ -1,5 +1,6 @@
 """Clipping, resilient aggregation, and radius-strategy tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -200,21 +201,28 @@ def test_receiver_sum_against_loop():
 
 
 def test_receiver_sums_are_bincount_bit_for_bit():
+    # both scalar kernels: the CSR matrix under scalar states (dim 1),
+    # np.bincount under vector states (dim 10)
     rng = np.random.default_rng(13)
     n = 40
-    for n_edges in (0, 1, 5, 300, 5000):
+    for dim, n_edges in itertools.product((1, 10), (0, 1, 5, 300, 5000)):
         # about a third of the receivers hear nobody
         recv = np.sort(rng.choice(rng.choice(n, size=27, replace=False), size=n_edges))
         values = rng.normal(size=n_edges) * 10.0 ** rng.integers(-8, 9, size=n_edges)
         if n_edges:
-            values[recv == recv[0]] = -0.0  # a segment of negative zeros sums to +0.0
-        sums = ReceiverSums(recv, n)
+            # segments of negative zeros sum to +0.0
+            values[(recv == recv[0]) | (recv == recv[-1])] = -0.0
+            # NaN, both infinities and lone negative zeros in the others
+            inner = np.flatnonzero((recv != recv[0]) & (recv != recv[-1]))
+            hit = rng.choice(inner, size=min(inner.size, 40), replace=False)
+            values[hit] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=hit.size)
+        sums = ReceiverSums(recv, n, dim)
         got = sums(values)
         # bincount over no edges returns integer zeros
         expect = np.bincount(recv, values, minlength=n).astype(float)
         assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
-        assert got.tobytes() == expect.tobytes(), n_edges
-        assert not np.signbit(got[recv[:1]]).any()
+        assert got.tobytes() == expect.tobytes(), (dim, n_edges)
+        assert not np.signbit(got[np.r_[recv[:1], recv[-1:]]]).any()
         per_agent = rng.normal(size=(n, 3))
         assert np.array_equal(sums.spread(per_agent), per_agent[recv])
         assert np.array_equal(sums.spread(per_agent[:, 0]), per_agent[recv, 0])

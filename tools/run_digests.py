@@ -15,11 +15,12 @@ one Byzantine agent. Then the run matrix calls ``engine.run`` and
 round-robin and a fixed duplication victim) under the mean and under SCC
 with each radius policy, with masking noise off and on, at 100 agents
 (traces recorded) and at 1000 agents; runs and ensembles that diverge; a
-10-d custom problem; ensembles with one attack per member, where each
-seed repeats once per attack: every attack kind (``none`` included, a
-round-robin and a fixed duplication victim) with masking noise on, at 100
-agents (traces recorded) and at 1000 agents, with the members grouped per
-attack and interleaved; at 100 agents also two layouts in which specs
+10-d custom problem under the mean and under SCC with both oracle radii;
+ensembles with one attack per member, where each seed repeats once per
+attack: every attack kind (``none`` included, a round-robin and a fixed
+duplication victim) with masking noise on, at 100 agents (traces
+recorded) and at 1000 agents, with the members grouped per attack and
+interleaved; at 100 agents also two layouts in which specs
 recur in separated runs of different lengths (sign flip between ``none``
 and ``silent``; global ALIE and both duplication victims between each
 other and dissensus), with seeds repeating; a 10-d custom problem on 30
@@ -209,6 +210,7 @@ def _vector_cases(gs, dim: int = 10):
         for policy, kw in (
             ("mean", dict(agg="mean")),
             ("corollary1", dict(agg="scc", tau=gs.TauSpec("corollary1", 1000.0))),
+            ("remark4", dict(agg="scc", tau=gs.TauSpec("remark4", 1000.0))),
         ):
             yield f"vec{dim}/{attack}/{policy}", net, prob, sched, 20, dict(
                 noise=1e-4, attack=gs.AttackSpec(attack), record_traces=True, **kw
