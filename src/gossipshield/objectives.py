@@ -37,6 +37,7 @@ loop runs them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -431,14 +432,42 @@ class GlobalProblem:
 
             return sample
 
+        agents = [obj.agent for obj in prob.objectives]
+
         def sample(x):
-            grads = np.empty_like(x)
-            for i, rng in enumerate(rngs):
-                g = np.atleast_1d(np.asarray(prob.objectives[i].sample_gradient(x[i], rng)))
-                grads[i] = g[0] if x.ndim == 1 else g
-            return grads
+            grads = [
+                obj.sample_gradient(xi, rng) for obj, xi, rng in zip(prob.objectives, x, rngs)
+            ]
+            return _oracle_rows(grads, prob.dim, agents, "sample_gradient").reshape(x.shape)
 
         return sample
+
+
+def _oracle_rows(outputs: list, dim: int, agents: Iterable, oracle: str) -> np.ndarray:
+    """The outputs of an oracle as one (len(outputs), dim) float array;
+    outputs[k] came from agent agents[k]. An output that does not hold
+    exactly dim values raises ConfigError naming its agent: broadcasting
+    would otherwise spread one value over every coordinate, and a scalar
+    read would drop the rest."""
+    try:
+        rows = np.array(outputs, dtype=float)
+    except (TypeError, ValueError):  # the outputs differ in shape, or hold no numbers
+        rows = None
+    if rows is None or rows.size != len(outputs) * dim:
+        for agent, out in zip(agents, outputs):
+            try:
+                size = np.asarray(out, dtype=float).size
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"agent {agent}: {oracle} output is not an array of numbers"
+                ) from None
+            if size != dim:
+                raise ConfigError(
+                    f"agent {agent}: {oracle} output has size {size}, expected "
+                    f"the problem's dim {dim}"
+                )
+        rows = np.array([np.reshape(out, dim) for out in outputs], dtype=float)
+    return rows.reshape(len(outputs), dim)
 
 
 def _assign_families(n_agents: int, family_of: Sequence[int] | None) -> list:
@@ -675,9 +704,10 @@ def estimate_sigma_zeta(
     sigma_hat = 0.0
     zeta_hat = 0.0
     for x in probes:
-        expected = np.array(
-            [np.asarray(prob.objectives[i].expected_gradient(x)) for i in rel]
-        ).reshape(len(rel), -1)
+        expected = _oracle_rows(
+            [prob.objectives[i].expected_gradient(x) for i in rel],
+            prob.dim, [prob.objectives[i].agent for i in rel], "expected_gradient",
+        )
         dev = expected - expected.mean(axis=0)
         zeta_hat = max(zeta_hat, float(np.max(np.sum(dev**2, axis=1))))
         for row, i in enumerate(rel):
@@ -688,9 +718,10 @@ def estimate_sigma_zeta(
                 draws = (u * core).reshape(samples_per_point, 1)
             else:
                 obj = prob.objectives[i]
-                draws = np.array(
-                    [np.asarray(obj.sample_gradient(x, rng)) for _ in range(samples_per_point)]
-                ).reshape(samples_per_point, -1)
+                draws = _oracle_rows(
+                    [obj.sample_gradient(x, rng) for _ in range(samples_per_point)],
+                    prob.dim, itertools.repeat(obj.agent), "sample_gradient",
+                )
             diff = draws - expected[row]
             sigma_hat = max(sigma_hat, float(np.mean(np.sum(diff**2, axis=1))))
     return sigma_hat, zeta_hat

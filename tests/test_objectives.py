@@ -1,6 +1,8 @@
 """Objective family, optimum oracle, and constant estimator tests."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +33,14 @@ def _quad(agent, a):
         expected_gradient=lambda x: 2 * a * np.asarray(x),
         sample_value=lambda x, u, v: a * np.asarray(x) ** 2,
         sample_gradient=lambda x, rng: 2 * a * np.asarray(x),
+    )
+
+
+def _bowl(agent):
+    # deterministic |x|^2 objective, any dimension
+    return LocalObjective(
+        agent, "bowl", lambda x: float(np.sum(np.square(x))), lambda x: 2.0 * np.asarray(x),
+        lambda x, u, v: float(np.sum(np.square(x))), lambda x, rng: 2.0 * np.asarray(x),
     )
 
 
@@ -243,11 +253,7 @@ def test_pl_probe_errors():
     with pytest.raises(BrokenOptimumError):
         broken.gap(0.0)
     # the probe reads a scalar problem on a 1-d grid; anything else is refused
-    bowl = LocalObjective(
-        0, "bowl", lambda x: float(np.sum(np.square(x))), lambda x: 2.0 * np.asarray(x),
-        lambda x, u, v: float(np.sum(np.square(x))), lambda x, rng: 2.0 * np.asarray(x),
-    )
-    vec = custom_problem([bowl], dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    vec = custom_problem([_bowl(0)], dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
     with pytest.raises(ConfigError, match="scalar-only"):
         pl_constant_probe(vec, np.ones((3, 10)))
     with pytest.raises(ConfigError, match="scalar-only"):
@@ -570,3 +576,65 @@ def test_batch_is_exactly_a_std_rescale():
     assert batched.f_star == rescaled.f_star
     with pytest.raises(ConfigError):
         benchmark_problem(batch=0)
+
+
+def _misshapen(objs, agent, sample_gradient):
+    """objs with agent's sample_gradient replaced."""
+    out = list(objs)
+    out[agent] = dataclasses.replace(out[agent], sample_gradient=sample_gradient)
+    return out
+
+
+def _oracle_refusals(prob, probe, agent, size):
+    """Both oracle loops refuse prob, naming agent and the output's size."""
+    message = (
+        f"agent {agent}: sample_gradient output has size {size}, "
+        f"expected the problem's dim {prob.dim}"
+    )
+    x = np.tile(probe, (prob.n_agents,) + (1,) * np.ndim(probe))
+    sample = prob.gradient_sampler([np.random.default_rng(i) for i in range(prob.n_agents)], 2)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        sample(x)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        estimate_sigma_zeta(prob, [probe], 5, np.random.default_rng(0))
+
+
+def test_scalar_oracle_returning_two_values_is_refused():
+    # read as a scalar, the output would drop 99.0 without a word
+    objs = _misshapen(
+        [_quad(i, 1.0 + i) for i in range(4)], 2, lambda x, rng: np.array([2.0 * x, 99.0])
+    )
+    _oracle_refusals(custom_problem(objs), 0.5, 2, 2)
+    # a ragged output is refused by name too
+    objs = _misshapen([_quad(i, 1.0) for i in range(4)], 3, lambda x, rng: [1.0, [2.0, 3.0]])
+    sample = custom_problem(objs).gradient_sampler([np.random.default_rng(i) for i in range(4)], 1)
+    with pytest.raises(ConfigError, match="agent 3: sample_gradient output is not an array"):
+        sample(np.zeros(4))
+
+
+def test_vector_oracle_returning_one_value_is_refused():
+    # broadcast, the one value would fill every coordinate
+    objs = _misshapen([_bowl(i) for i in range(4)], 1, lambda x, rng: 2.0 * float(x[0]))
+    prob = custom_problem(objs, dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    _oracle_refusals(prob, np.ones(10), 1, 1)
+    # the expected gradients are read the same way
+    objs = [_bowl(i) for i in range(4)]
+    objs[3] = dataclasses.replace(objs[3], expected_gradient=lambda x: np.ones(3))
+    prob = custom_problem(objs, dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    with pytest.raises(ConfigError, match="agent 3: expected_gradient output has size 3"):
+        estimate_sigma_zeta(prob, [np.ones(10)], 5, np.random.default_rng(0))
+
+
+def test_oracle_outputs_of_mixed_forms_are_read_alike():
+    # a float, a 0-d array, a one-element list and a float32 are one value
+    # each, so the agents of one scalar problem may mix them
+    forms = [float, np.asarray, lambda g: [g], np.float32]
+    objs = [
+        dataclasses.replace(_quad(i, 1.0), sample_gradient=lambda x, rng, f=f: f(2.0 * x))
+        for i, f in enumerate(forms)
+    ]
+    x = np.array([0.1, -0.3, 1.7, 0.1])
+    got = custom_problem(objs).gradient_sampler([np.random.default_rng(i) for i in range(4)], 1)(x)
+    expect = 2.0 * x
+    expect[3] = np.float32(expect[3])
+    assert got.tobytes() == expect.tobytes()
