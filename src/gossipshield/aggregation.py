@@ -3,10 +3,10 @@
 Per-agent reference implementations operate on an Inbox (what one agent
 holds at the end of a communication round). The engine runs one edge
 kernel over a whole round's edge list instead: edge_diffs takes every
-edge's difference and norm once, tau_edges turns the norms into oracle
-radii, and scc_edges clips and sums. The plain mean is scc_edges with an
-unbounded radius. Edge and per-agent paths are equivalence-tested
-against each other, gossip_mean included. No library code calls the
+edge's difference and norm once, tau_edges gives every receiver its
+radius, manual or oracle, and scc_edges clips and sums. The plain mean
+is scc_edges with an unbounded radius. Edge and per-agent paths are
+equivalence-tested against each other, gossip_mean included. No library code calls the
 per-agent rules; they stay here as the oracles those tests compare the
 kernel against and as the per-agent API the package exports.
 
@@ -264,24 +264,30 @@ def tau_edges(
     rel_w: np.ndarray,
     byz_weight: np.ndarray,
     kind: str,
+    fallback: float,
 ) -> np.ndarray:
-    """Oracle clipping radii for every receiver from the round's edge norms.
+    """Clipping radii for every receiver from the round's edge norms.
 
     norms come from edge_diffs and sums is the edge list's ReceiverSums.
     rel_w is edge_w with every Byzantine-sender edge set to zero, and
     byz_weight the total Byzantine weight at each receiver; both depend on
-    the network alone, so callers build them once. kind 'corollary1' returns NaN where an agent has no Byzantine
-    neighbor; the engine substitutes its manual fallback there. kind
-    'remark4' never falls back and ignores byz_weight.
+    the network alone, so callers build them once, and only for an oracle:
+    kind 'manual' is fallback everywhere and reads neither. An oracle kind
+    falls back where its radius is undefined: at an agent with no Byzantine
+    neighbor under 'corollary1', and under both where the numerator is NaN
+    (0 * inf, which an infinite Byzantine message leaves). 'remark4'
+    ignores byz_weight.
     """
+    if kind == "manual":
+        return np.full(sums.n_agents, fallback)
+    if kind not in ("corollary1", "remark4"):
+        raise ValueError(f"unknown clipping radius kind: {kind}")
     weighted = rel_w * norms
     weighted *= norms
-    num = sums(weighted)
-    if kind == "remark4":
-        return np.maximum(num, TAU_FLOOR)
-    if kind != "corollary1":
-        raise ValueError(f"unknown oracle radius kind: {kind}")
-    has_byz = byz_weight > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.sqrt(num / byz_weight)
-    return np.where(has_byz, np.maximum(tau, TAU_FLOOR), np.nan)
+    tau = sums(weighted)
+    if kind == "corollary1":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(byz_weight > 0.0, np.sqrt(tau / byz_weight), np.nan)
+    tau = np.maximum(tau, TAU_FLOOR)  # NaN stays NaN
+    tau[np.isnan(tau)] = fallback
+    return tau

@@ -232,7 +232,7 @@ _PROBLEM = {
 _budget = _section({
     "epsilon": (_as_float, _REQUIRED),
     "delta": (_as_float, _REQUIRED),
-    "grad_bound": (_as_float, _REQUIRED),
+    "grad_bound": (_nonnegative, _REQUIRED),
 })
 
 _NOISE = {
@@ -332,7 +332,7 @@ def _sweep(section: dict, path: str):
 # the inputs of the whole-run privacy accounting, less the run's horizon
 _GLOBAL_BUDGET = {
     "delta": (_as_float, _REQUIRED),
-    "grad_bound": (_as_float, _REQUIRED),
+    "grad_bound": (_nonnegative, _REQUIRED),
     "total_samples": (_as_int, _REQUIRED),
     "batch_size": (_as_int, _REQUIRED),
     "renyi_order": (_as_float, _OMIT),

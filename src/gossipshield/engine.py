@@ -36,13 +36,13 @@ statistic, a fixed duplication victim, the metric pass and the divergence
 test are taken per copy. A copy that diverges is recorded as its own run
 would record it and then zeroed while the others run on.
 
-Copies that share a seed read one draw: the initial states, the noise
-blocks and, for problems that draw in blocks (the benchmark families),
-the gradient draws are made once per distinct seed and expanded to the
-copies with one take per round. An opaque per-agent sample_gradient
-consumes the generator it is given, so it keeps one per copy. The round
-also leaves out the edges into held agents, the Byzantine agents of
-copies under a real attack: their states are restored after every
+Copies that share a seed read one set of its streams: the generators
+and initial states are made once per distinct seed, the noise blocks are
+drawn once and expanded to the copies with one take per round, and the
+problem's gradient sampler shares the gradient streams the same way
+(an opaque per-agent sample_gradient draws from a clone per copy). The
+round also leaves out the edges into held agents, the Byzantine agents
+of copies under a real attack: their states are restored after every
 round, so no message, difference, radius or sum is computed for them.
 Copies under 'none' keep every edge.
 
@@ -103,7 +103,7 @@ class TauSpec:
     manual: fixed radius, or a schedule evaluated per round.
     corollary1 / remark4: ground-truth-label oracles; `value` is then the
     manual fallback used wherever the oracle is undefined (an agent with
-    no Byzantine neighbor under corollary1).
+    no Byzantine neighbor under corollary1, and a NaN numerator).
     """
 
     kind: str = "manual"
@@ -368,13 +368,13 @@ def _keyed_uniforms(seed: int, n_agents: int, dim: int) -> np.ndarray:
     return out
 
 
-def _initial_states(
-    seed: int, n_agents: int, dim: int, x0
-) -> np.ndarray:
+def _initial_states(seed: int, n_agents: int, dim: int, x0) -> np.ndarray:
     shape = (n_agents,) if dim == 1 else (n_agents, dim)
     if x0 is None:
         return _keyed_uniforms(seed, n_agents, dim).reshape(shape)
     arr = np.asarray(x0, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ConfigError("initial states x0 must be finite")
     if arr.ndim == 0:
         return np.full(shape, float(arr))
     if arr.shape != shape:
@@ -535,9 +535,9 @@ def _run_group(
     copy s attacked by attacks[s].
 
     Every copy reads exactly the streams its seed draws alone (copies of
-    one seed read one draw, expanded by a take). It is attacked by the one
-    plan of its spec, built on the group's union with a mask of the copies
-    under that spec, which treats it as it would treat it alone. Every
+    one seed share one set of generators, indexed by rows). It is attacked
+    by the one plan of its spec, built on the group's union with a mask of
+    the copies under that spec, which treats it as it would alone. Every
     reliable receiver sums its own copy's edges in the same order, so each
     copy's log is bit for bit the log of a run on its seed and attack. Held
     agents, which never update, receive no edges in the round. A copy that
@@ -566,6 +566,8 @@ def _run_group(
     ]
     held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
     sums = ReceiverSums(union.recv, union.n_agents, prob.dim)
+    # only the oracle radii read these: an E-sized rel_w raises peak RSS
+    rel_w = byz_weight = None
     if tau.kind != "manual":
         rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
         byz_weight = union.weight_split()[1]
@@ -575,30 +577,25 @@ def _run_group(
     send, edge_w = union.send.copy(), union.edge_w
     del union
 
-    # copies of one seed read one set of its streams: the initial states
-    # and every draw block are made once per distinct seed and expanded to
-    # the copies with one take; an opaque sample_gradient consumes the
-    # generator it is given, so it keeps one per copy
+    # copies of one seed read one set of its streams: the generators and
+    # initial states are made once per distinct seed, and row r of every
+    # draw reads row rows[r] of the distinct seeds' streams
     distinct = {}
     copy_of = [distinct.setdefault(s, len(distinct)) for s in seeds]
-    copies = rows = None
+    rows = None
     if len(distinct) < n_copies:
-        copies = np.array(copy_of, dtype=np.intp)
-        rows = (copies[:, np.newaxis] * a + np.arange(a)).ravel()
+        rows = (np.array(copy_of, dtype=np.intp)[:, np.newaxis] * a + np.arange(a)).ravel()
 
-    def streams(keys, purpose):
-        return [r for s in keys for r in _agent_rngs(s, a, purpose)]
+    def streams(purpose):
+        return [r for s in distinct for r in _agent_rngs(s, a, purpose)]
 
     x = np.concatenate([_initial_states(s, a, prob.dim, x0) for s in distinct])
     if rows is not None:
         x = x.take(rows, axis=0)
-    if prob.block_draws:
-        sample = prob.gradient_sampler(streams(distinct, 1), n_rounds, copies)
-    else:
-        sample = prob.gradient_sampler(streams(seeds, 1), n_rounds)
+    sample = prob.gradient_sampler(streams(1), n_rounds, rows)
     masked = noise.variance > 0.0
     if masked:
-        noise_blocks = normal_blocks(streams(distinct, 2), n_rounds, x.shape[1:], rows)
+        noise_blocks = normal_blocks(streams(2), n_rounds, x.shape[1:], rows)
         noise_std = np.sqrt(noise.variance)
 
     n_rows = n_rounds + 1
@@ -675,12 +672,7 @@ def _run_group(
 
         diffs, norms = edge_diffs(messages, half, sums)
         del messages  # one E-sized array fewer while the radii and sums run
-        fallback = value_at(tau.value, k)
-        if tau.kind == "manual":
-            taus = np.full(len(x), fallback)
-        else:
-            taus = tau_edges(norms, sums, rel_w, byz_weight, tau.kind)
-            taus = np.where(np.isnan(taus), fallback, taus)
+        taus = tau_edges(norms, sums, rel_w, byz_weight, tau.kind, value_at(tau.value, k))
         new_states = scc_edges(diffs, norms, half, sums, edge_w, taus)
 
         if held.size:

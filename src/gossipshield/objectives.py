@@ -31,11 +31,14 @@ known slope and take the full scan.
 GlobalProblem.gradient_sampler is the one place that knows how a round's
 stochastic gradients are drawn from the per-agent streams; it serves
 several copies of the problem laid end to end, as an ensemble's round
-loop runs them.
+loop runs them, and lets copies of one seed share that seed's streams:
+the benchmark families expand one block draw per round, and an opaque
+sample_gradient draws from a clone of the shared generator per copy.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -374,17 +377,7 @@ class GlobalProblem:
         through each agent's own sample_gradient."""
         return np.einsum("ab,ba->a", self.u_coeffs, _basis_cores(x_per_agent))
 
-    @property
-    def block_draws(self) -> bool:
-        """True when gradient_sampler draws each round as one block of
-        (u, v) pairs (the benchmark families), so copies of one seed can
-        read one draw; False when every agent's own sample_gradient
-        consumes the generator it is given."""
-        return self.u_coeffs is not None
-
-    def gradient_sampler(
-        self, rngs: Sequence[np.random.Generator], n_rounds: int, copies=None
-    ):
+    def gradient_sampler(self, rngs: Sequence[np.random.Generator], n_rounds: int, rows=None):
         """Per-round stochastic gradients of every agent, as x -> grads.
 
         rngs may cover several copies of the problem laid end to end:
@@ -395,27 +388,21 @@ class GlobalProblem:
         normal_blocks, with gradient u times the agent's core. Call the
         returned function once per round, at most n_rounds times.
 
-        copies lets copies share streams, where block_draws holds: copy s
-        of x reads the draws of copy copies[s] of rngs, and each round's
-        block is expanded to the copies with one take. Opaque samplers
-        need one generator per copy, so they refuse copies.
+        rows lets copies share streams: row r of x reads the draws of
+        generator rows[r], which must be agent r % A's. The benchmark
+        families draw each round's block once and expand it with one take
+        (normal_blocks' rows). An opaque sample_gradient consumes the
+        generator it is given, so each row draws from its own clone of its
+        source, taken before the first draw.
         """
-        n_streams, rest = divmod(len(rngs), self.n_agents)
-        if rest or not n_streams:
+        if len(rngs) % self.n_agents or not rngs:
             raise ConfigError(
                 f"{len(rngs)} generators do not cover whole copies of "
                 f"{self.n_agents} agents"
             )
-        rows = None
-        if copies is not None:
-            copies = np.asarray(copies, dtype=np.intp)
-            if not self.block_draws:
-                raise ConfigError("per-agent sample_gradient oracles cannot share generators")
-            if not (copies.ndim == 1 and len(copies) and 0 <= copies.min()
-                    and copies.max() < n_streams):
-                raise ConfigError(f"copies must index the {n_streams} copies the generators cover")
-            rows = (copies[:, np.newaxis] * self.n_agents + np.arange(self.n_agents)).ravel()
-        n_copies = n_streams if copies is None else len(copies)
+        if rows is not None and self.u_coeffs is None:
+            rngs, rows = [copy.deepcopy(rngs[r]) for r in rows], None
+        n_copies = len(rngs if rows is None else rows) // self.n_agents
         prob = self
         if n_copies > 1:
             prob = dataclasses.replace(
@@ -423,7 +410,7 @@ class GlobalProblem:
                 objectives=self.objectives * n_copies,
                 u_coeffs=None if self.u_coeffs is None else np.tile(self.u_coeffs, (n_copies, 1)),
             )
-        if prob.block_draws:
+        if prob.u_coeffs is not None:
             blocks = normal_blocks(rngs, n_rounds, (2,), rows)
 
             def sample(x):
@@ -448,7 +435,8 @@ def _oracle_rows(outputs: list, dim: int, agents: Iterable, oracle: str) -> np.n
     outputs[k] came from agent agents[k]. An output that does not hold
     exactly dim values raises ConfigError naming its agent: broadcasting
     would otherwise spread one value over every coordinate, and a scalar
-    read would drop the rest."""
+    read would drop the rest. So does one holding None, which the float
+    read makes NaN (scanned for only when the array holds a NaN)."""
     try:
         rows = np.array(outputs, dtype=float)
     except (TypeError, ValueError):  # the outputs differ in shape, or hold no numbers
@@ -467,6 +455,10 @@ def _oracle_rows(outputs: list, dim: int, agents: Iterable, oracle: str) -> np.n
                     f"the problem's dim {dim}"
                 )
         rows = np.array([np.reshape(out, dim) for out in outputs], dtype=float)
+    if np.isnan(rows).any():
+        for agent, out in zip(agents, outputs):
+            if None in np.asarray(out, dtype=object).ravel().tolist():
+                raise ConfigError(f"agent {agent}: {oracle} output holds None")
     return rows.reshape(len(outputs), dim)
 
 

@@ -39,7 +39,7 @@ class NoiseSpec:
 
 def sensitivity_default(grad_bound: float) -> float:
     """Worst-case change of a bounded scalar gradient under a swap."""
-    if grad_bound < 0:
+    if not grad_bound >= 0:  # NaN fails too
         raise ConfigError(f"gradient bound must be nonnegative, got {grad_bound}")
     return 2.0 * grad_bound
 
@@ -81,8 +81,8 @@ class DpBudget:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.grad_bound < 0:
-            raise ConfigError("gradient bound must be nonnegative")
+        if not self.grad_bound >= 0:  # NaN fails too
+            raise ConfigError(f"gradient bound must be nonnegative, got {self.grad_bound}")
         if self.batch_size < 1 or self.total_samples < self.batch_size:
             raise ConfigError(
                 f"need 1 <= batch_size <= total_samples, got "

@@ -1,7 +1,6 @@
 """Clipping, resilient aggregation, and radius-strategy tests."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -154,8 +153,11 @@ def test_edge_forms_match_reference():
 
             sums = ReceiverSums(net.recv, a)
             diffs, norms = edge_diffs(messages, states, sums)
-            got_tau = tau_edges(norms, sums, rel_w, byz_weight, "corollary1")
-            got_r4 = tau_edges(norms, sums, rel_w, byz_weight, "remark4")
+            fallback = float(rng.uniform(0.1, 3.0))
+            got_tau = tau_edges(norms, sums, rel_w, byz_weight, "corollary1", fallback)
+            got_r4 = tau_edges(norms, sums, rel_w, byz_weight, "remark4", fallback)
+            got_manual = tau_edges(norms, sums, rel_w, byz_weight, "manual", fallback)
+            assert got_manual.tobytes() == np.full(a, fallback).tobytes()
             # scc_edges overwrites diffs, so each call gets its own copy
             got_scc = scc_edges(diffs.copy(), norms, states, sums, net.edge_w, taus)
             got_mean = scc_edges(diffs, norms, states, sums, net.edge_w, np.full(a, np.inf))
@@ -168,11 +170,24 @@ def test_edge_forms_match_reference():
                 assert np.allclose(np.atleast_1d(got_mean[i]), ref_m, atol=1e-12)
                 ref_t = tau_corollary1(i, inbox, w[i], net.byzantine)
                 if ref_t is None:
-                    assert math.isnan(got_tau[i])
+                    assert got_tau[i] == fallback
                 else:
                     assert got_tau[i] == pytest.approx(ref_t, rel=1e-12)
                 ref_r4 = tau_remark4(i, inbox, w[i], net.reliable)
                 assert got_r4[i] == pytest.approx(ref_r4, rel=1e-12)
+
+            # a non-finite Byzantine message leaves a NaN numerator (0 * inf)
+            # at its receivers, and both oracles fall back there
+            if net.byzantine:
+                blown = norms.copy()
+                blown[net.byzantine_edges()] = np.inf
+                with np.errstate(invalid="ignore"):
+                    nan_num = np.isnan(sums(rel_w * blown))
+                    assert nan_num.any()
+                    for kind, got in (("corollary1", got_tau), ("remark4", got_r4)):
+                        expect = np.where(nan_num, fallback, got)
+                        taus_blown = tau_edges(blown, sums, rel_w, byz_weight, kind, fallback)
+                        assert taus_blown.tobytes() == expect.tobytes()
 
 
 def test_scc_edges_rejects_nan_radius():

@@ -206,6 +206,12 @@ def test_nan_inputs_refused():
     cfg["schedule"] = {"kind": "constant", "scale": nan}
     with pytest.raises(ConfigError, match="scale"):
         build_experiment(cfg)
+    # a NaN gradient bound printed "global budget: epsilon=nan"
+    for section, budget in (("local", _LOCAL), ("global", _GLOBAL)):
+        cfg = _base_cfg()
+        cfg["privacy"] = {section: dict(budget, grad_bound=nan)}
+        with pytest.raises(ConfigError, match=rf"privacy\.{section}\.grad_bound"):
+            build_experiment(cfg)
 
 
 def test_family_of_must_be_a_list_of_integers():

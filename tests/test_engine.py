@@ -633,6 +633,12 @@ def test_run_validation_errors():
         TauSpec("manual", 0.0)
     with pytest.raises(ConfigError):
         run(net, prob, sched, 5, 0, agg="mean", x0=np.zeros(7))
+    # inf warned from sin, and NaN ended "diverged" at round 0
+    bad = np.zeros(10)
+    bad[4] = np.nan
+    for x0 in (np.inf, -np.inf, np.nan, bad):
+        with pytest.raises(ConfigError, match="x0"):
+            run(net, prob, sched, 5, 0, agg="mean", x0=x0)
     for seed in (-1, 1.5, True, None):
         with pytest.raises(ConfigError, match="seed"):
             run(net, prob, sched, 5, seed, agg="mean")
@@ -1033,13 +1039,13 @@ def test_copies_of_one_seed_build_its_generators_once(monkeypatch):
     ens = run_ensemble(net, prob, DecayingSchedule(scale=2.0, k0=10), 5, [1, 2] * 3, **kw)
     assert ens.statuses == ["completed"] * 6
     assert built == {(1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1}
-    # an opaque sample_gradient consumes its generators, so gradient
-    # streams stay per copy; the noise block is still drawn per seed
+    # an opaque sample_gradient consumes its generators, so each copy draws
+    # from a clone; the generators themselves are still built once per seed
     built.clear()
     vnet, vprob, _ = _noisy_vector_setup()
     ens = run_ensemble(vnet, vprob, DecayingSchedule(scale=0.5, k0=10), 5, [1, 2] * 3, **kw)
     assert ens.statuses == ["completed"] * 6
-    assert built == {(1, 1): 3, (2, 1): 3, (1, 2): 1, (2, 2): 1}
+    assert built == {(1, 1): 1, (2, 1): 1, (1, 2): 1, (2, 2): 1}
 
 
 def test_edges_into_held_receivers_leave_the_round(monkeypatch):

@@ -525,27 +525,26 @@ def test_gradient_sampler_over_copies_equals_one_sampler_per_copy(index):
 
 
 def test_gradient_sampler_copies_share_streams():
-    bench, opaque = _sampler_problems()
-    a, rounds = bench.n_agents, 7
-
-    def rngs(seed):
-        return [np.random.default_rng([seed, i]) for i in range(a)]
-
     # copies 0 and 2 read seed 1's streams, copy 1 reads seed 2's
-    shared = bench.gradient_sampler(rngs(1) + rngs(2), rounds, copies=[0, 1, 0])
-    refs = [bench.gradient_sampler(rngs(s), rounds) for s in (1, 2, 1)]
-    xs = np.random.default_rng(6).uniform(-3.0, 3.0, (rounds, 3 * a))
-    for x in xs:
-        expect = np.concatenate([ref(x[c * a : (c + 1) * a]) for c, ref in enumerate(refs)])
-        assert np.array_equal(shared(x), expect)
-    for copies in ([], [0, 2], [-1], [[0, 1]]):
-        with pytest.raises(ConfigError, match="copies"):
-            bench.gradient_sampler(rngs(1) + rngs(2), rounds, copies=copies)
-    # an opaque sample_gradient consumes the generator it is given
-    assert bench.block_draws and not opaque.block_draws
-    with pytest.raises(ConfigError, match="cannot share"):
-        opaque.gradient_sampler([np.random.default_rng(i) for i in range(opaque.n_agents)],
-                                rounds, copies=[0, 0])
+    for p in _sampler_problems():
+        a, rounds = p.n_agents, 7
+
+        def rngs(seed):
+            return [np.random.default_rng([seed, i]) for i in range(a)]
+
+        source = rngs(1) + rngs(2)
+        rows = (np.array([0, 1, 0])[:, np.newaxis] * a + np.arange(a)).ravel()
+        shared = p.gradient_sampler(source, rounds, rows)
+        refs = [p.gradient_sampler(rngs(s), rounds) for s in (1, 2, 1)]
+        xs = np.random.default_rng(6).uniform(-3.0, 3.0, (rounds, 3 * a))
+        for x in xs:
+            expect = np.concatenate([ref(x[c * a : (c + 1) * a]) for c, ref in enumerate(refs)])
+            assert shared(x).tobytes() == expect.tobytes()
+        # an opaque sample_gradient consumes the generator it is given, so
+        # every copy draws from a clone and the shared ones stay fresh
+        states = [r.bit_generator.state for r in rngs(1) + rngs(2)]
+        fresh = [g.bit_generator.state == state for g, state in zip(source, states)]
+        assert all(fresh) == (p.u_coeffs is None)
 
 
 def test_gradient_sampler_needs_whole_copies():
@@ -585,12 +584,8 @@ def _misshapen(objs, agent, sample_gradient):
     return out
 
 
-def _oracle_refusals(prob, probe, agent, size):
-    """Both oracle loops refuse prob, naming agent and the output's size."""
-    message = (
-        f"agent {agent}: sample_gradient output has size {size}, "
-        f"expected the problem's dim {prob.dim}"
-    )
+def _oracle_refusals(prob, probe, message):
+    """Both oracle loops refuse prob with message."""
     x = np.tile(probe, (prob.n_agents,) + (1,) * np.ndim(probe))
     sample = prob.gradient_sampler([np.random.default_rng(i) for i in range(prob.n_agents)], 2)
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -604,7 +599,10 @@ def test_scalar_oracle_returning_two_values_is_refused():
     objs = _misshapen(
         [_quad(i, 1.0 + i) for i in range(4)], 2, lambda x, rng: np.array([2.0 * x, 99.0])
     )
-    _oracle_refusals(custom_problem(objs), 0.5, 2, 2)
+    _oracle_refusals(
+        custom_problem(objs), 0.5,
+        "agent 2: sample_gradient output has size 2, expected the problem's dim 1",
+    )
     # a ragged output is refused by name too
     objs = _misshapen([_quad(i, 1.0) for i in range(4)], 3, lambda x, rng: [1.0, [2.0, 3.0]])
     sample = custom_problem(objs).gradient_sampler([np.random.default_rng(i) for i in range(4)], 1)
@@ -616,13 +614,35 @@ def test_vector_oracle_returning_one_value_is_refused():
     # broadcast, the one value would fill every coordinate
     objs = _misshapen([_bowl(i) for i in range(4)], 1, lambda x, rng: 2.0 * float(x[0]))
     prob = custom_problem(objs, dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
-    _oracle_refusals(prob, np.ones(10), 1, 1)
+    _oracle_refusals(
+        prob, np.ones(10), "agent 1: sample_gradient output has size 1, expected the problem's dim 10"
+    )
     # the expected gradients are read the same way
     objs = [_bowl(i) for i in range(4)]
     objs[3] = dataclasses.replace(objs[3], expected_gradient=lambda x: np.ones(3))
     prob = custom_problem(objs, dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
     with pytest.raises(ConfigError, match="agent 3: expected_gradient output has size 3"):
         estimate_sigma_zeta(prob, [np.ones(10)], 5, np.random.default_rng(0))
+
+
+def test_oracle_returning_none_is_refused():
+    # the float read turns None into NaN, and a run went on to end
+    # "diverged" at round 0 instead of naming the agent
+    objs = _misshapen([_quad(i, 1.0) for i in range(4)], 2, lambda x, rng: None)
+    _oracle_refusals(custom_problem(objs), 0.5, "agent 2: sample_gradient output holds None")
+    none_entry = np.array([None] + [1.0] * 9)
+    objs = _misshapen([_bowl(i) for i in range(4)], 1, lambda x, rng: none_entry)
+    prob = custom_problem(objs, dim=10, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    _oracle_refusals(prob, np.ones(10), "agent 1: sample_gradient output holds None")
+    objs = [_bowl(i) for i in range(4)]
+    objs[3] = dataclasses.replace(objs[3], expected_gradient=lambda x: None)
+    prob = custom_problem(objs, dim=1, f_star=0.0, pl_constant=2.0, smoothness=2.0)
+    with pytest.raises(ConfigError, match="agent 3: expected_gradient output holds None"):
+        estimate_sigma_zeta(prob, [0.5], 5, np.random.default_rng(0))
+    # a NaN the oracle computes is a number, left for the run to report
+    objs = _misshapen([_quad(i, 1.0) for i in range(4)], 2, lambda x, rng: math.nan)
+    got = custom_problem(objs).gradient_sampler([np.random.default_rng(i) for i in range(4)], 1)
+    assert np.isnan(got(np.ones(4))[2])
 
 
 def test_oracle_outputs_of_mixed_forms_are_read_alike():

@@ -153,7 +153,10 @@ def test_budget_validation():
         DpBudget(delta=0.0, grad_bound=1.0, total_samples=10, batch_size=1, horizon=1)
     with pytest.raises(ConfigError):
         DpBudget(delta=0.5, grad_bound=1.0, total_samples=5, batch_size=9, horizon=1)
-    with pytest.raises(ConfigError):
-        DpBudget(delta=0.5, grad_bound=-1.0, total_samples=5, batch_size=1, horizon=1)
+    for bound in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="gradient bound"):
+            DpBudget(delta=0.5, grad_bound=bound, total_samples=5, batch_size=1, horizon=1)
+        with pytest.raises(ConfigError, match="gradient bound"):
+            sensitivity_default(bound)
     with pytest.raises(ConfigError):
         DpBudget(delta=0.5, grad_bound=1.0, total_samples=5, batch_size=1, horizon=-2)

@@ -14,8 +14,10 @@ one Byzantine agent. Then the run matrix calls ``engine.run`` and
 ``engine.run_ensemble`` directly: every attack (ALIE global and local, a
 round-robin and a fixed duplication victim) under the mean and under SCC
 with each radius policy, with masking noise off and on, at 100 agents
-(traces recorded) and at 1000 agents; runs and ensembles that diverge; a
-10-d custom problem under the mean and under SCC with both oracle radii;
+(traces recorded) and at 1000 agents; runs and ensembles that diverge,
+among them runs whose Byzantine messages are +inf under SCC with either
+oracle radius, on scalar and 10-d states; a 10-d custom problem under
+the mean and under SCC with both oracle radii;
 ensembles with one attack per member, where each seed repeats once per
 attack: every attack kind (``none`` included, a round-robin and a fixed
 duplication victim) with masking noise on, at 100 agents (traces
@@ -161,6 +163,11 @@ def _cases(gs):
     yield "diverge/models", net, prob, gs.ConstantSchedule(0.05), 20, dict(
         attack=gs.AttackSpec("perturbed_dup", p_add=1e15), agg="mean", record_traces=True
     )
+    # infinite messages leave NaN oracle numerators, which take the fallback
+    for policy in ("corollary1", "remark4"):
+        yield f"diverge/inf_dup/{policy}", net, prob, gs.ConstantSchedule(0.05), 20, dict(
+            attack=gs.AttackSpec("perturbed_dup", p_add=np.inf), record_traces=True, **policies[policy]
+        )
     net = gs.build_network("random", 100, byz_fraction=0.1, seed=1, edge_p=0.5)
     prob = gs.benchmark_problem(net.byzantine, 100)
     yield "diverge/sign_flip_mean", net, prob, sched, 300, dict(
@@ -215,6 +222,11 @@ def _vector_cases(gs, dim: int = 10):
             yield f"vec{dim}/{attack}/{policy}", net, prob, sched, 20, dict(
                 noise=1e-4, attack=gs.AttackSpec(attack), record_traces=True, **kw
             )
+    for policy in ("corollary1", "remark4"):
+        yield f"vec{dim}/diverge/inf_dup/{policy}", net, prob, sched, 20, dict(
+            noise=1e-4, attack=gs.AttackSpec("perturbed_dup", p_add=np.inf), record_traces=True, agg="scc",
+            tau=gs.TauSpec(policy, 1000.0),
+        )
 
 
 def _member_attack_cases(gs):
