@@ -45,7 +45,6 @@ from .aggregation import (
 from .privacy import (
     DpBudget,
     GlobalDpReport,
-    NoiseSpec,
     global_epsilon,
     required_variance_local,
     sensitivity_default,

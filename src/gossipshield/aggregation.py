@@ -31,6 +31,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 TAU_FLOOR = 1e-12
+# the clipping-radius kinds that read ground-truth labels, besides "manual"
+ORACLE_KINDS = ("corollary1", "remark4")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -280,7 +282,7 @@ def tau_edges(
     """
     if kind == "manual":
         return np.full(sums.n_agents, fallback)
-    if kind not in ("corollary1", "remark4"):
+    if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown clipping radius kind: {kind}")
     weighted = rel_w * norms
     weighted *= norms

@@ -120,7 +120,7 @@ def _bounds_block(exp, ens):
 def _privacy_block(exp):
     yield "privacy:"
     source = "derived from local budget" if exp.noise_derived else "configured"
-    yield f"  masking variance={_fmt(exp.noise.variance)} ({source})"
+    yield f"  masking variance={_fmt(exp.noise)} ({source})"
     if exp.local_dp is not None:
         need = required_variance_local(
             exp.local_dp["epsilon"],
@@ -128,14 +128,14 @@ def _privacy_block(exp):
             sensitivity_default(exp.local_dp["grad_bound"]),
             exp.sched,
         )
-        ok = exp.noise.variance >= need * (1.0 - 1e-12)
+        ok = exp.noise >= need * (1.0 - 1e-12)
         yield (
             f"  local budget (eps={_fmt(exp.local_dp['epsilon'])}, "
             f"delta={_fmt(exp.local_dp['delta'])}): required variance={_fmt(need)} "
             f"met={ok}"
         )
     if exp.budget is not None:
-        report = global_epsilon(exp.budget, exp.noise.variance)
+        report = global_epsilon(exp.budget, exp.noise)
         yield (
             f"  global budget: epsilon={_fmt(report.epsilon)} "
             f"delta={_fmt(exp.budget.delta)}"
@@ -394,7 +394,7 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
     lines = [
         f"config_hash: {exp.config_hash}",
         f"swap_agent: {agent}  family: {families[agent]} -> {family}",
-        f"masking variance: {_fmt(exp.noise.variance)}",
+        f"masking variance: {_fmt(exp.noise)}",
         "per-seed max per-round trace deviation:",
     ]
     for seed, base, swap in zip(exp.seeds, base_logs, swap_logs):

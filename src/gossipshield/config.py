@@ -27,17 +27,13 @@ from pathlib import Path
 
 import yaml
 
+from .aggregation import ORACLE_KINDS
 from .attacks import ATTACK_KINDS, AttackSpec
 from .bounds import validate_schedule
 from .engine import TauSpec
 from .errors import ConfigError
 from .objectives import GlobalProblem, benchmark_problem
-from .privacy import (
-    DpBudget,
-    NoiseSpec,
-    required_variance_local,
-    sensitivity_default,
-)
+from .privacy import DpBudget, required_variance_local, sensitivity_default
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .topology import (
     Network,
@@ -119,8 +115,8 @@ def _as_float(value, path: str) -> float:
 
 def _nonnegative(value, path: str) -> float:
     value = _as_float(value, path)
-    if not value >= 0:  # NaN fails too
-        raise ConfigError(f"{path}: must be nonnegative, got {value}")
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise ConfigError(f"{path}: must be nonnegative and finite, got {value}")
     return value
 
 
@@ -289,7 +285,7 @@ def _aggregation(section: dict, path: str) -> dict:
     if "tau" not in norm:
         raise ConfigError(f"{path}.tau: missing required key")
     tau_kind = norm["tau"]["kind"]
-    if tau_kind in ("corollary1", "remark4") and not norm["allow_oracle"]:
+    if tau_kind in ORACLE_KINDS and not norm["allow_oracle"]:
         raise ConfigError(
             f"{path}.tau.kind {tau_kind!r} reads ground-truth labels; "
             "set aggregation.allow_oracle: true to accept that"
@@ -376,7 +372,7 @@ class Experiment:
     net: Network
     prob: GlobalProblem
     sched: StepSizeSchedule
-    noise: NoiseSpec
+    noise: float
     attack: AttackSpec
     agg: str
     tau: TauSpec | None
@@ -567,7 +563,7 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         net=net,
         prob=prob,
         sched=sched,
-        noise=NoiseSpec(variance),
+        noise=variance,
         attack=attack,
         agg=agg["kind"],
         tau=tau,

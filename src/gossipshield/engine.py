@@ -63,16 +63,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregation import ReceiverSums, edge_diffs, scc_edges, tau_edges
+from .aggregation import ORACLE_KINDS, ReceiverSums, edge_diffs, scc_edges, tau_edges
 from .attacks import AttackPlan, AttackSpec
 from .bounds import dk_bound, validate_schedule
-from .errors import BrokenOptimumError, ConfigError
-from .objectives import GlobalProblem, normal_blocks
-from .privacy import NoiseSpec
+from .errors import ConfigError
+from .objectives import GlobalProblem, normal_blocks, optimum_gaps
 from .schedules import StepSizeSchedule, value_at
 from .topology import Network, TheoryConstants
 
@@ -110,10 +110,10 @@ class TauSpec:
     value: float | object = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("manual", "corollary1", "remark4"):
+        if self.kind not in ("manual",) + ORACLE_KINDS:
             raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
         # written so that NaN fails too; +inf (clip nothing) passes
-        if not callable(getattr(self.value, "alpha", None)) and not float(self.value) > 0:
+        if not value_at(self.value, 0) > 0:
             raise ConfigError(f"clipping radius must be positive, got {self.value!r}")
 
 
@@ -218,15 +218,9 @@ def _row_disagreement(rows: np.ndarray) -> np.ndarray:
 
 
 def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
-    """Running best objective value minus the optimum; never negative."""
+    """Running best objective value minus the optimum; never negative, NaN from a NaN on."""
     best = np.minimum.accumulate(np.asarray(f_values, dtype=float))
-    gaps = best - f_star
-    finite = gaps[np.isfinite(gaps)]
-    if finite.size and float(finite.min()) < -1e-9 * max(1.0, abs(f_star)):
-        raise BrokenOptimumError(
-            f"objective dropped {float(finite.min())} below the recorded optimum"
-        )
-    return np.maximum(gaps, 0.0)
+    return np.maximum(optimum_gaps(best, f_star), 0.0)
 
 
 def _diverged(copies: np.ndarray) -> np.ndarray:
@@ -417,7 +411,7 @@ def run(
     n_rounds: int,
     seed: int,
     *,
-    noise: NoiseSpec | float = 0.0,
+    noise: float = 0.0,
     attack: AttackSpec | None = None,
     agg: str = "scc",
     tau: TauSpec | float | None = None,
@@ -429,11 +423,13 @@ def run(
 
     Round order is fixed: sample and mask gradients, take the half-step,
     publish one message per directed edge (half[net.send]), falsify the
-    edges whose sender is Byzantine, aggregate per receiver. agg='mean' is
-    SCC with an unbounded radius, so tau is ignored there. Byzantine
-    agents under a real attack never update their own state; under attack
-    kind 'none' they follow the honest protocol, which is what makes a
-    labeled-but-honest run comparable with an unlabeled one.
+    edges whose sender is Byzantine, aggregate per receiver. noise is the
+    masking variance per coordinate, finite and nonnegative (0 masks
+    nothing). agg='mean' is SCC with an unbounded radius, so tau is
+    ignored there. Byzantine agents under a real attack never update their
+    own state; under attack kind 'none' they follow the honest protocol,
+    which is what makes a labeled-but-honest run comparable with an
+    unlabeled one.
 
     Passing consts adds the theoretical disagreement ceiling as a per-row
     column. A schedule outside the gap theorems' regime then warns, and a
@@ -455,7 +451,7 @@ def _run_seeds(
     n_rounds: int,
     seeds: list,
     *,
-    noise: NoiseSpec | float = 0.0,
+    noise: float = 0.0,
     attack: AttackSpec | list | None = None,
     agg: str = "scc",
     tau: TauSpec | float | None = None,
@@ -477,8 +473,9 @@ def _run_seeds(
             raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if agg not in ("scc", "mean"):
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
-    if isinstance(noise, (int, float)):
-        noise = NoiseSpec(float(noise))
+    if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < math.inf:
+        raise ConfigError(f"noise must be a finite nonnegative variance, got {noise!r}")
+    noise = float(noise)
     attacks = _member_attacks(attack, len(seeds))
     for spec in attacks:
         spec.check_victim(net.reliable)
@@ -524,7 +521,7 @@ def _run_group(
     sched: StepSizeSchedule,
     n_rounds: int,
     seeds: list,
-    noise: NoiseSpec,
+    noise: float,
     attacks: list,
     tau: TauSpec,
     x0,
@@ -593,10 +590,10 @@ def _run_group(
     if rows is not None:
         x = x.take(rows, axis=0)
     sample = prob.gradient_sampler(streams(1), n_rounds, rows)
-    masked = noise.variance > 0.0
+    masked = noise > 0.0
     if masked:
         noise_blocks = normal_blocks(streams(2), n_rounds, x.shape[1:], rows)
-        noise_std = np.sqrt(noise.variance)
+        noise_std = np.sqrt(noise)
 
     n_rows = n_rounds + 1
     col_consensus = np.empty((n_copies, n_rows))

@@ -83,11 +83,17 @@ _V_COEFFS = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
 # Elements in one pre-drawn block buffer (1 MiB of float64).
 _BLOCK_ELEMENTS = 1 << 17
-# Grid points per block of the optimum scan in minimize_scalar_grid, and
-# grid points per sample of its bounding pass; the block is a multiple of
-# the stride, so every block starts on a sample.
+# The optimum scan of minimize_scalar_grid: a grid of step _SCAN_STEP on
+# [-_SCAN_RADIUS, _SCAN_RADIUS], the interval _assemble's slope bound
+# covers, in blocks of _SCAN_BLOCK points, sampled every _SCAN_STRIDE-th
+# point by the bounding pass (every block starts on a sample), then a
+# golden-section refine to a bracket of _REFINE_XTOL.
+_SCAN_RADIUS = 10.0
+_SCAN_STEP = 1e-4
 _SCAN_BLOCK = 1 << 14
 _SCAN_STRIDE = 64
+_REFINE_XTOL = 1e-12
+_DEFAULT_STD = 0.1  # a benchmark family's u and v stds, unless benchmark_problem sets others
 
 
 def normal_blocks(rngs: Sequence[np.random.Generator], n_rounds: int, shape=(), rows=None):
@@ -185,11 +191,10 @@ class LocalObjective:
     sample_gradient: Callable
 
 
-def family_objective(
-    agent: int, family: int, u_std: float = 0.1, v_std: float = 0.1
-) -> LocalObjective:
-    """Build one benchmark-family objective for an agent."""
-    return LocalObjective(agent, family, *_family_callables(family, u_std, v_std))
+def family_objective(agent: int, family: int) -> LocalObjective:
+    """Build one benchmark-family objective for an agent, at the default
+    stds (benchmark_problem sets others)."""
+    return LocalObjective(agent, family, *_family_callables(family, _DEFAULT_STD, _DEFAULT_STD))
 
 
 def _family_callables(family: int, u_std: float, v_std: float) -> tuple:
@@ -231,9 +236,7 @@ def _block_bounds(fun, xs, slope):
     n = len(xs)
     at = np.append(np.arange(0, n - 1, _SCAN_STRIDE), n - 1)
     samples = np.asarray(fun(xs[at]), dtype=float)
-    bad = np.isnan(samples)
-    if bad.any():
-        _refuse_nan(xs[at[np.argmax(bad)]])
+    _refuse_nan(xs[at], samples, "objective", "f_star")
     first = np.arange(0, n, _SCAN_BLOCK) // _SCAN_STRIDE  # each block's first sample
     low = np.minimum.reduceat(samples, first)
     low[:-1] = np.minimum(low[:-1], samples[first[1:]])
@@ -241,38 +244,41 @@ def _block_bounds(fun, xs, slope):
     return low - slope * h / 2.0 - 1e-9 * (1.0 + np.abs(low))
 
 
-def _refuse_nan(x):
-    raise ConfigError(
-        f"the objective is NaN at x = {float(x)!r}; pass f_star for an "
-        "objective that is undefined on the scanned interval"
-    )
+def _refuse_nan(xs, values, what: str, constant: str):
+    """Raise ConfigError naming the first x of xs where values (xs on the last axis) are NaN."""
+    bad = np.isnan(np.atleast_2d(values)).any(axis=0)
+    if bad.any():
+        raise ConfigError(
+            f"the {what} is NaN at x = {float(xs[np.argmax(bad)])!r}; pass {constant} "
+            "for an objective that is undefined where it is estimated"
+        )
 
 
-def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12, slope=math.inf):
+def minimize_scalar_grid(fun, slope=math.inf):
     """Global scalar minimum: brute grid scan, then golden-section refine.
 
-    ``fun`` must accept a numpy array. The grid is evaluated in blocks of
+    ``fun`` must accept a numpy array. The grid has step _SCAN_STEP on
+    [-_SCAN_RADIUS, _SCAN_RADIUS] and is evaluated in blocks of
     _SCAN_BLOCK points, which bounds the scan's temporaries. The grid's
     first lowest point brackets the refine, and (x_min, f_min) come from
     the bracket alone. Returns (x_min, f_min).
 
-    ``slope`` is a bound on |f'| over [lo, hi], and a finite one promises
-    a finite f there. With it, a sample pass evaluates fun on every
-    _SCAN_STRIDE-th grid point and the last, which gives each block a
-    lower bound (_block_bounds); blocks are then scanned in order of
+    ``slope`` is a bound on |f'| over the scanned interval, and a finite
+    one promises a finite f there. With it, a sample pass evaluates fun on
+    every _SCAN_STRIDE-th grid point and the last, which gives each block
+    a lower bound (_block_bounds); blocks are then scanned in order of
     rising bound, and the scan stops at the first bound above the lowest
     value found. Ties keep the lowest grid index, so the scan returns the
-    point the full scan returns. Blocks keep their boundaries whatever
-    the order, so each value compared comes from the same call on the
-    same array as in the full scan, bit for bit. With the default
-    infinite slope, and for a one-block grid, there is no sample pass and
-    every block is scanned in order.
+    point the full scan returns. Blocks keep their boundaries whatever the
+    order, so each value compared comes from the same call on the same
+    array as in the full scan, bit for bit. With the default infinite
+    slope, and for a one-block grid, there is no sample pass and every
+    block is scanned in order.
 
     A NaN value raises ConfigError naming an x where fun gave it; with
-    the full scan, the first such grid point (argmin lands on a block's
-    first NaN, which no comparison would otherwise keep).
+    the full scan, the first such grid point.
     """
-    xs = np.arange(lo, hi + coarse, coarse)
+    xs = np.arange(-_SCAN_RADIUS, _SCAN_RADIUS + _SCAN_STEP, _SCAN_STEP)
     starts = range(0, len(xs), _SCAN_BLOCK)
     bounds = np.full(len(starts), -np.inf)
     if math.isfinite(slope) and len(starts) > 1:
@@ -283,9 +289,8 @@ def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12, slope=
             break
         b0 = starts[k]
         vals = np.asarray(fun(xs[b0 : b0 + _SCAN_BLOCK]), dtype=float)
+        _refuse_nan(xs[b0 : b0 + _SCAN_BLOCK], vals, "objective", "f_star")
         j = int(np.argmin(vals))
-        if np.isnan(vals[j]):
-            _refuse_nan(xs[b0 + j])
         if vals[j] < best or (vals[j] == best and b0 + j < i):
             i, best = b0 + j, vals[j]
     a = xs[max(i - 1, 0)]
@@ -295,7 +300,7 @@ def minimize_scalar_grid(fun, lo=-10.0, hi=10.0, coarse=1e-4, xtol=1e-12, slope=
     d = a + inv * (b - a)
     fc = float(fun(np.array([c]))[0])
     fd = float(fun(np.array([d]))[0])
-    while b - a > xtol:
+    while b - a > _REFINE_XTOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -362,14 +367,8 @@ class GlobalProblem:
         return sum(grads) / len(self.reliable)
 
     def gap(self, x) -> float:
-        """f(x) - f_star, guarded against a broken optimum value."""
-        g = float(self.f(x)) - self.f_star
-        if g < -1e-9 * max(1.0, abs(self.f_star)):
-            raise BrokenOptimumError(
-                f"f({x!r}) = {g + self.f_star} is below the recorded optimum "
-                f"{self.f_star}; the optimum oracle or an override is wrong"
-            )
-        return g if g > 0.0 else 0.0
+        """f(x) - f_star, never negative (optimum_gaps); NaN where f(x) is."""
+        return float(np.maximum(optimum_gaps(float(self.f(x)), self.f_star), 0.0))
 
     def agent_cores(self, x_per_agent: np.ndarray) -> np.ndarray:
         """Expected gradient of each benchmark-family agent at its own point;
@@ -430,6 +429,18 @@ class GlobalProblem:
         return sample
 
 
+def optimum_gaps(values, f_star: float) -> np.ndarray:
+    """values - f_star, NaN where a value is NaN. A value below f_star by
+    more than rounding, 1e-9 * max(1, |f_star|), raises BrokenOptimumError."""
+    gaps = np.asarray(values, dtype=float) - f_star
+    if np.any(gaps < -1e-9 * max(1.0, abs(f_star))):
+        raise BrokenOptimumError(
+            f"objective value {float(np.nanmin(gaps)) + f_star} is below the recorded "
+            f"optimum {f_star}; the optimum oracle or an override is wrong"
+        )
+    return gaps
+
+
 def _oracle_rows(outputs: list, dim: int, agents: Iterable, oracle: str) -> np.ndarray:
     """The outputs of an oracle as one (len(outputs), dim) float array;
     outputs[k] came from agent agents[k]. An output that does not hold
@@ -486,8 +497,8 @@ def benchmark_problem(
     byzantine: Iterable[int] = (),
     n_agents: int = 100,
     *,
-    u_std: float = 0.1,
-    v_std: float = 0.1,
+    u_std: float = _DEFAULT_STD,
+    v_std: float = _DEFAULT_STD,
     batch: int = 1,
     family_of: Sequence[int] | None = None,
     f_star: float | None = None,
@@ -547,7 +558,9 @@ def custom_problem(
     """Wrap user objectives, filling scalar-problem constants numerically.
 
     Multi-dimensional problems must supply f_star, pl_constant, and
-    smoothness explicitly; only the scalar oracle is built in.
+    smoothness explicitly; only the scalar oracle is built in. u_std and
+    v_std are recorded on the problem, but no path reads them: each
+    objective draws through its own sample_gradient.
     """
     return _assemble(
         objectives, byzantine, dim=dim, f_star=f_star, pl_constant=pl_constant,
@@ -596,8 +609,8 @@ def _assemble(
     x_star = None
     if f_star is None:
         slope = math.inf  # custom objectives: no known slope, the full scan
-        if rows is not None:  # the families' slope on the scan's default [-10, 10]
-            slope = float(np.abs(prob.mean_u_coeffs) @ _core_bounds(10.0))
+        if rows is not None:  # the families' slope on the scanned interval
+            slope = float(np.abs(prob.mean_u_coeffs) @ _core_bounds(_SCAN_RADIUS))
         x_star, f_star = minimize_scalar_grid(prob.f, slope=slope)
     prob = dataclasses.replace(prob, f_star=float(f_star), x_star=x_star)
     if smoothness is None:
@@ -617,16 +630,19 @@ def _assemble(
     )
 
 
+# the grid of the smoothness and P-L estimators, and the smoothness difference step
 _PL_GRID = np.arange(-5.0, 5.0 + 1e-9, 0.01)
+_FD_STEP = 1e-5
 
 
-def _fd_smoothness(core_batch, grid=None, h: float = 1e-5) -> float:
-    """Max curvature over a grid via central differences of the gradient."""
-    if grid is None:
-        grid = _PL_GRID
-    hi = np.asarray(core_batch(grid + h), dtype=float)
-    lo = np.asarray(core_batch(grid - h), dtype=float)
-    return float(np.max(np.abs(hi - lo)) / (2.0 * h))
+def _fd_smoothness(core_batch) -> float:
+    """Max curvature over _PL_GRID via central differences of the gradient,
+    which core_batch gives with the grid on the last axis."""
+    hi = np.asarray(core_batch(_PL_GRID + _FD_STEP), dtype=float)
+    lo = np.asarray(core_batch(_PL_GRID - _FD_STEP), dtype=float)
+    diffs = np.abs(hi - lo)
+    _refuse_nan(_PL_GRID, diffs, "gradient", "smoothness")
+    return float(np.max(diffs) / (2.0 * _FD_STEP))
 
 
 def pl_constant_probe(prob: GlobalProblem, grid) -> float:
@@ -634,26 +650,26 @@ def pl_constant_probe(prob: GlobalProblem, grid) -> float:
 
     Returns inf over the grid of 0.5 * f'(x)^2 / (f(x) - f_star), an
     upper estimate of the largest constant the inequality supports.
-    Points at the optimum are skipped; points below it raise, and a
-    multi-dimensional problem or grid is refused.
+    Points at the optimum are skipped; points below it raise, a NaN ratio
+    raises ConfigError naming its point, and a multi-dimensional problem
+    or grid is refused.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if prob.dim != 1 or grid.ndim != 1:
         raise ConfigError("the P-L probe is scalar-only: a 1-d problem on a 1-d grid")
     if grid.size == 0:
         raise ConfigError("empty probe grid")
-    gaps = np.asarray(prob.f(grid), dtype=float) - prob.f_star
-    if np.min(gaps) < -1e-9 * max(1.0, abs(prob.f_star)):
-        raise BrokenOptimumError("probe point below the recorded optimum")
-    keep = gaps > 1e-9  # drop near-optimal points, the ratio there is 0/0
+    gaps = optimum_gaps(prob.f(grid), prob.f_star)
+    keep = ~(gaps <= 1e-9)  # drop near-optimal points (0/0 there); NaN stays, refused below
     if not keep.any():
         raise ConfigError("probe grid is entirely at the optimum")
     ratios = 0.5 * np.asarray(prob.grad(grid[keep]), dtype=float) ** 2 / gaps[keep]
+    _refuse_nan(grid[keep], ratios, "gradient-domination ratio", "pl_constant")
     return float(np.min(ratios))
 
 
-def estimate_smoothness(prob: GlobalProblem, grid=None) -> float:
-    """Estimate the worst per-agent smoothness constant on a scalar grid.
+def estimate_smoothness(prob: GlobalProblem) -> float:
+    """Estimate the worst per-agent smoothness constant on _PL_GRID.
 
     For the benchmark families the maximum is taken over the distinct
     coefficient rows only: agents of one family share a row, and equal
@@ -664,12 +680,9 @@ def estimate_smoothness(prob: GlobalProblem, grid=None) -> float:
     rel = list(prob.reliable)
     if prob.u_coeffs is not None:
         rows = np.unique(prob.u_coeffs[rel], axis=0)
-        return _fd_smoothness(lambda x: rows @ _basis_cores(x), grid)
+        return _fd_smoothness(lambda x: rows @ _basis_cores(x))
     return _fd_smoothness(
-        lambda x: np.stack(
-            [np.asarray(prob.objectives[i].expected_gradient(x)) for i in rel]
-        ),
-        grid,
+        lambda x: np.stack([np.asarray(prob.objectives[i].expected_gradient(x)) for i in rel])
     )
 
 

@@ -1,11 +1,11 @@
 """Gradient masking noise and the differential-privacy calculators.
 
 The mechanism itself is one line of the round loop: engine.run adds
-Gaussian noise at the NoiseSpec variance to each sampled gradient before
-the half-step. Everything else here turns (epsilon, delta) budgets into
-variance requirements and back. Two views are provided: a per-iteration
-guarantee for a single masked gradient, and an end-to-end loss over a
-whole run under a gradient bound.
+Gaussian noise of one per-coordinate variance, a plain number, to each
+sampled gradient before the half-step. Everything else here turns
+(epsilon, delta) budgets into variance requirements and back. Two views
+are provided: a per-iteration guarantee for a single masked gradient,
+and an end-to-end loss over a whole run under a gradient bound.
 """
 
 from __future__ import annotations
@@ -17,24 +17,12 @@ from .errors import ConfigError
 from .schedules import DecayingSchedule, StepSizeSchedule
 
 __all__ = [
-    "NoiseSpec",
     "DpBudget",
     "GlobalDpReport",
     "required_variance_local",
     "global_epsilon",
     "sensitivity_default",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class NoiseSpec:
-    """Per-coordinate variance cap for the masking noise."""
-
-    variance: float
-
-    def __post_init__(self):
-        if not self.variance >= 0:  # NaN fails too
-            raise ConfigError(f"noise variance must be nonnegative, got {self.variance}")
 
 
 def sensitivity_default(grad_bound: float) -> float:

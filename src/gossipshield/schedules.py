@@ -11,11 +11,6 @@ from .errors import ConfigError
 __all__ = ["DecayingSchedule", "ConstantSchedule", "StepSizeSchedule", "value_at"]
 
 
-def _as_steps(k):
-    arr = np.asarray(k, dtype=float)
-    return arr
-
-
 @dataclasses.dataclass(frozen=True)
 class DecayingSchedule:
     """alpha_k = scale / (k + k0)."""
@@ -32,7 +27,7 @@ class DecayingSchedule:
             raise ConfigError(f"decay offset k0 must be at least 1, got {self.k0}")
 
     def alpha(self, k):
-        out = self.scale / (_as_steps(k) + self.k0)
+        out = self.scale / (np.asarray(k, dtype=float) + self.k0)
         return float(out) if out.ndim == 0 else out
 
 
@@ -49,7 +44,7 @@ class ConstantSchedule:
             raise ConfigError(f"step-size scale must be positive, got {self.scale}")
 
     def alpha(self, k):
-        out = np.full(_as_steps(k).shape, self.scale)
+        out = np.full(np.asarray(k, dtype=float).shape, self.scale)
         return float(out) if out.ndim == 0 else out
 
 

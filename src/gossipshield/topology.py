@@ -39,6 +39,7 @@ _STOCH_TOL = 1e-12
 # uniforms per row block of the random-graph draw: 512 KiB of float64,
 # which stays in a core's L2 cache
 _DRAW_BLOCK = 1 << 16
+_MAX_DRAWS = 100  # random graphs drawn before a connected reliable subgraph is given up
 
 
 def _reliable_connected(indptr: np.ndarray, send: np.ndarray, is_byz: np.ndarray) -> bool:
@@ -235,15 +236,14 @@ def build_network(
     seed: int = 0,
     edge_p: float = 0.3,
     byzantine_ids: tuple[int, ...] | None = None,
-    max_retries: int = 100,
 ) -> Network:
     """Build a communication graph with a Byzantine subset and mixing weights.
 
     kind is one of "star", "random", "complete". Random graphs draw each edge
-    independently with probability edge_p and are resampled (up to
-    max_retries) until the reliable agents induce a connected subgraph.
-    Byzantine ids default to the evenly spaced placement
-    floor(t*n/|B|), t = 0..|B|-1, and can be overridden explicitly.
+    independently with probability edge_p and are resampled (up to _MAX_DRAWS
+    draws in all) until the reliable agents induce a connected subgraph.
+    Byzantine ids default to the evenly spaced placement floor(t*n/|B|),
+    t = 0..|B|-1, and can be overridden explicitly.
     """
     if n_agents < 2:
         raise TopologyError("need at least two agents")
@@ -278,14 +278,14 @@ def build_network(
         rng = np.random.default_rng(seed)
         is_byz = np.zeros(n_agents, dtype=bool)
         is_byz[list(byz)] = True
-        for _ in range(max_retries):
+        for _ in range(_MAX_DRAWS):
             recv, send = _directed(n_agents, *_random_pairs(rng, n_agents, edge_p))
             if _reliable_connected(_indptr(recv, n_agents), send, is_byz):
                 break
         else:
             raise TopologyError(
-                f"no connected reliable subgraph in {max_retries} draws "
-                f"(edge_p={edge_p}); raise edge_p or the retry budget"
+                f"no connected reliable subgraph in {_MAX_DRAWS} draws "
+                f"(edge_p={edge_p}); raise edge_p"
             )
     else:
         raise TopologyError(f"unknown topology kind {kind!r}")

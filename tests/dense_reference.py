@@ -11,7 +11,7 @@ triangle, and dense Metropolis-Hastings weights.
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from gossipshield import TopologyError
+from gossipshield import TopologyError, topology
 
 
 def dense_adjacency(net) -> np.ndarray:
@@ -89,7 +89,7 @@ def _metropolis_dense(adj: np.ndarray) -> np.ndarray:
     return w
 
 
-def reference_edges(kind, n, byzantine, seed=0, edge_p=0.3, max_retries=100):
+def reference_edges(kind, n, byzantine, seed=0, edge_p=0.3):
     """(recv, send, edge_w, attempts) of the dense construction; attempts
     counts the random draws it took. Raises TopologyError where the
     builder must too."""
@@ -102,7 +102,7 @@ def reference_edges(kind, n, byzantine, seed=0, edge_p=0.3, max_retries=100):
         adj = ~np.eye(n, dtype=bool)
     else:
         rng = np.random.default_rng(seed)
-        for attempts in range(1, max_retries + 1):
+        for attempts in range(1, topology._MAX_DRAWS + 1):
             upper = np.triu(rng.random((n, n)) < edge_p, k=1)
             adj = upper | upper.T
             if connected(adj, reliable):

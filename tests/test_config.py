@@ -33,7 +33,7 @@ def test_build_assembles_everything():
     assert exp.net.n_agents == 10 and len(exp.net.byzantine) == 1
     assert exp.prob.n_agents == 10
     assert isinstance(exp.sched, DecayingSchedule) and exp.sched.k0 == 10
-    assert exp.noise.variance == 1.0e-4
+    assert exp.noise == 1.0e-4
     assert exp.attack.kind == "sign_flip"
     assert exp.agg == "scc" and exp.tau.kind == "manual"
     assert exp.horizon == 20 and exp.seeds == [1, 2]
@@ -243,7 +243,7 @@ def test_noise_from_local_budget():
     expect = required_variance_local(
         0.9, 0.01, sensitivity_default(5.0), exp.sched
     )
-    assert exp.noise.variance == expect
+    assert exp.noise == expect
     assert exp.noise_derived
 
     cfg["noise"]["variance"] = 1.0
@@ -617,6 +617,7 @@ _REFUSED = [
     ([("schedule.warmup", 3)], ConfigError, "schedule: unknown keys"),
     ([("noise.variance", -1.0)], ConfigError, r"noise\.variance: must be nonnegative"),
     ([("noise.variance", "1e-6")], ConfigError, r"noise\.variance: expected a number"),
+    ([("noise.variance", float("inf"))], ConfigError, r"noise\.variance: must be nonnegative and finite"),
     ([("noise.from_local_dp", _LOCAL)], ConfigError, "noise: give either variance or from_local_dp"),
     ([("noise", {"from_local_dp": {"delta": 0.01, "grad_bound": 5.0}})], ConfigError, "noise.*epsilon"),
     ([("noise", {"from_local_dp": dict(_LOCAL, epsilon="tight")})], ConfigError, r"noise\.(from_local_dp\.)?epsilon"),

@@ -53,12 +53,16 @@ def test_vector_runs_leave_scipy_sparse_unloaded():
         )
         sched = gs.DecayingSchedule(scale=1.0, k0=10)
         flip = gs.AttackSpec("sign_flip")
-        for kw in (
-            dict(agg="scc", tau=gs.TauSpec("corollary1", 1.0)),
-            dict(agg="scc", tau=gs.TauSpec("remark4", 1.0)),
-            dict(agg="mean"),
+        oracle = dict(agg="scc", tau=gs.TauSpec("corollary1", 1.0))
+        # dissensus sums a statistic per receiver, as sign_flip does
+        for attack, kw in (
+            (flip, oracle),
+            (flip, dict(agg="scc", tau=gs.TauSpec("remark4", 1.0))),
+            (flip, dict(agg="mean")),
+            (gs.AttackSpec("dissensus"), oracle),
+            (gs.AttackSpec("perturbed_dup"), oracle),
         ):
-            log = gs.run(net, prob, sched, 5, 3, noise=1e-4, attack=flip, **kw)
+            log = gs.run(net, prob, sched, 5, 3, noise=1e-4, attack=attack, **kw)
             assert log.status == "completed"
         """
     )

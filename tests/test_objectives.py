@@ -162,7 +162,7 @@ def test_bounded_scan_skips_blocks_and_keeps_the_full_scans_point():
     p = benchmark_problem()
     full, full_sizes = _counting(p.f)
     bounded, bounded_sizes = _counting(p.f)
-    slope = float(np.abs(p.mean_u_coeffs) @ objectives._core_bounds(10.0))
+    slope = float(np.abs(p.mean_u_coeffs) @ objectives._core_bounds(objectives._SCAN_RADIUS))
     assert slope == pytest.approx(2.5)
     assert minimize_scalar_grid(bounded, slope=slope) == minimize_scalar_grid(full)
     assert (p.x_star, p.f_star) == minimize_scalar_grid(full)
@@ -264,6 +264,28 @@ def test_gap_clamps_rounding_noise():
     p = benchmark_problem()
     assert p.gap(p.x_star) >= 0.0
     assert p.gap(1.0) == pytest.approx(float(p.f(1.0)) - 0.1, rel=1e-12)
+    # a NaN objective used to read as a gap of 0, at the optimum
+    assert math.isnan(p.gap(float("nan")))
+
+
+def test_nan_landscape_estimates_are_refused():
+    # x^2 whose gradient is NaN past x = 4: L and mu used to build as NaN
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 4.0, np.nan, 2.0 * x)
+
+    def square(agent):
+        return LocalObjective(agent, "square", lambda x: np.asarray(x) ** 2, grad,
+                              lambda x, u, v: np.asarray(x) ** 2, lambda x, rng: grad(x))
+
+    objs = [square(0), square(1)]
+    for kwargs, constant in (({}, "smoothness"), ({"smoothness": 2.0}, "pl_constant")):
+        with pytest.raises(ConfigError, match=f"NaN at x = .*pass {constant}") as err:
+            custom_problem(objs, **kwargs)
+        x = float(str(err.value).split("x = ")[1].split(";")[0])
+        assert x == pytest.approx(4.0, abs=0.011)
+    p = custom_problem(objs, smoothness=2.0, pl_constant=2.0)
+    assert (p.smoothness, p.pl_constant) == (2.0, 2.0)
 
 
 def test_smoothness_estimates():

@@ -1,4 +1,4 @@
-"""Noise specification and privacy calculator tests."""
+"""Privacy calculator tests."""
 
 import math
 
@@ -7,19 +7,11 @@ import pytest
 from gossipshield import ConfigError
 from gossipshield.privacy import (
     DpBudget,
-    NoiseSpec,
     global_epsilon,
     required_variance_local,
     sensitivity_default,
 )
 from gossipshield.schedules import ConstantSchedule, DecayingSchedule
-
-
-def test_noise_spec_validation():
-    with pytest.raises(ConfigError):
-        NoiseSpec(-1.0)
-    with pytest.raises(ConfigError):
-        NoiseSpec(float("nan"))
 
 
 def test_sensitivity_default():
