@@ -1,10 +1,11 @@
-"""Privacy calculator tests."""
+"""Masking variance and privacy calculator tests."""
 
 import math
 
+import numpy as np
 import pytest
 
-from gossipshield import ConfigError
+from gossipshield import ConfigError, benchmark_problem, build_network, run, run_ensemble
 from gossipshield.privacy import (
     DpBudget,
     global_epsilon,
@@ -12,6 +13,20 @@ from gossipshield.privacy import (
     sensitivity_default,
 )
 from gossipshield.schedules import ConstantSchedule, DecayingSchedule
+
+
+def test_noise_spec_validation():
+    net = build_network("random", 10, byz_fraction=0.0, seed=3, edge_p=0.5)
+    prob = benchmark_problem(byzantine=net.byzantine, n_agents=10)
+    sched = ConstantSchedule(0.05)
+    # inf passed the old nonnegative check and warned from a reduce
+    for noise in (-1.0, np.nan, np.inf, True, "1e-3", None):
+        with pytest.raises(ConfigError, match="noise"):
+            run(net, prob, sched, 5, 0, agg="mean", noise=noise)
+        with pytest.raises(ConfigError, match="noise"):
+            run_ensemble(net, prob, sched, 5, [0, 1], agg="mean", noise=noise)
+    # zero is no masking, which stays valid
+    assert run(net, prob, sched, 5, 0, agg="mean", noise=0.0).final_x.shape == (10,)
 
 
 def test_sensitivity_default():
