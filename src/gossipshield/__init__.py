@@ -36,6 +36,7 @@ from .objectives import (
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .aggregation import (
     Inbox,
+    TauSpec,
     clip,
     gossip_mean,
     scc_aggregate,
@@ -53,7 +54,6 @@ from .attacks import ATTACK_KINDS, AttackPlan, AttackSpec, alie_coefficient
 from .engine import (
     EnsembleResult,
     MetricsLog,
-    TauSpec,
     consensus_error,
     optimal_gap_series,
     run,

@@ -1,14 +1,15 @@
-"""Clipped self-centered aggregation and the plain gossip baseline.
+"""Clipped self-centered aggregation, its radii and the plain gossip baseline.
 
 Per-agent reference implementations operate on an Inbox (what one agent
 holds at the end of a communication round). The engine runs one edge
 kernel over a whole round's edge list instead: edge_diffs takes every
-edge's difference and norm once, tau_edges gives every receiver its
-radius, manual or oracle, and scc_edges clips and sums. The plain mean
-is scc_edges with an unbounded radius. Edge and per-agent paths are
-equivalence-tested against each other, gossip_mean included. No library code calls the
-per-agent rules; they stay here as the oracles those tests compare the
-kernel against and as the per-agent API the package exports.
+edge's difference and norm once, the RadiusPlan of the round's TauSpec
+gives every receiver its radius, manual or oracle, and scc_edges clips
+and sums. The plain mean is scc_edges with an unbounded radius. Edge and
+per-agent paths are equivalence-tested against each other, gossip_mean
+included. No library code calls the per-agent rules; they stay here as
+the oracles those tests compare the kernel against and as the per-agent
+API the package exports.
 
 Every per-receiver sum goes through one ReceiverSums per edge list, built
 once for the round's state dimension: a fixed CSR matrix for one value
@@ -26,13 +27,42 @@ substitution happens at delivery time, before aggregation sees anything.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .errors import ConfigError
+from .schedules import value_at
+from .topology import Network
+
 TAU_FLOOR = 1e-12
 # the clipping-radius kinds that read ground-truth labels, besides "manual"
 ORACLE_KINDS = ("corollary1", "remark4")
+
+
+@dataclasses.dataclass(frozen=True)
+class TauSpec:
+    """Clipping-radius policy for the resilient aggregator.
+
+    manual: fixed radius, or a schedule evaluated per round.
+    corollary1 / remark4: ground-truth-label oracles; `value` is then the
+    manual fallback used wherever the oracle is undefined (an agent with
+    no Byzantine neighbor under corollary1, and a NaN numerator).
+    """
+
+    kind: str = "manual"
+    value: float | object = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("manual",) + ORACLE_KINDS:
+            raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
+        real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
+        if not (real or callable(getattr(self.value, "alpha", None))):
+            raise ConfigError(f"clipping radius must be a number or a schedule, got {self.value!r}")
+        # written so that NaN fails too; +inf (clip nothing) passes
+        if not value_at(self.value, 0) > 0:
+            raise ConfigError(f"clipping radius must be positive, got {self.value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,36 +290,35 @@ def scc_edges(
     return self_models + sums(diffs)
 
 
-def tau_edges(
-    norms: np.ndarray,
-    sums: ReceiverSums,
-    rel_w: np.ndarray,
-    byz_weight: np.ndarray,
-    kind: str,
-    fallback: float,
-) -> np.ndarray:
-    """Clipping radii for every receiver from the round's edge norms.
+class RadiusPlan:
+    """A TauSpec's radii on one edge list, beside AttackPlan.
 
-    norms come from edge_diffs and sums is the edge list's ReceiverSums.
-    rel_w is edge_w with every Byzantine-sender edge set to zero, and
-    byz_weight the total Byzantine weight at each receiver; both depend on
-    the network alone, so callers build them once, and only for an oracle:
-    kind 'manual' is fallback everywhere and reads neither. An oracle kind
-    falls back where its radius is undefined: at an agent with no Byzantine
-    neighbor under 'corollary1', and under both where the numerator is NaN
-    (0 * inf, which an infinite Byzantine message leaves). 'remark4'
-    ignores byz_weight.
+    Built once per round loop; radii(k, norms) gives every receiver its
+    radius in round k from the round's edge norms (edge_diffs). 'manual'
+    is the spec's value at round k everywhere. The oracles read the edge
+    weights with Byzantine senders at zero and each receiver's Byzantine
+    weight, built once and only for an oracle (an E-sized array raises
+    peak RSS), and fall back to the value at round k where undefined: at
+    an agent with no Byzantine neighbor under 'corollary1', and under both
+    at a NaN numerator (0 * inf, which an infinite Byzantine message leaves).
     """
-    if kind == "manual":
-        return np.full(sums.n_agents, fallback)
-    if kind not in ORACLE_KINDS:
-        raise ValueError(f"unknown clipping radius kind: {kind}")
-    weighted = rel_w * norms
-    weighted *= norms
-    tau = sums(weighted)
-    if kind == "corollary1":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(byz_weight > 0.0, np.sqrt(tau / byz_weight), np.nan)
-    tau = np.maximum(tau, TAU_FLOOR)  # NaN stays NaN
-    tau[np.isnan(tau)] = fallback
-    return tau
+
+    def __init__(self, tau: TauSpec, net: Network, sums: ReceiverSums):
+        self.tau, self._sums = tau, sums
+        if tau.kind != "manual":
+            self._rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
+            self._byz = net.weight_split()[1]
+
+    def radii(self, k: int, norms: np.ndarray) -> np.ndarray:
+        fallback = value_at(self.tau.value, k)
+        if self.tau.kind == "manual":
+            return np.full(self._sums.n_agents, fallback)
+        weighted = self._rel_w * norms
+        weighted *= norms
+        tau = self._sums(weighted)
+        if self.tau.kind == "corollary1":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = np.where(self._byz > 0.0, np.sqrt(tau / self._byz), np.nan)
+        tau = np.maximum(tau, TAU_FLOOR)  # NaN stays NaN
+        tau[np.isnan(tau)] = fallback
+        return tau

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import shutil
 import sys
@@ -36,12 +35,7 @@ _ENSEMBLE_COLUMNS = (
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
+    return repr(float(x))
 
 
 def _out_root() -> Path:
@@ -353,7 +347,7 @@ def _trace_csv(log, cfg_hash: str, label: str):
     yield from _rows(log.k, log.traces.T)
 
 
-def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> dict:
+def privacy_trace(cfg: dict, out_dir: Path) -> dict:
     """Paired runs on adjacent function sets with identical seeds.
 
     The observed agent's objective is replaced by the configured family in
@@ -362,12 +356,10 @@ def privacy_trace(cfg: dict, out_dir: Path, swap_agent: int | None = None) -> di
     trajectory CSVs for both variants plus the largest per-round deviation
     an observer of the traces would see.
     """
-    if swap_agent is not None:
-        cfg = apply_overrides(cfg, [f"privacy_trace.swap_agent={swap_agent}"])
     exp = build_experiment(cfg)
     if exp.trace_swap is None:
         raise ConfigError(
-            "privacy-trace needs a privacy_trace section (or --swap) with "
+            "privacy-trace needs a privacy_trace section with "
             "swap_agent and replacement_family"
         )
     agent, family = exp.trace_swap
@@ -454,8 +446,6 @@ def main(argv=None) -> int:
             metavar="KEY=VALUE",
             help="override a config value (dotted path, YAML scalar)",
         )
-        if verb == "privacy-trace":
-            p.add_argument("--swap", type=int, default=None)
         if verb == "sweep":
             p.add_argument("--workers", type=int, default=None)
     p_report = sub.add_parser("report")
@@ -475,7 +465,7 @@ def main(argv=None) -> int:
             results = sweep_experiment(cfg, out_dir, max_workers=args.workers)
             print(f"wrote {out_dir}: {len(results)} cells")
         else:
-            result = privacy_trace(cfg, out_dir, swap_agent=args.swap)
+            result = privacy_trace(cfg, out_dir)
             print(
                 f"wrote {out_dir} (max trace deviation "
                 f"{_fmt(result['max_deviation'])})"

@@ -27,10 +27,9 @@ from pathlib import Path
 
 import yaml
 
-from .aggregation import ORACLE_KINDS
+from .aggregation import ORACLE_KINDS, TauSpec
 from .attacks import ATTACK_KINDS, AttackSpec
 from .bounds import validate_schedule
-from .engine import TauSpec
 from .errors import ConfigError
 from .objectives import GlobalProblem, benchmark_problem
 from .privacy import DpBudget, required_variance_local, sensitivity_default

@@ -31,7 +31,8 @@ under a fixed element budget; run() is the group of one. Copies may carry
 different attacks (a sweep's attack cells run this way, and a seed may
 then appear once per cell): every copy under one attack spec, wherever it
 sits in the group, is falsified by one plan over the round's whole edge
-list, which writes only those copies' edges. Only the global ALIE
+list, which writes only those copies' edges, and every receiver's
+clipping radius comes from one RadiusPlan beside them. Only the global ALIE
 statistic, a fixed duplication victim, the metric pass and the divergence
 test are taken per copy. A copy that diverges is recorded as its own run
 would record it and then zeroed while the others run on.
@@ -68,12 +69,12 @@ import numbers
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .aggregation import ORACLE_KINDS, ReceiverSums, edge_diffs, scc_edges, tau_edges
+from .aggregation import RadiusPlan, ReceiverSums, TauSpec, edge_diffs, scc_edges
 from .attacks import AttackPlan, AttackSpec
 from .bounds import dk_bound, validate_schedule
 from .errors import ConfigError
 from .objectives import GlobalProblem, normal_blocks, optimum_gaps
-from .schedules import StepSizeSchedule, value_at
+from .schedules import StepSizeSchedule
 from .topology import Network, TheoryConstants
 
 __all__ = [
@@ -94,27 +95,6 @@ _METRIC_ELEMENTS = 1 << 14
 # Edge values of one group of seeds run as a single round loop, copies x
 # edges x state elements (512 KiB per float64 edge array).
 _GROUP_ELEMENTS = 1 << 16
-
-
-@dataclasses.dataclass(frozen=True)
-class TauSpec:
-    """Clipping-radius policy for the resilient aggregator.
-
-    manual: fixed radius, or a schedule evaluated per round.
-    corollary1 / remark4: ground-truth-label oracles; `value` is then the
-    manual fallback used wherever the oracle is undefined (an agent with
-    no Byzantine neighbor under corollary1, and a NaN numerator).
-    """
-
-    kind: str = "manual"
-    value: float | object = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("manual",) + ORACLE_KINDS:
-            raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
-        # written so that NaN fails too; +inf (clip nothing) passes
-        if not value_at(self.value, 0) > 0:
-            raise ConfigError(f"clipping radius must be positive, got {self.value!r}")
 
 
 @dataclasses.dataclass
@@ -386,8 +366,6 @@ def _disjoint_union(net: Network, attacked) -> Network:
     union's edge list stays sorted by (recv, send) and every receiver sums
     its edges in the same order as in net.
     """
-    if len(attacked) == 1 and not (attacked[0] and net.byzantine):
-        return net
     every, kept = np.arange(len(net.recv)), np.flatnonzero(~net.is_byz[net.recv])
     parts = [kept if held else every for held in attacked]
     edges = np.concatenate(parts)
@@ -466,6 +444,8 @@ def _run_seeds(
         raise ConfigError(
             f"network has {net.n_agents} agents, problem has {prob.n_agents}"
         )
+    if prob.reliable != net.reliable:
+        raise ConfigError("the problem was built for another Byzantine set than the network's")
     if n_rounds < 0:
         raise ConfigError("round count must be nonnegative")
     for seed in seeds:
@@ -563,11 +543,7 @@ def _run_group(
     ]
     held = np.flatnonzero(union.is_byz).reshape(n_copies, -1)[attacked].ravel()
     sums = ReceiverSums(union.recv, union.n_agents, prob.dim)
-    # only the oracle radii read these: an E-sized rel_w raises peak RSS
-    rel_w = byz_weight = None
-    if tau.kind != "manual":
-        rel_w = np.where(union.byzantine_edges(), 0.0, union.edge_w)
-        byz_weight = union.weight_split()[1]
+    radius = RadiusPlan(tau, union, sums)
     # the rounds read only these of the union; its receivers live on in sums.
     # numpy's take copies a read-only index on every call, and the union's
     # arrays are frozen, so the rounds gather through a writable copy of send
@@ -669,8 +645,7 @@ def _run_group(
 
         diffs, norms = edge_diffs(messages, half, sums)
         del messages  # one E-sized array fewer while the radii and sums run
-        taus = tau_edges(norms, sums, rel_w, byz_weight, tau.kind, value_at(tau.value, k))
-        new_states = scc_edges(diffs, norms, half, sums, edge_w, taus)
+        new_states = scc_edges(diffs, norms, half, sums, edge_w, radius.radii(k, norms))
 
         if held.size:
             new_states[held] = x[held]

@@ -272,8 +272,7 @@ def minimize_scalar_grid(fun, slope=math.inf):
     point the full scan returns. Blocks keep their boundaries whatever the
     order, so each value compared comes from the same call on the same
     array as in the full scan, bit for bit. With the default infinite
-    slope, and for a one-block grid, there is no sample pass and every
-    block is scanned in order.
+    slope there is no sample pass and every block is scanned in order.
 
     A NaN value raises ConfigError naming an x where fun gave it; with
     the full scan, the first such grid point.
@@ -281,7 +280,7 @@ def minimize_scalar_grid(fun, slope=math.inf):
     xs = np.arange(-_SCAN_RADIUS, _SCAN_RADIUS + _SCAN_STEP, _SCAN_STEP)
     starts = range(0, len(xs), _SCAN_BLOCK)
     bounds = np.full(len(starts), -np.inf)
-    if math.isfinite(slope) and len(starts) > 1:
+    if math.isfinite(slope):
         bounds = _block_bounds(fun, xs, slope)
     i, best = 0, np.inf
     for k in np.argsort(bounds, kind="stable"):
@@ -599,6 +598,12 @@ def _assemble(
         )
     if u_coeffs is None and None in (sigma_sq, zeta_sq):
         raise ConfigError("custom objectives need explicit sigma_sq and zeta_sq")
+    given = dict(f_star=f_star, pl_constant=pl_constant, smoothness=smoothness,
+                 sigma_sq=sigma_sq, zeta_sq=zeta_sq)
+    for name, value in given.items():
+        if value is not None and not (math.isfinite(value) and (name == "f_star" or value >= 0)):
+            rule = "finite" if name == "f_star" else "finite and nonnegative"
+            raise ConfigError(f"{name} must be {rule}, got {value}")
     rows = None if u_coeffs is None else u_coeffs[list(reliable)]
     nan = math.nan  # each constant is filled in below
     prob = GlobalProblem(

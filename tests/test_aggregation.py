@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_weights, virtual_dense
-from gossipshield import build_network, rho_upper_bound
+from gossipshield import ConfigError, DecayingSchedule, build_network, rho_upper_bound
 from gossipshield.aggregation import (
     TAU_FLOOR,
     Inbox,
+    RadiusPlan,
     ReceiverSums,
+    TauSpec,
     clip,
     edge_diffs,
     gossip_mean,
     scc_aggregate,
     scc_edges,
     tau_corollary1,
-    tau_edges,
     tau_remark4,
 )
 
@@ -132,11 +133,6 @@ def _inboxes_from_edges(messages, states, net):
     return {i: Inbox(states[i], received[i]) for i in range(net.n_agents)}
 
 
-def _edge_weight_split(net):
-    rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
-    return rel_w, net.weight_split()[1]
-
-
 def test_edge_forms_match_reference():
     rng = np.random.default_rng(8)
     for dim in (1, 3):
@@ -149,14 +145,17 @@ def test_edge_forms_match_reference():
             states = rng.normal(size=(a, dim)) if dim > 1 else rng.normal(size=a)
             messages = rng.normal(scale=3.0, size=(e, dim) if dim > 1 else e)
             taus = rng.uniform(0.1, 3.0, a)
-            rel_w, byz_weight = _edge_weight_split(net)
 
             sums = ReceiverSums(net.recv, a)
             diffs, norms = edge_diffs(messages, states, sums)
             fallback = float(rng.uniform(0.1, 3.0))
-            got_tau = tau_edges(norms, sums, rel_w, byz_weight, "corollary1", fallback)
-            got_r4 = tau_edges(norms, sums, rel_w, byz_weight, "remark4", fallback)
-            got_manual = tau_edges(norms, sums, rel_w, byz_weight, "manual", fallback)
+            plans = {
+                kind: RadiusPlan(TauSpec(kind, fallback), net, sums)
+                for kind in ("corollary1", "remark4", "manual")
+            }
+            got_tau = plans["corollary1"].radii(0, norms)
+            got_r4 = plans["remark4"].radii(0, norms)
+            got_manual = plans["manual"].radii(0, norms)
             assert got_manual.tobytes() == np.full(a, fallback).tobytes()
             # scc_edges overwrites diffs, so each call gets its own copy
             got_scc = scc_edges(diffs.copy(), norms, states, sums, net.edge_w, taus)
@@ -182,12 +181,39 @@ def test_edge_forms_match_reference():
                 blown = norms.copy()
                 blown[net.byzantine_edges()] = np.inf
                 with np.errstate(invalid="ignore"):
+                    rel_w = np.where(net.byzantine_edges(), 0.0, net.edge_w)
                     nan_num = np.isnan(sums(rel_w * blown))
                     assert nan_num.any()
                     for kind, got in (("corollary1", got_tau), ("remark4", got_r4)):
                         expect = np.where(nan_num, fallback, got)
-                        taus_blown = tau_edges(blown, sums, rel_w, byz_weight, kind, fallback)
+                        taus_blown = plans[kind].radii(0, blown)
                         assert taus_blown.tobytes() == expect.tobytes()
+
+
+def test_radius_spec_needs_a_number_or_a_schedule():
+    # float() would read "1.0" and True as radius 1, and raise ValueError
+    # or TypeError, not ConfigError, on the others
+    for value in ("1.0", "wide", None, True):
+        with pytest.raises(ConfigError, match="number or a schedule"):
+            TauSpec("manual", value)
+        with pytest.raises(ConfigError, match="number or a schedule"):
+            TauSpec("corollary1", value)
+    assert TauSpec("manual", np.float64(0.5)).value == 0.5
+    assert TauSpec("remark4", 3).value == 3
+
+
+def test_radius_plan_evaluates_the_schedule_per_round():
+    net = build_network("random", 8, 0.25, seed=5, edge_p=0.7)
+    sums = ReceiverSums(net.recv, 8)
+    norms = np.zeros(len(net.recv))  # every oracle numerator is zero
+    sched = DecayingSchedule(scale=2.0, k0=4)
+    manual = RadiusPlan(TauSpec("manual", sched), net, sums)
+    oracle = RadiusPlan(TauSpec("corollary1", sched), net, sums)
+    no_byz = net.weight_split()[1] == 0.0
+    for k in (0, 7):
+        assert manual.radii(k, norms).tobytes() == np.full(8, sched.alpha(k)).tobytes()
+        # the fallback only where no Byzantine neighbor defines the oracle
+        assert (oracle.radii(k, norms) == np.where(no_byz, sched.alpha(k), TAU_FLOOR)).all()
 
 
 def test_scc_edges_rejects_nan_radius():

@@ -236,12 +236,17 @@ def test_privacy_trace_runs_one_ensemble_per_variant(tmp_path, monkeypatch):
             assert len(lines) == 4 + 26
 
 
-def test_privacy_trace_swap_flag_and_byz_guard(tmp_path):
+def test_privacy_trace_refuses_a_byzantine_swap_agent(tmp_path, capsys):
     cfg = _cfg()
     cfg["privacy_trace"] = {"swap_agent": 3, "replacement_family": 9}
-    # agent 0 is flagged in this network; the flag override must refuse
-    with pytest.raises(ConfigError, match="reliable"):
-        privacy_trace(cfg, tmp_path / "x", swap_agent=0)
+    path = _write(tmp_path, cfg)
+    # agent 0 is flagged in this network; the override must be refused
+    argv = ["privacy-trace", str(path), "--out", str(tmp_path / "x")]
+    assert main(argv + ["--set", "privacy_trace.swap_agent=0"]) == 2
+    assert "swap_agent: the observed agent must be reliable" in capsys.readouterr().err
+    # the config key is the one way to set the swapped agent
+    with pytest.raises(SystemExit):
+        main(argv + ["--swap", "3"])
 
 
 def test_main_run_and_report(tmp_path, capsys, monkeypatch):
@@ -494,6 +499,31 @@ def test_summary_prints_the_theory_block_in_regime(tmp_path):
     cfg["run"]["horizon"] = 0
     lines = _summary(tmp_path, cfg, "empty")
     assert lines[-1] == "  gap ceiling skipped: decaying-regime bound needs at least one round"
+
+
+def test_summary_prints_the_constant_regime_gap_ceiling(tmp_path):
+    # the in-regime network above, stepped at theta_min for every round
+    cfg = _cfg(
+        topology={"kind": "random", "n_agents": 50, "byz_fraction": 0.0, "seed": 2, "edge_p": 0.2},
+        schedule={"kind": "constant", "scale": 0.005565153427786793},
+        noise={"variance": 1.0e-6},
+        attack={"kind": "none"},
+        aggregation={"kind": "scc", "tau": {"kind": "manual", "value": 1.0e6}},
+        run={"horizon": 30, "seeds": [1, 2], "bound_column": True},
+    )
+    lines = _summary(tmp_path, cfg)
+    block = lines[lines.index("theory:") + 1 :]
+    assert block[2].endswith(" regime_valid=True")
+    total = float(block[4].removeprefix("  gap ceiling total="))
+    terms = [line.split(" = ") for line in block[5:]]
+    assert [name for name, _ in terms] == [
+        "    initial_gap (initial)", "    disagreement_contraction (byzantine)",
+        "    disagreement_mean (disagreement)", "    disagreement_weighted (byzantine)",
+        "    sampling_step (sampling)", "    contraction_floor (byzantine)",
+        "    masking_floor (privacy)",
+    ]
+    assert total == sum(float(value) for _, value in terms)
+    assert [value for name, value in terms if "byzantine" in name] == ["0.0"] * 3
 
 
 def test_summary_prints_the_local_budget(tmp_path):

@@ -683,6 +683,13 @@ _REFUSED = [
     ([("sweep", {"axes": [{"key": None, "values": [1]}]})], ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
     ([("sweep", {"axes": [_AXES[0], {"key": "nosuch.x", "values": [1]}]})], ConfigError, r"sweep\.axes\[1\]\.key: expected a dotted key"),
     ([("sweep", {"axes": [{"key": 3, "values": [1]}]})], ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
+    # landscape constants the problem builders refuse by name
+    ([("problem", {"f_star": float("nan")})], ConfigError, "f_star must be finite, got nan"),
+    ([("problem", {"f_star": float("inf")})], ConfigError, "f_star must be finite, got inf"),
+    ([("problem", {"smoothness": float("inf")})], ConfigError, "smoothness must be finite and nonnegative, got inf"),
+    ([("problem", {"pl_constant": -1.0})], ConfigError, "pl_constant must be finite and nonnegative, got -1.0"),
+    ([("problem", {"sigma_sq": float("nan")})], ConfigError, "sigma_sq must be finite and nonnegative, got nan"),
+    ([("problem", {"zeta_sq": -1.0})], ConfigError, "zeta_sq must be finite and nonnegative, got -1.0"),
 ]
 
 _FULL = _edited([

@@ -615,6 +615,18 @@ def test_manual_tau_accepts_schedules():
     assert np.array_equal(a.final_x, b.final_x)
 
 
+def test_run_refuses_a_problem_built_for_another_byzantine_set():
+    # the f_bar column averages the problem's reliable agents, so a problem
+    # built without the network's labels would average the wrong ones
+    net, _ = _small_setup(n=20, byz_fraction=0.1)
+    unlabeled = benchmark_problem(byzantine=(), n_agents=20)
+    sched = ConstantSchedule(0.05)
+    with pytest.raises(ConfigError, match="another Byzantine set"):
+        run(net, unlabeled, sched, 3, 0, agg="mean")
+    with pytest.raises(ConfigError, match="another Byzantine set"):
+        run_ensemble(net, unlabeled, sched, 3, [0, 1], agg="mean")
+
+
 def test_run_validation_errors():
     net, prob = _small_setup(n=10, byz_fraction=0.0)
     other = benchmark_problem(n_agents=12, family_of=[1] * 12)

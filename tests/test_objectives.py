@@ -585,6 +585,22 @@ def test_custom_problem_requires_constants_beyond_dim_one():
     assert ok.dim == 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("f_star", math.nan), ("f_star", math.inf), ("f_star", -math.inf),
+    ("smoothness", math.inf), ("smoothness", -1.0), ("pl_constant", -1.0),
+    ("pl_constant", math.nan), ("sigma_sq", math.inf), ("zeta_sq", -1.0),
+])
+def test_given_landscape_constants_must_be_finite(name, value):
+    # refused by name before any estimate, which would blame a NaN f* on
+    # the P-L probe
+    rule = "finite" if name == "f_star" else "finite and nonnegative"
+    with pytest.raises(ConfigError, match=f"^{name} must be {rule}, got"):
+        benchmark_problem(n_agents=10, **{name: value})
+    given = dict(f_star=1.0, pl_constant=2.0, smoothness=2.0, sigma_sq=0.0, zeta_sq=0.0)
+    with pytest.raises(ConfigError, match=f"^{name} must be {rule}, got"):
+        custom_problem([_quad(0, 1.0)], **dict(given, **{name: value}))
+
+
 def test_batch_is_exactly_a_std_rescale():
     # B averaged draws enter the gradient linearly
     batched = benchmark_problem(batch=4)

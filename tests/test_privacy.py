@@ -95,6 +95,20 @@ def test_global_epsilon_zero_horizon():
     assert global_epsilon(budget, 2.0).epsilon == 0.0
 
 
+def test_global_epsilon_at_zero_variance_and_zero_bound():
+    budget = DpBudget(delta=0.1, grad_bound=1.0, total_samples=50, batch_size=5, horizon=20)
+    # no masking: nothing hides the gradient
+    unmasked = global_epsilon(budget, 0.0)
+    assert unmasked.epsilon == math.inf
+    assert not unmasked.variance_ok
+    # a zero gradient bound leaks nothing, at any order
+    silent = DpBudget(delta=0.1, grad_bound=0.0, total_samples=50, batch_size=5, horizon=20)
+    rep = global_epsilon(silent, 1.0)
+    assert rep.epsilon == 0.0
+    assert rep.renyi_cap == math.inf and rep.renyi_cap_positive
+    assert rep.preconditions_ok
+
+
 def test_global_epsilon_scaling_in_variance():
     budget = DpBudget(
         delta=0.1, grad_bound=1.0, total_samples=50, batch_size=5, horizon=20
@@ -160,7 +174,8 @@ def test_budget_validation():
         DpBudget(delta=0.0, grad_bound=1.0, total_samples=10, batch_size=1, horizon=1)
     with pytest.raises(ConfigError):
         DpBudget(delta=0.5, grad_bound=1.0, total_samples=5, batch_size=9, horizon=1)
-    for bound in (-1.0, math.nan):
+    # config refuses an infinite bound, and so do both entry points
+    for bound in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="gradient bound"):
             DpBudget(delta=0.5, grad_bound=bound, total_samples=5, batch_size=1, horizon=1)
         with pytest.raises(ConfigError, match="gradient bound"):

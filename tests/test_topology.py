@@ -315,6 +315,50 @@ def test_validate_rejects_broken_edge_lists():
     Network(4, (2, 3), recv, send, *_metropolis(4, recv, send)).validate()
 
 
+def _column_drift(net):
+    """Complete-graph weights whose columns drift while the rows stay
+    exact: each of agent 0's out-edges gains t and each row gives t back
+    on another edge, every pair within the symmetry tolerance of 1e-12."""
+    w, t = net.edge_w.copy(), 0.9e-12
+    for m, k in ((1, 2), (2, 3), (3, 1)):
+        w[(net.recv == m) & (net.send == 0)] += t
+        w[(net.recv == m) & (net.send == k)] -= t
+    return {"edge_w": w}
+
+
+def _zero_edge(net):
+    """Edge 0-1 at weight zero in both directions, moved to the self-weights."""
+    w, self_w = net.edge_w.copy(), net.self_w.copy()
+    pair = ((net.recv == 0) & (net.send == 1)) | ((net.recv == 1) & (net.send == 0))
+    self_w[[0, 1]] += w[pair]
+    w[pair] = 0.0
+    return {"edge_w": w, "self_w": self_w}
+
+
+def _replaced(arr, index, value):
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda net: {"edge_w": net.edge_w[:-1]}, "one length"),
+    (lambda net: {"self_w": net.self_w[:-1]}, "one length"),
+    (lambda net: {"send": _replaced(net.send, -1, 4)}, "out of range"),
+    (lambda net: {"send": _replaced(net.send, 0, -1)}, "out of range"),
+    (lambda net: {"send": _replaced(net.send, 0, net.recv[0])}, "self-loops"),
+    (lambda net: {"send": _replaced(net.send, [0, 1], net.send[[1, 0]])}, "senders must be sorted"),
+    (lambda net: {"send": _replaced(net.send, 1, net.send[0])}, "without repeats"),
+    (_column_drift, "columns"),
+    (_zero_edge, "nonzero weight"),
+], ids=["edge_w", "self_w", "above", "below", "loop", "unsorted", "repeat", "column", "zero"])
+def test_validate_refuses_each_broken_invariant(broken, message):
+    net = build_network("complete", 4, 0.0, seed=0)
+    net.validate()
+    with pytest.raises(TopologyError, match=message):
+        _with(net, **broken(net)).validate()
+
+
 def test_sparse_setup_memory_stays_linear():
     # one dense 4000 x 4000 float matrix alone is 122 MiB
     tracemalloc.start()
