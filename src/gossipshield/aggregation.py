@@ -27,12 +27,11 @@ substitution happens at delivery time, before aggregation sees anything.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, number_or_schedule, real
 from .schedules import value_at
 from .topology import Network
 
@@ -57,11 +56,8 @@ class TauSpec:
     def __post_init__(self):
         if self.kind not in ("manual",) + ORACLE_KINDS:
             raise ConfigError(f"unknown clipping-radius kind {self.kind!r}")
-        real = isinstance(self.value, numbers.Real) and not isinstance(self.value, bool)
-        if not (real or callable(getattr(self.value, "alpha", None))):
-            raise ConfigError(f"clipping radius must be a number or a schedule, got {self.value!r}")
-        # written so that NaN fails too; +inf (clip nothing) passes
-        if not value_at(self.value, 0) > 0:
+        # +inf, which clips nothing, passes
+        if not value_at(number_or_schedule(self.value, "tau"), 0) > 0:
             raise ConfigError(f"clipping radius must be positive, got {self.value!r}")
 
 
@@ -91,7 +87,7 @@ class Inbox:
 
 def clip(v: np.ndarray, tau: float) -> np.ndarray:
     """Scale v down to norm tau when it is longer; zero stays zero."""
-    if tau <= 0:
+    if real(tau, "tau") <= 0:
         raise ValueError(f"clip threshold must be positive, got {tau}")
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))

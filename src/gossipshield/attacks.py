@@ -21,14 +21,12 @@ against.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import warnings
 
 import numpy as np
 
 from .aggregation import ReceiverSums
-from .errors import ConfigError
+from .errors import ConfigError, number_or_schedule, real
 from .schedules import value_at
 from .topology import Network
 
@@ -70,12 +68,11 @@ class AttackSpec:
             raise ConfigError(
                 f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}"
             )
-        if self.kind == "sign_flip" and not self.s_b >= 0:  # NaN fails too
+        real(self.d_r, "d_r")  # every magnitude may be infinite
+        number_or_schedule(self.p_mult, "p_mult")
+        number_or_schedule(self.p_add, "p_add")
+        if real(self.s_b, "s_b") < 0 and self.kind == "sign_flip":
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
-        for name in ("d_r", "p_mult", "p_add"):
-            value = getattr(self, name)  # a schedule (alpha method) is not checked
-            if isinstance(value, numbers.Real) and math.isnan(value):
-                raise ConfigError(f"attack {name} must not be NaN")
 
     def check_victim(self, reliable) -> None:
         """Refuse a fixed duplication victim outside the given reliable ids."""

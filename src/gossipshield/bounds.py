@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, RegimeError, count, nonnegative
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .topology import TheoryConstants
 
@@ -159,10 +159,9 @@ class ConvergenceBoundInputs:
         object.__setattr__(self, "d_series", d)
         if d.ndim != 1 or d.shape[0] < 1:
             raise ConfigError("disagreement series must be a nonempty vector")
-        if not np.all(np.isfinite(d)) or not np.isfinite(self.f0_gap):
+        if not np.all(np.isfinite(d)):
             raise ConfigError("bound inputs must be finite")
-        if self.f0_gap < 0:
-            raise ConfigError("initial gap must be nonnegative")
+        nonnegative(self.f0_gap, "f0_gap")
 
     @property
     def horizon(self) -> int:
@@ -351,8 +350,7 @@ def regime_compare(
     rows = len(log_decaying.k)
     if window is None:
         window = max(1, rows // 10)
-    if not 1 <= window <= rows:
-        raise ConfigError(f"window must be in [1, {rows}]")
+    count(window, "window", 1, rows)
     return RegimeComparison(
         window=window,
         d_decaying=float(np.mean(log_decaying.consensus[-window:])),

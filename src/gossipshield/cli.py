@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs
 from .config import apply_overrides, build_experiment, load_config, set_path
 from .engine import EnsembleResult, run_ensemble
-from .errors import ConfigError, GossipShieldError
+from .errors import ConfigError, GossipShieldError, count
 from .objectives import benchmark_problem
 from .privacy import global_epsilon, required_variance_local, sensitivity_default
 from .schedules import DecayingSchedule
@@ -264,12 +264,13 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
     constants wherever their sections agree, and cells that are equal
     except for their attack form one group: one run_ensemble call whose
     members are the group's cells times the seeds. Each cell's artifacts
-    are those run_experiment writes for it. With several groups and
-    max_workers other than 1, a process pool runs the groups.
+    are those run_experiment writes for it. The groups run in a pool of
+    min(max_workers or the CPU count, groups) processes, unless that is 1.
 
     The cells and the summary are written into a temporary sibling of
     out_dir and moved into place only after every cell has returned, so
     a sweep that fails in any cell leaves out_dir as it was."""
+    workers = (os.cpu_count() or 1) if max_workers is None else count(max_workers, "max_workers", 1)
     built = {}
     exp = build_experiment(cfg, built)
     axes = exp.sweep_axes
@@ -297,7 +298,8 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             )
         groups = list(groups.values())
 
-        if max_workers == 1 or len(groups) == 1:
+        workers = min(workers, len(groups))
+        if workers == 1:
             results = [
                 pair for group in groups
                 for pair in _run_cells([(idx, e, out) for idx, _, e, out in group])
@@ -307,7 +309,7 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             from concurrent.futures import ProcessPoolExecutor
 
             jobs = [[(idx, c, out) for idx, c, _, out in group] for group in groups]
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = [pair for pairs in pool.map(_sweep_worker, jobs) for pair in pairs]
         results.sort(key=lambda pair: pair[0])
 

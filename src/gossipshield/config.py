@@ -3,11 +3,12 @@
 The file is YAML with fixed sections. Each section has one spec, a table
 that maps each of its keys to a reader and a default; `_fields` reads a
 section by its spec, and a few lines of code state the rules that span
-keys. Unknown keys anywhere are an error, so typos fail loudly instead
-of silently running defaults. A section's result is its normalized form,
-a canonical primitive dict: the runtime objects are built from it, and
-its JSON hash stamps all artifacts, making re-runs verifiable. A new key
-is one spec entry.
+keys. Numbers are read by the readers of errors.py, the ones the
+library's entry points call. Unknown keys anywhere are an error, so
+typos fail loudly instead of silently running defaults. A section's
+result is its normalized form, a canonical primitive dict: the runtime
+objects are built from it, and its JSON hash stamps all artifacts,
+making re-runs verifiable. A new key is one spec entry.
 
 YAML reads `1e-6` as a number here, as it reads `1.0e-6`. `null` stands
 for an absent key under problem.family_of, attack.victim, privacy.local
@@ -30,8 +31,8 @@ import yaml
 from .aggregation import ORACLE_KINDS, TauSpec
 from .attacks import ATTACK_KINDS, AttackSpec
 from .bounds import validate_schedule
-from .errors import ConfigError
-from .objectives import GlobalProblem, benchmark_problem
+from .errors import ConfigError, count, finite, nonnegative, number, positive, real
+from .objectives import N_FAMILIES, GlobalProblem, benchmark_problem
 from .privacy import DpBudget, required_variance_local, sensitivity_default
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
 from .topology import (
@@ -91,6 +92,22 @@ def _raw(value, path: str):
     return value
 
 
+def _either(spec: dict, default: str, given: str):
+    """A section read by spec in which the key `given` replaces the key
+    `default`, which may then not be set. Configs without `given` keep the
+    normalized form, and so the hash, they always had."""
+
+    def read(section, path: str) -> dict:
+        norm = _fields(section, path, spec)
+        if given in norm:
+            if default in section:
+                raise ConfigError(f"{path}: give either {default} or {given}")
+            del norm[default]
+        return norm
+
+    return read
+
+
 def _choice(*options):
     def read(value, path: str):
         if value not in options:
@@ -106,36 +123,17 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+# bounded integer readers; agent counts and ids take any integer, and
+# the network refuses those out of its range
+_agent = functools.partial(count, low=-math.inf)
+_positive_int = functools.partial(count, low=1)
+_family = functools.partial(count, low=1, high=N_FAMILIES)
 
 
-def _nonnegative(value, path: str) -> float:
-    value = _as_float(value, path)
-    if not 0 <= value < math.inf:  # NaN fails too
-        raise ConfigError(f"{path}: must be nonnegative and finite, got {value}")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _as_seed(value, path: str) -> int:
-    seed = _as_int(value, path)
-    if seed < 0:
-        raise ConfigError(f"{path}: seeds must be nonnegative, got {seed}")
-    return seed
-
-
-def _int_list(value, path: str) -> list:
+def _int_list(value, path: str, read=_agent) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list of integers, got {value!r}")
-    return [_as_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _agent_ids(value, path: str) -> list:
@@ -150,7 +148,7 @@ def _nonempty_list(value, path: str) -> list:
 
 
 def _seed_list(value, path: str) -> list:
-    seeds = [_as_seed(s, path) for s in _nonempty_list(value, path)]
+    seeds = [count(s, f"{path}[{i}]") for i, s in enumerate(_nonempty_list(value, path))]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{path}: duplicate seeds")
     return seeds
@@ -158,8 +156,8 @@ def _seed_list(value, path: str) -> list:
 
 _SCHEDULE = {
     "kind": (_choice("decaying", "constant"), _REQUIRED),
-    "scale": (_as_float, _REQUIRED),
-    "k0": (_as_int, _OMIT),
+    "scale": (positive, _REQUIRED),
+    "k0": (_positive_int, _OMIT),
 }
 
 
@@ -172,10 +170,9 @@ def _schedule(section: dict, path: str) -> dict:
     return norm
 
 
-def _scalar_or_schedule(value, path: str):
-    if isinstance(value, dict):
-        return _schedule(value, path)
-    return _as_float(value, path)
+def _scalar_or_schedule(read):
+    """A schedule mapping, or a number read by read."""
+    return lambda value, path: (_schedule if isinstance(value, dict) else read)(value, path)
 
 
 def _runtime(value):
@@ -189,88 +186,59 @@ def _runtime(value):
 
 _TOPOLOGY = {
     "kind": (_raw, _REQUIRED),
-    "n_agents": (_as_int, _REQUIRED),
-    "byz_fraction": (_as_float, 0.0),
+    "n_agents": (_agent, _REQUIRED),
+    "byz_fraction": (number, 0.0),  # the network refuses NaN and inf, as TopologyError
     "byzantine_ids": (_agent_ids, _OMIT),
-    "seed": (_as_seed, 0),
-    "edge_p": (_as_float, 0.3),
+    "seed": (count, 0),
+    "edge_p": (number, 0.3),
 }
-
-
-def _topology(section: dict, path: str) -> dict:
-    norm = _fields(section, path, _TOPOLOGY)
-    if "byzantine_ids" in norm:
-        if "byz_fraction" in section:
-            raise ConfigError(f"{path}: give either byz_fraction or byzantine_ids")
-        # explicit ids replace the fraction; configs without them keep the
-        # normalized form, and so the hash, they always had
-        del norm["byz_fraction"]
-    return norm
-
 
 _PROBLEM = {
     "kind": (_choice("benchmark"), "benchmark"),
-    "u_std": (_as_float, 0.1),
-    "v_std": (_as_float, 0.1),
-    "batch": (_as_int, 1),
-    "family_of": (_or_null(_int_list), _OMIT),
+    "u_std": (nonnegative, 0.1),
+    "v_std": (nonnegative, 0.1),
+    "batch": (_positive_int, 1),
+    "family_of": (_or_null(functools.partial(_int_list, read=_family)), _OMIT),
     # landscape constants that override the problem's own estimates
-    "f_star": (_as_float, _OMIT),
-    "pl_constant": (_as_float, _OMIT),
-    "smoothness": (_as_float, _OMIT),
-    "sigma_sq": (_as_float, _OMIT),
-    "zeta_sq": (_as_float, _OMIT),
+    "f_star": (finite, _OMIT),
+    "pl_constant": (nonnegative, _OMIT),
+    "smoothness": (nonnegative, _OMIT),
+    "sigma_sq": (nonnegative, _OMIT),
+    "zeta_sq": (nonnegative, _OMIT),
 }
 
 # a per-gradient (epsilon, delta) budget under a gradient bound, the one
-# reader of noise.from_local_dp and privacy.local
-_budget = _section({
-    "epsilon": (_as_float, _REQUIRED),
-    "delta": (_as_float, _REQUIRED),
-    "grad_bound": (_nonnegative, _REQUIRED),
-})
-
-_NOISE = {
-    "variance": (_nonnegative, 0.0),
-    "from_local_dp": (_budget, _OMIT),
+# spec of noise.from_local_dp and privacy.local
+_BUDGET = {
+    "epsilon": (finite, _REQUIRED),
+    "delta": (finite, _REQUIRED),
+    "grad_bound": (nonnegative, _REQUIRED),
 }
 
-
-def _noise(section: dict, path: str) -> dict:
-    norm = _fields(section, path, _NOISE)
-    if "from_local_dp" in norm:
-        if "variance" in section:
-            raise ConfigError(f"{path}: give either variance or from_local_dp")
-        del norm["variance"]
-    return norm
-
+_NOISE = {
+    "variance": (nonnegative, 0.0),
+    "from_local_dp": (_section(_BUDGET), _OMIT),
+}
 
 _ATTACK = {
     "kind": (_choice(*ATTACK_KINDS), "none"),
-    "s_b": (_as_float, _OMIT),
-    "d_r": (_as_float, _OMIT),
-    "p_mult": (_scalar_or_schedule, _OMIT),
-    "p_add": (_scalar_or_schedule, _OMIT),
-    "victim": (_or_null(_as_int), _OMIT),
+    # the magnitudes may be infinite: a Byzantine agent may send +inf
+    "s_b": (real, _OMIT),
+    "d_r": (real, _OMIT),
+    "p_mult": (_scalar_or_schedule(real), _OMIT),
+    "p_add": (_scalar_or_schedule(real), _OMIT),
+    "victim": (_or_null(_agent), _OMIT),
     "alie_local": (_as_bool, _OMIT),
 }
 
 _TAU = {
     "kind": (_raw, "manual"),
-    "value": (_scalar_or_schedule, _REQUIRED),
+    "value": (_scalar_or_schedule(positive), _REQUIRED),
 }
-
-
-def _tau(section: dict, path: str) -> dict:
-    norm = _fields(section, path, _TAU)
-    if isinstance(norm["value"], float) and not math.isfinite(norm["value"]):
-        raise ConfigError(f"{path}.value: expected a finite radius, got {norm['value']!r}")
-    return norm
-
 
 _AGGREGATION = {
     "kind": (_choice("scc", "mean"), "scc"),
-    "tau": (_tau, _OMIT),
+    "tau": (_section(_TAU), _OMIT),
     "allow_oracle": (_as_bool, False),
 }
 
@@ -293,7 +261,7 @@ def _aggregation(section: dict, path: str) -> dict:
 
 
 _RUN = {
-    "horizon": (_as_int, _REQUIRED),
+    "horizon": (count, _REQUIRED),
     "seeds": (_seed_list, _REQUIRED),
     "theory_mode": (_as_bool, False),
     "bound_column": (_as_bool, False),
@@ -326,15 +294,15 @@ def _sweep(section: dict, path: str):
 
 # the inputs of the whole-run privacy accounting, less the run's horizon
 _GLOBAL_BUDGET = {
-    "delta": (_as_float, _REQUIRED),
-    "grad_bound": (_nonnegative, _REQUIRED),
-    "total_samples": (_as_int, _REQUIRED),
-    "batch_size": (_as_int, _REQUIRED),
-    "renyi_order": (_as_float, _OMIT),
+    "delta": (finite, _REQUIRED),
+    "grad_bound": (nonnegative, _REQUIRED),
+    "total_samples": (_positive_int, _REQUIRED),
+    "batch_size": (_positive_int, _REQUIRED),
+    "renyi_order": (finite, _OMIT),
 }
 
 _PRIVACY = {
-    "local": (_or_null(_budget), _OMIT),
+    "local": (_or_null(_section(_BUDGET)), _OMIT),
     "global": (_or_null(_section(_GLOBAL_BUDGET)), _OMIT),
 }
 
@@ -343,16 +311,16 @@ def _privacy(section: dict, path: str):
     return _fields(section, path, _PRIVACY) or _OMIT
 
 _PRIVACY_TRACE = {
-    "swap_agent": (_as_int, _REQUIRED),
-    "replacement_family": (_as_int, _REQUIRED),
+    "swap_agent": (_agent, _REQUIRED),
+    "replacement_family": (_family, _REQUIRED),
 }
 
 # the sections of a config; empty sweep and privacy sections are left out
 _CONFIG = {
-    "topology": (_topology, _REQUIRED),
+    "topology": (_either(_TOPOLOGY, "byz_fraction", "byzantine_ids"), _REQUIRED),
     "problem": (_section(_PROBLEM), {}),
     "schedule": (_schedule, _REQUIRED),
-    "noise": (_noise, {}),
+    "noise": (_either(_NOISE, "variance", "from_local_dp"), {}),
     "attack": (_section(_ATTACK), {}),
     "aggregation": (_aggregation, {}),
     "run": (_section(_RUN), _REQUIRED),
@@ -523,6 +491,12 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         (axis["key"], axis["values"]) for axis in normalized.get("sweep", {}).get("axes", [])
     ]
     privacy = normalized.get("privacy", {})
+    if "local" in privacy:
+        # the summary prints its variance: refused here, not after the rounds
+        dp = privacy["local"]
+        required_variance_local(
+            dp["epsilon"], dp["delta"], sensitivity_default(dp["grad_bound"]), sched
+        )
     budget = None
     if "global" in privacy:
         budget = DpBudget(horizon=run["horizon"], **privacy["global"])

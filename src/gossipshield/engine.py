@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -72,7 +71,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .aggregation import RadiusPlan, ReceiverSums, TauSpec, edge_diffs, scc_edges
 from .attacks import AttackPlan, AttackSpec
 from .bounds import dk_bound, validate_schedule
-from .errors import ConfigError
+from .errors import ConfigError, count, nonnegative
 from .objectives import GlobalProblem, normal_blocks, optimum_gaps
 from .schedules import StepSizeSchedule
 from .topology import Network, TheoryConstants
@@ -446,16 +445,11 @@ def _run_seeds(
         )
     if prob.reliable != net.reliable:
         raise ConfigError("the problem was built for another Byzantine set than the network's")
-    if n_rounds < 0:
-        raise ConfigError("round count must be nonnegative")
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    n_rounds = count(n_rounds, "n_rounds")
+    seeds = [count(seed, "seed") for seed in seeds]
     if agg not in ("scc", "mean"):
         raise ConfigError(f"unknown aggregation {agg!r}; expected 'scc' or 'mean'")
-    if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < math.inf:
-        raise ConfigError(f"noise must be a finite nonnegative variance, got {noise!r}")
-    noise = float(noise)
+    noise = nonnegative(noise, "noise")
     attacks = _member_attacks(attack, len(seeds))
     for spec in attacks:
         spec.check_victim(net.reliable)

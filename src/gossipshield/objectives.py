@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BrokenOptimumError, ConfigError
+from .errors import BrokenOptimumError, ConfigError, count, finite, nonnegative
 
 __all__ = [
     "LocalObjective",
@@ -201,8 +201,7 @@ def _family_callables(family: int, u_std: float, v_std: float) -> tuple:
     """(expected_value, expected_gradient, sample_value, sample_gradient)
     of one benchmark family; they depend on the family alone, so agents of
     one family can share them."""
-    if not 1 <= family <= N_FAMILIES:
-        raise ConfigError(f"family must be 1..{N_FAMILIES}, got {family}")
+    count(family, "family", 1, N_FAMILIES)
     cu = _U_COEFFS[family - 1]
     cv = float(_V_COEFFS[family - 1])
 
@@ -478,11 +477,8 @@ def _assign_families(n_agents: int, family_of: Sequence[int] | None) -> list:
             raise ConfigError(f"family_of must be a list of integers, got {family_of!r}")
         if len(family_of) != n_agents:
             raise ConfigError("family assignment length must equal n_agents")
-        for i, f in enumerate(family_of):
-            # bools and floats are refused, not coerced: int(1.5) is 1
-            if isinstance(f, bool) or not isinstance(f, (int, np.integer)):
-                raise ConfigError(f"family_of[{i}] must be an integer, got {f!r}")
-        return [int(f) for f in family_of]
+        # bools and floats are refused, not coerced: int(1.5) is 1
+        return [count(f, f"family_of[{i}]", 1, N_FAMILIES) for i, f in enumerate(family_of)]
     if n_agents % N_FAMILIES != 0:
         raise ConfigError(
             "default benchmark assignment needs n_agents divisible by "
@@ -522,14 +518,9 @@ def benchmark_problem(
     dividing both stds by sqrt(batch); the stored u_std/v_std and the
     default sigma_sq are the effective per-gradient values.
     """
-    batch = int(batch)
-    if batch < 1:
-        raise ConfigError(f"batch must be a positive draw count, got {batch}")
-    for name, std in (("u_std", u_std), ("v_std", v_std)):
-        if not float(std) >= 0:  # NaN fails too
-            raise ConfigError(f"{name} must be nonnegative, got {std}")
-    u_std = float(u_std) / math.sqrt(batch)
-    v_std = float(v_std) / math.sqrt(batch)
+    batch = count(batch, "batch", 1)
+    u_std = nonnegative(u_std, "u_std") / math.sqrt(batch)
+    v_std = nonnegative(v_std, "v_std") / math.sqrt(batch)
     families = _assign_families(n_agents, family_of)
     # one set of callables per distinct family, in first-seen order
     shared = {f: _family_callables(f, u_std, v_std) for f in dict.fromkeys(families)}
@@ -601,9 +592,8 @@ def _assemble(
     given = dict(f_star=f_star, pl_constant=pl_constant, smoothness=smoothness,
                  sigma_sq=sigma_sq, zeta_sq=zeta_sq)
     for name, value in given.items():
-        if value is not None and not (math.isfinite(value) and (name == "f_star" or value >= 0)):
-            rule = "finite" if name == "f_star" else "finite and nonnegative"
-            raise ConfigError(f"{name} must be {rule}, got {value}")
+        if value is not None:
+            (finite if name == "f_star" else nonnegative)(value, name)
     rows = None if u_coeffs is None else u_coeffs[list(reliable)]
     nan = math.nan  # each constant is filled in below
     prob = GlobalProblem(
@@ -625,8 +615,10 @@ def _assemble(
     if sigma_sq is None or zeta_sq is None:
         cores = rows @ _basis_cores(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))  # (R, 5)
         if sigma_sq is None:
-            # deviation is (u - 1) * core, so the variance is exact
-            sigma_sq = u_std**2 * np.max(cores**2)
+            # deviation is (u - 1) * core, so the variance is exact; numpy's
+            # ** gives inf, which is refused, where a float ** would raise
+            with np.errstate(over="ignore"):
+                sigma_sq = finite(np.float64(u_std) ** 2 * np.max(cores**2), "sigma_sq")
         if zeta_sq is None:
             zeta_sq = np.max((cores - cores.mean(axis=0)) ** 2)
     return dataclasses.replace(
@@ -707,8 +699,7 @@ def estimate_sigma_zeta(
     probes = list(probe_points)
     if not probes:
         raise ConfigError("empty probe list")
-    if samples_per_point < 2:
-        raise ConfigError("need at least two samples per probe")
+    count(samples_per_point, "samples_per_point", 2)
 
     rel = list(prob.reliable)
     sigma_hat = 0.0

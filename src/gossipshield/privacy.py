@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, count, finite, nonnegative, positive
 from .schedules import DecayingSchedule, StepSizeSchedule
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
 
 def sensitivity_default(grad_bound: float) -> float:
     """Worst-case change of a bounded scalar gradient under a swap."""
-    if not 0 <= grad_bound < math.inf:  # NaN fails too
-        raise ConfigError(f"gradient bound must be nonnegative and finite, got {grad_bound}")
-    return 2.0 * grad_bound
+    return 2.0 * nonnegative(grad_bound, "gradient bound")
 
 
 def required_variance_local(
@@ -46,13 +44,14 @@ def required_variance_local(
         raise ConfigError(f"epsilon must lie in (0, 1], got {eps}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    if delta_g <= 0:
-        raise ConfigError(f"sensitivity must be positive, got {delta_g}")
-    base = 2.0 * delta_g**2 * schedule.scale**2 * (math.log(1.25) - math.log(delta))
+    positive(delta_g, "delta_g")
+    # squares by *, which overflows to inf (refused below) where ** raises
+    base = 2.0 * (delta_g * delta_g) * (schedule.scale * schedule.scale)
+    base *= math.log(1.25) - math.log(delta)
     base /= eps**2
     if isinstance(schedule, DecayingSchedule):
         base /= schedule.k0**2
-    return base
+    return finite(base, "required variance")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,13 +69,9 @@ class DpBudget:
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         sensitivity_default(self.grad_bound)  # the gradient bound's one rule
-        if self.batch_size < 1 or self.total_samples < self.batch_size:
-            raise ConfigError(
-                f"need 1 <= batch_size <= total_samples, got "
-                f"{self.batch_size} and {self.total_samples}"
-            )
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
+        count(self.batch_size, "batch_size", 1)
+        count(self.total_samples, "total_samples", self.batch_size)
+        count(self.horizon, "horizon")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,25 +98,25 @@ def global_epsilon(budget: DpBudget, variance: float) -> GlobalDpReport:
     the admissible divergence-order cap is positive (natural logs
     throughout).
     """
-    if variance < 0:
-        raise ConfigError("variance must be nonnegative")
+    nonnegative(variance, "variance")
     b, q, k = budget.grad_bound, budget.total_samples, budget.horizon
+    b_sq = b * b  # inf past the float range, where b**2 raises
 
     if k == 0 or b == 0.0:
         eps = 0.0
     elif variance == 0.0:
         eps = math.inf
     else:
-        eps = 20.0 * b**2 * k / (variance * q**2)
+        eps = 20.0 * b_sq * k / (variance * q**2)
         eps += 2.0 * b * math.sqrt(20.0 * k * math.log(1.0 / budget.delta)) / (
             math.sqrt(variance) * q
         )
 
-    variance_ok = variance >= 6.0 * b**2 / budget.batch_size**2
+    variance_ok = variance >= 6.0 * b_sq / budget.batch_size**2
     if b == 0.0:
         cap = math.inf
     else:
-        arg = budget.batch_size * (variance * q**2 / (4.0 * b**2) + 1.0) / q
+        arg = budget.batch_size * (variance * q**2 / (4.0 * b_sq) + 1.0) / q
         cap = -math.log(arg)
     cap_positive = cap > 0.0
     renyi_ok = None if budget.renyi_order is None else budget.renyi_order <= cap

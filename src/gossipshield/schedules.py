@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import count, positive
 
 __all__ = ["DecayingSchedule", "ConstantSchedule", "StepSizeSchedule", "value_at"]
 
@@ -21,10 +21,8 @@ class DecayingSchedule:
     kind = "decaying"
 
     def __post_init__(self):
-        if not self.scale > 0:  # NaN fails too
-            raise ConfigError(f"step-size scale must be positive, got {self.scale}")
-        if self.k0 < 1:
-            raise ConfigError(f"decay offset k0 must be at least 1, got {self.k0}")
+        positive(self.scale, "scale")
+        count(self.k0, "k0", 1)
 
     def alpha(self, k):
         out = self.scale / (np.asarray(k, dtype=float) + self.k0)
@@ -40,8 +38,7 @@ class ConstantSchedule:
     kind = "constant"
 
     def __post_init__(self):
-        if not self.scale > 0:  # NaN fails too
-            raise ConfigError(f"step-size scale must be positive, got {self.scale}")
+        positive(self.scale, "scale")
 
     def alpha(self, k):
         out = np.full(np.asarray(k, dtype=float).shape, self.scale)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TopologyError
+from .errors import TopologyError, count, finite, nonnegative, positive
 
 __all__ = [
     "Network",
@@ -402,8 +402,15 @@ def constants_from_mixing(
     iota = (1 + 1/k0)^2. Outside the regime the downstream bounds refuse to
     evaluate; the fields are still populated for reporting.
     """
-    lam = float(mixing_sq)
-    r = int(n_reliable)
+    lam = finite(mixing_sq, "mixing_sq")
+    r = count(n_reliable, "n_reliable", 1)
+    rho = finite(rho, "rho")
+    smoothness = positive(smoothness, "smoothness")
+    pl_constant = positive(pl_constant, "pl_constant")  # the gap ceilings divide by it
+    grad_variance = nonnegative(grad_variance, "grad_variance")
+    heterogeneity = nonnegative(heterogeneity, "heterogeneity")
+    noise_var = nonnegative(noise_var, "noise_var")
+    dim = count(dim, "dim", 1)
     varphi = lam - 4.0 * rho * math.sqrt(r)
     eta = varphi / 2.0
     phi = varphi / (4.0 - varphi) if varphi != 4.0 else math.inf
@@ -411,25 +418,25 @@ def constants_from_mixing(
     regime = (0.0 <= rho < rho_bar) and 0.0 < varphi < 1.0 and 0.0 < eta < 1.0 and 0.0 < phi < 1.0
     if phi > 0:
         vartheta = 4.0 * r * (dim * noise_var + 4.0 * (grad_variance + heterogeneity)) / phi
-        theta = phi / (4.0 * math.sqrt(3.0) * smoothness)
+        theta = finite(phi / (4.0 * math.sqrt(3.0) * smoothness), "theta")
         k0 = int(math.floor(2.0 / phi)) + 1
     else:
         vartheta = math.inf
         theta = 0.0
         k0 = 0
-    theta_min = min(theta, 1.0 / pl_constant) if pl_constant > 0 else theta
+    theta_min = min(theta, 1.0 / pl_constant)
     iota = (1.0 + 1.0 / k0) ** 2 if k0 > 0 else math.inf
     return TheoryConstants(
-        rho=float(rho),
+        rho=rho,
         rho_bar=float(rho_bar),
         mixing_sq=lam,
         n_reliable=r,
-        dim=int(dim),
-        smoothness=float(smoothness),
-        pl_constant=float(pl_constant),
-        grad_variance=float(grad_variance),
-        heterogeneity=float(heterogeneity),
-        noise_var=float(noise_var),
+        dim=dim,
+        smoothness=smoothness,
+        pl_constant=pl_constant,
+        grad_variance=grad_variance,
+        heterogeneity=heterogeneity,
+        noise_var=noise_var,
         varphi=float(varphi),
         eta=float(eta),
         phi=float(phi),

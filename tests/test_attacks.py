@@ -99,7 +99,7 @@ def test_spec_refuses_nan_parameters():
         {"kind": "perturbed_dup", "p_add": np.float64(nan)},
     ):
         name = [key for key in kwargs if key != "kind"][0]
-        with pytest.raises(ConfigError, match=f"{name} must not be NaN"):
+        with pytest.raises(ConfigError, match=f"{name}: must be a number other than NaN"):
             AttackSpec(**kwargs)
     # schedules are not numbers and pass unchecked, as do finite values
     AttackSpec(kind="perturbed_dup", p_mult=DecayingSchedule(scale=1.0, k0=10), p_add=0.5)

@@ -203,6 +203,10 @@ def test_bound_input_validation():
         ConvergenceBoundInputs(
             consts=consts, f0_gap=-1.0, d_series=np.zeros(3), schedule=sched
         )
+    with pytest.raises(ConfigError, match="bound inputs must be finite"):
+        ConvergenceBoundInputs(
+            consts=consts, f0_gap=1.0, d_series=np.array([0.0, np.nan]), schedule=sched
+        )
     # single-row series means zero rounds: no log window to average over
     single = ConvergenceBoundInputs(
         consts=consts, f0_gap=1.0, d_series=np.zeros(1), schedule=sched

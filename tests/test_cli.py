@@ -115,6 +115,49 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
 
+def test_sweep_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, capsys):
+    # an in-process stand-in records the pool size the sweep asks for, so
+    # no process is started; under fork every worker starts at the first
+    # submit, however few groups there are
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = _cfg(
+        run={"horizon": 3, "seeds": [1]},
+        sweep={"axes": [{"key": "noise.variance", "values": [0.0, 1.0e-4, 1.0e-3]}]},
+    )
+    sweep_experiment(cfg, tmp_path / "serial", max_workers=1)
+    for workers in (None, 8, 2):
+        sweep_experiment(cfg, tmp_path / f"pool{workers}", max_workers=workers)
+        summary = (tmp_path / f"pool{workers}" / "sweep_summary.csv").read_bytes()
+        assert summary == (tmp_path / "serial" / "sweep_summary.csv").read_bytes()
+    assert sizes == [3, 3, 2]  # three groups, one per noise variance
+    for workers in (0, -1, True, 2.0):
+        with pytest.raises(ConfigError, match="max_workers"):
+            sweep_experiment(cfg, tmp_path / "refused", max_workers=workers)
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", str(path), "--out", str(tmp_path / "cli"), "--workers", "0"]) == 2
+    assert "error: max_workers: must be at least 1, got 0" in capsys.readouterr().err
+    assert sizes == [3, 3, 2] and not (tmp_path / "refused").exists()
+
+
 def _counted(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's seeds."""
     calls = []
@@ -399,7 +442,8 @@ def test_main_rejects_negative_seeds(tmp_path, capsys, override):
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out), "--set", override]) == 2
     # the config parser names the offending key
-    assert f"{override.split('=')[0]}: seeds must be nonnegative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "must be at least 0" in err
     assert not out.exists()
 
 

@@ -194,7 +194,7 @@ def test_nan_inputs_refused():
         ("schedule.scale", "scale"),
         ("problem.u_std", "u_std"),
         ("problem.v_std", "v_std"),
-        ("attack.s_b", "sign-flip scale"),
+        ("attack.s_b", r"attack\.s_b"),
         ("attack.d_r", "d_r"),
         ("attack.p_mult", "p_mult"),
         ("attack.p_add", "p_add"),
@@ -595,7 +595,7 @@ _REFUSED = [
     ([("topology.n_agents", 10.5)], ConfigError, r"topology\.n_agents: expected an integer"),
     ([("topology.kind", "ring")], TopologyError, "unknown topology kind 'ring'"),
     ([("topology.byz_fraction", 0.9)], TopologyError, "byz_fraction"),
-    ([("topology.seed", -1)], ConfigError, r"topology\.seed: seeds must be nonnegative"),
+    ([("topology.seed", -1)], ConfigError, r"topology\.seed: must be at least 0, got -1"),
     ([("topology.byzantine_ids", [0, 5])], ConfigError, "topology: give either byz_fraction or byzantine_ids"),
     ([("topology.byz_fraction", _DROP), ("topology.byzantine_ids", 5)], ConfigError, r"topology\.byzantine_ids"),
     ([("topology.byz_fraction", _DROP), ("topology.byzantine_ids", [0, 2.5])], ConfigError, r"topology\.byzantine_ids"),
@@ -612,7 +612,7 @@ _REFUSED = [
     ([("schedule.scale", _DROP)], ConfigError, "schedule.*scale"),
     ([("schedule.k0", _DROP)], ConfigError, "schedule.*k0"),
     ([("schedule.k0", 2.0)], ConfigError, r"schedule\.k0: expected an integer"),
-    ([("schedule.scale", -1.0)], ConfigError, "scale must be positive"),
+    ([("schedule.scale", -1.0)], ConfigError, r"schedule\.scale: must be positive and finite, got -1\.0"),
     ([("schedule", {"kind": "constant", "scale": 0.1, "k0": 5})], ConfigError, "schedule: constant schedules take no k0"),
     ([("schedule.warmup", 3)], ConfigError, "schedule: unknown keys"),
     ([("noise.variance", -1.0)], ConfigError, r"noise\.variance: must be nonnegative"),
@@ -642,9 +642,9 @@ _REFUSED = [
     ([("aggregation.tau.kind", "corollary1")], ConfigError, r"aggregation\.tau\.kind 'corollary1' reads ground-truth labels"),
     ([("aggregation.tau.kind", "remark4"), ("aggregation.allow_oracle", False)], ConfigError, "allow_oracle: true"),
     ([("aggregation.allow_oracle", 1)], ConfigError, r"aggregation\.allow_oracle: expected a boolean"),
-    ([("aggregation.tau.value", float("inf"))], ConfigError, r"aggregation\.tau\.value: expected a finite radius"),
-    ([("aggregation.tau.value", float("nan"))], ConfigError, r"aggregation\.tau\.value: expected a finite radius"),
-    ([("aggregation.tau.value", -1.0)], ConfigError, "clipping radius must be positive"),
+    ([("aggregation.tau.value", float("inf"))], ConfigError, r"aggregation\.tau\.value: must be positive and finite, got inf"),
+    ([("aggregation.tau.value", float("nan"))], ConfigError, r"aggregation\.tau\.value: must be positive and finite, got nan"),
+    ([("aggregation.tau.value", -1.0)], ConfigError, r"aggregation\.tau\.value: must be positive and finite, got -1\.0"),
     ([("aggregation", dict(_TAU_SCHEDULE, tau={"value": {"kind": "constant", "scale": 1.0, "k0": 2}}))], ConfigError, r"aggregation\.tau\.value: constant schedules take no k0"),
     ([("run.horizon", _DROP)], ConfigError, "run.*horizon"),
     ([("run.seeds", _DROP)], ConfigError, "run.*seeds"),
@@ -652,7 +652,7 @@ _REFUSED = [
     ([("run.seeds", [])], ConfigError, r"run\.seeds: expected a nonempty list"),
     ([("run.seeds", 3)], ConfigError, r"run\.seeds: expected a nonempty list"),
     ([("run.seeds", [1, 1])], ConfigError, r"run\.seeds: duplicate seeds"),
-    ([("run.seeds", [1, -2])], ConfigError, r"run\.seeds: seeds must be nonnegative"),
+    ([("run.seeds", [1, -2])], ConfigError, r"run\.seeds\[1\]: must be at least 0, got -2"),
     ([("run.theory_mode", "yes")], ConfigError, r"run\.theory_mode: expected a boolean"),
     ([("run.bound_column", 0)], ConfigError, r"run\.bound_column: expected a boolean"),
     ([("run.retries", 1)], ConfigError, "run: unknown keys"),
@@ -671,7 +671,7 @@ _REFUSED = [
     ([("privacy", {"global": {k: v for k, v in _GLOBAL.items() if k != "total_samples"}})], ConfigError, "privacy.*total_samples"),
     ([("privacy", {"global": dict(_GLOBAL, batch_size=2.0)})], ConfigError, r"privacy\.global\.batch_size: expected an integer"),
     ([("privacy", {"global": dict(_GLOBAL, delta=2.0)})], ConfigError, "delta must lie in"),
-    ([("privacy", {"global": dict(_GLOBAL, batch_size=700)})], ConfigError, "batch_size <= total_samples"),
+    ([("privacy", {"global": dict(_GLOBAL, batch_size=700)})], ConfigError, "total_samples: must be at least 700, got 600"),
     ([("privacy", {"budget": {}})], ConfigError, "privacy: unknown keys"),
     ([("privacy_trace", {"swap_agent": 0, "replacement_family": 7})], ConfigError, r"privacy_trace\.swap_agent: the observed agent must be reliable"),
     ([("privacy_trace", {"swap_agent": 3})], ConfigError, "privacy_trace.*replacement_family"),
@@ -684,12 +684,27 @@ _REFUSED = [
     ([("sweep", {"axes": [_AXES[0], {"key": "nosuch.x", "values": [1]}]})], ConfigError, r"sweep\.axes\[1\]\.key: expected a dotted key"),
     ([("sweep", {"axes": [{"key": 3, "values": [1]}]})], ConfigError, r"sweep\.axes\[0\]\.key: expected a dotted key"),
     # landscape constants the problem builders refuse by name
-    ([("problem", {"f_star": float("nan")})], ConfigError, "f_star must be finite, got nan"),
-    ([("problem", {"f_star": float("inf")})], ConfigError, "f_star must be finite, got inf"),
-    ([("problem", {"smoothness": float("inf")})], ConfigError, "smoothness must be finite and nonnegative, got inf"),
-    ([("problem", {"pl_constant": -1.0})], ConfigError, "pl_constant must be finite and nonnegative, got -1.0"),
-    ([("problem", {"sigma_sq": float("nan")})], ConfigError, "sigma_sq must be finite and nonnegative, got nan"),
-    ([("problem", {"zeta_sq": -1.0})], ConfigError, "zeta_sq must be finite and nonnegative, got -1.0"),
+    ([("problem", {"f_star": float("nan")})], ConfigError, r"problem\.f_star: must be finite, got nan"),
+    ([("problem", {"f_star": float("inf")})], ConfigError, r"problem\.f_star: must be finite, got inf"),
+    ([("problem", {"smoothness": float("inf")})], ConfigError, r"problem\.smoothness: must be nonnegative and finite, got inf"),
+    ([("problem", {"pl_constant": -1.0})], ConfigError, r"problem\.pl_constant: must be nonnegative and finite, got -1\.0"),
+    ([("problem", {"sigma_sq": float("nan")})], ConfigError, r"problem\.sigma_sq: must be nonnegative and finite, got nan"),
+    ([("problem", {"zeta_sq": -1.0})], ConfigError, r"problem\.zeta_sq: must be nonnegative and finite, got -1\.0"),
+    # family ids out of 1..10 got a config_hash and failed later, naming no path
+    ([("privacy_trace", {"swap_agent": 3, "replacement_family": 99})], ConfigError, r"privacy_trace\.replacement_family: must be in 1\.\.10, got 99"),
+    ([("problem", {"family_of": [1, 2, 3, 4, 5, 6, 7, 8, 9, 0]})], ConfigError, r"problem\.family_of\[9\]: must be in 1\.\.10, got 0"),
+    # each of these got a config_hash, or escaped as ZeroDivisionError or OverflowError
+    ([("schedule.scale", float("inf"))], ConfigError, r"schedule\.scale: must be positive and finite, got inf"),
+    ([("problem", {"u_std": float("inf")})], ConfigError, r"problem\.u_std: must be nonnegative and finite, got inf"),
+    ([("problem", {"smoothness": 0}), ("run.bound_column", True)], ConfigError, r"smoothness: must be positive and finite, got 0\.0"),
+    ([("noise", {"from_local_dp": dict(_LOCAL, grad_bound=1e300)})], ConfigError, "required variance: must be finite, got inf"),
+    ([("privacy", {"local": dict(_LOCAL, grad_bound=1e300)})], ConfigError, "required variance: must be finite, got inf"),
+    ([("privacy", {"local": dict(_LOCAL, epsilon=2.0)})], ConfigError, "epsilon must lie in"),
+    # the gap ceilings divide by the P-L constant: this escaped as ZeroDivisionError
+    ([("topology.byz_fraction", 0.0), ("problem", {"pl_constant": 0}), ("run.bound_column", True)], ConfigError, r"pl_constant: must be positive and finite, got 0\.0"),
+    # the network, not the reader, refuses these, as it did before the readers
+    ([("topology.byz_fraction", float("nan"))], TopologyError, "byz_fraction must lie in"),
+    ([("topology.edge_p", float("inf"))], TopologyError, "edge_p must lie in"),
 ]
 
 _FULL = _edited([

@@ -589,12 +589,12 @@ def test_tau_fallback_covers_missing_oracle():
 def test_nan_radius_rejected():
     # NaN <= 0 is false, so a radius check written that way lets NaN
     # through, and a NaN radius clips nothing: SCC would run as the mean
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="tau: must be a number other than NaN"):
         TauSpec("manual", float("nan"))
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="tau: must be a number other than NaN"):
         TauSpec("corollary1", float("nan"))
     net, prob = _small_setup(n=10, byz_fraction=0.1)
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="tau: must be a number other than NaN"):
         run(
             net, prob, ConstantSchedule(0.05), 5, 0, agg="scc", tau=float("nan"),
             attack=AttackSpec("perturbed_dup"),

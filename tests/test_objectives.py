@@ -593,11 +593,11 @@ def test_custom_problem_requires_constants_beyond_dim_one():
 def test_given_landscape_constants_must_be_finite(name, value):
     # refused by name before any estimate, which would blame a NaN f* on
     # the P-L probe
-    rule = "finite" if name == "f_star" else "finite and nonnegative"
-    with pytest.raises(ConfigError, match=f"^{name} must be {rule}, got"):
+    rule = "finite" if name == "f_star" else "nonnegative and finite"
+    with pytest.raises(ConfigError, match=f"^{name}: must be {rule}, got"):
         benchmark_problem(n_agents=10, **{name: value})
     given = dict(f_star=1.0, pl_constant=2.0, smoothness=2.0, sigma_sq=0.0, zeta_sq=0.0)
-    with pytest.raises(ConfigError, match=f"^{name} must be {rule}, got"):
+    with pytest.raises(ConfigError, match=f"^{name}: must be {rule}, got"):
         custom_problem([_quad(0, 1.0)], **dict(given, **{name: value}))
 
 

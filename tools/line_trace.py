@@ -13,8 +13,10 @@ line there (``dis.findlinestarts``), the rule the stdlib ``trace``
 module counts by.
 
 Standard output is one ``path:line  source`` entry per executable line
-that nothing ran, then their count; the tests' and the tools' own output
-goes to standard error. Subprocesses are not traced: the sweep pool's
+that nothing ran, then one line with their count and the package's total
+``.py`` line count (as ``wc -l`` counts it); the tests' and the tools' own
+output goes to standard error. The exit status is nonzero when Tier-1 or
+either digest tool fails. Subprocesses are not traced: the sweep pool's
 workers, the fresh interpreters of tests/test_imports.py and the demos
 that tests/test_demos.py runs, so a line that only they reach is listed
 too. The trace checks nothing and claims nothing; it is a starting point
@@ -47,12 +49,13 @@ def _executable(name: str, source: str) -> set:
     return lines
 
 
-def _run_tool(name: str, src: Path) -> None:
+def _run_tool(name: str, src: Path) -> int:
     spec = importlib.util.spec_from_file_location(f"_traced_{name}", ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     code = module.main(["--src", str(src)])
     print(f"line_trace: {name} exited {code}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -85,13 +88,12 @@ def main(argv=None) -> int:
         import pytest
 
         with contextlib.redirect_stdout(sys.stderr):
-            code = pytest.main(
+            code = int(pytest.main(
                 [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
                  "--continue-on-collection-errors"]
-            )
-            print(f"line_trace: Tier-1 exited {int(code)}", file=sys.stderr)
-            _run_tool("run_digests", src)
-            _run_tool("recipe_digests", src)
+            ))
+            print(f"line_trace: Tier-1 exited {code}", file=sys.stderr)
+            codes = [code, _run_tool("run_digests", src), _run_tool("recipe_digests", src)]
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -103,8 +105,9 @@ def main(argv=None) -> int:
         for line in sorted(_executable(name, source) - {ln for f, ln in hits if f == name}):
             print(f"{where}:{line}  {text[line - 1].strip()}")
             missed += 1
-    print(f"{missed} executable lines not run")
-    return 0
+    total = sum(source.count("\n") for source in files.values())
+    print(f"{missed} executable lines not run; {total} lines in {len(files)} .py files")
+    return int(any(codes))
 
 
 if __name__ == "__main__":
