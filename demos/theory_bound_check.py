@@ -10,6 +10,7 @@ from gossipshield import (
     DecayingSchedule,
     benchmark_problem,
     build_network,
+    dk_bound,
     rho_upper_bound,
     run_ensemble,
     theory_constants,
@@ -31,14 +32,17 @@ assert consts.regime_valid, "constants fell outside the guaranteed regime"
 # trades speed for a ceiling that provably holds
 sched = DecayingSchedule(scale=consts.theta_min, k0=consts.k0)
 validate_schedule(sched, consts, strict=True)
-ens = run_ensemble(net, prob, sched, 1500, range(1, 9), consts=consts,
-                   noise=1e-6, agg="scc", tau=1e6)
+ens = run_ensemble(net, prob, sched, 1500, range(1, 9), noise=1e-6, agg="scc", tau=1e6)
+# the ceiling is a reading of the finished runs, from their mean initial
+# disagreement
+d0 = float(np.mean([log.consensus[0] for log in ens.logs]))
+ceiling = dk_bound(consts, d0, ens.k, sched)
 
 rows = (0, 10, 100, 500, 1500)
 print("\n    k   mean disagreement      ceiling")
 for k in rows:
-    print(f"{k:5d}   {ens.consensus_mean[k]:.6e}   {ens.dk_bound[k]:.6e}")
+    print(f"{k:5d}   {ens.consensus_mean[k]:.6e}   {ceiling[k]:.6e}")
 
-frac = float(np.mean(ens.consensus_mean <= ens.dk_bound))
+frac = float(np.mean(ens.consensus_mean <= ceiling))
 print(f"\nceiling respected in {100 * frac:.1f}% of rounds "
       f"({len(ens.k)} rounds, {len(ens.logs)} seeds)")

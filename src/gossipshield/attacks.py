@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .aggregation import ReceiverSums
-from .errors import ConfigError, number_or_schedule, real
+from .errors import ConfigError, count, number_or_schedule, real
 from .schedules import value_at
 from .topology import Network
 
@@ -71,6 +71,8 @@ class AttackSpec:
         real(self.d_r, "d_r")  # every magnitude may be infinite
         number_or_schedule(self.p_mult, "p_mult")
         number_or_schedule(self.p_add, "p_add")
+        if self.victim is not None:
+            count(self.victim, "victim")
         if real(self.s_b, "s_b") < 0 and self.kind == "sign_flip":
             raise ConfigError(f"sign-flip scale must be nonnegative, got {self.s_b}")
 

@@ -87,9 +87,7 @@ def validate_schedule(
     message = "running outside the theory regime: " + "; ".join(problems)
     if strict:
         raise RegimeError(message)
-    # engine.run and run_ensemble validate through one shared helper, so
-    # four frames up is the code that called either of them
-    warnings.warn(message, stacklevel=4)
+    warnings.warn(message, stacklevel=2)
 
 
 def dk_bound(

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs
+from .bounds import (
+    ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs, validate_schedule,
+)
 from .config import apply_overrides, build_experiment, load_config, set_path
 from .engine import EnsembleResult, run_ensemble
 from .errors import ConfigError, GossipShieldError, count
@@ -59,27 +61,43 @@ def _rows(k, columns):
         yield ",".join(row)
 
 
-def _seed_csv(log, cfg_hash: str):
-    yield f"# config_hash={cfg_hash}"
+def _check_bound(exp) -> None:
+    """Refuse a bound column that dk_bound leaves undefined, before any
+    round runs; then warn if the schedule is outside the gap theorems'
+    regime."""
+    if exp.consts is not None:
+        dk_bound(exp.consts, 0.0, 0, exp.sched)
+        validate_schedule(exp.sched, exp.consts, strict=False)
+
+
+def _bound(exp, d0: float, k):
+    """The bound column: the disagreement ceiling over rounds k from the
+    initial disagreement d0, or None when no theory constants are built."""
+    return None if exp.consts is None else dk_bound(exp.consts, d0, k, exp.sched)
+
+
+def _seed_csv(log, exp):
+    yield f"# config_hash={exp.config_hash}"
     yield f"# seed={log.seed}"
     yield f"# status={log.status}"
     yield _RUN_COLUMNS
-    yield from _rows(
-        log.k, (log.consensus, log.pre_agg, log.f_bar, log.f_best, log.gap, log.dk_bound)
-    )
+    yield from _rows(log.k, (
+        log.consensus, log.pre_agg, log.f_bar, log.f_best, log.gap,
+        _bound(exp, log.consensus[0], log.k),
+    ))
 
 
-def _ensemble_csv(ens, cfg_hash: str, seeds):
+def _ensemble_csv(ens, bound, cfg_hash: str, seeds):
     yield f"# config_hash={cfg_hash}"
     yield "# seeds=" + "|".join(str(s) for s in seeds)
     yield _ENSEMBLE_COLUMNS
     yield from _rows(ens.k, (
         ens.consensus_mean, ens.pre_agg_mean, ens.f_bar_mean,
-        ens.gap_mean_of_min, ens.gap_min_of_mean, ens.dk_bound,
+        ens.gap_mean_of_min, ens.gap_min_of_mean, bound,
     ))
 
 
-def _bounds_block(exp, ens):
+def _bounds_block(exp, ens, bound):
     if exp.consts is None:
         return
     c = exp.consts
@@ -90,8 +108,7 @@ def _bounds_block(exp, ens):
         f"  theta={_fmt(c.theta)} theta_min={_fmt(c.theta_min)} "
         f"regime_valid={c.regime_valid}"
     )
-    if ens.dk_bound is not None:
-        yield f"  disagreement ceiling final={_fmt(ens.dk_bound[-1])}"
+    yield f"  disagreement ceiling final={_fmt(bound[-1])}"
     try:
         inputs = ConvergenceBoundInputs(
             consts=c,
@@ -141,7 +158,7 @@ def _privacy_block(exp):
         )
 
 
-def _summary_lines(exp, ens):
+def _summary_lines(exp, ens, bound):
     yield f"config_hash: {exp.config_hash}"
     yield (
         f"network: {exp.normalized['topology']['kind']} n={exp.net.n_agents} "
@@ -164,21 +181,22 @@ def _summary_lines(exp, ens):
     yield f"  final_gap_mean_of_min={_fmt(ens.gap_mean_of_min[-1])}"
     yield f"  final_gap_min_of_mean={_fmt(ens.gap_min_of_mean[-1])}"
     yield from _privacy_block(exp)
-    yield from _bounds_block(exp, ens)
+    yield from _bounds_block(exp, ens, bound)
 
 
 def _write_run(exp, ens, out_dir: Path) -> dict:
     """Write one experiment's per-seed CSVs, ensemble CSV, summary and
-    config, and return the small result dict used by sweep summaries."""
+    config, and return the small result dict used by sweep summaries. The
+    ensemble's bound column starts from the seeds' mean initial
+    disagreement."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for log in ens.logs:
-        _write_lines(
-            out_dir / f"run_seed{log.seed}.csv", _seed_csv(log, exp.config_hash)
-        )
+        _write_lines(out_dir / f"run_seed{log.seed}.csv", _seed_csv(log, exp))
+    bound = _bound(exp, float(np.mean([log.consensus[0] for log in ens.logs])), ens.k)
     _write_lines(
-        out_dir / "ensemble.csv", _ensemble_csv(ens, exp.config_hash, exp.seeds)
+        out_dir / "ensemble.csv", _ensemble_csv(ens, bound, exp.config_hash, exp.seeds)
     )
-    _write_lines(out_dir / "summary.txt", _summary_lines(exp, ens))
+    _write_lines(out_dir / "summary.txt", _summary_lines(exp, ens, bound))
     (out_dir / "config.json").write_text(
         json.dumps(exp.normalized, sort_keys=True, indent=2) + "\n"
     )
@@ -207,7 +225,6 @@ def _run_cells(cells) -> list:
         first.sched,
         first.horizon,
         seeds * len(cells),
-        consts=first.consts,
         noise=first.noise,
         attack=[exp.attack for _, exp, _ in cells for _ in seeds],
         agg=first.agg,
@@ -216,7 +233,7 @@ def _run_cells(cells) -> list:
     results = []
     for c, (idx, exp, out_dir) in enumerate(cells):
         logs = ens.logs[c * len(seeds) : (c + 1) * len(seeds)]
-        cell = EnsembleResult.from_logs(logs, exp.prob.f_star, exp.sched, exp.consts)
+        cell = EnsembleResult.from_logs(logs, exp.prob.f_star)
         results.append((idx, _write_run(exp, cell, Path(out_dir))))
     return results
 
@@ -228,6 +245,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
     exp = build_experiment(cfg)
     if exp.sweep_axes:
         raise ConfigError("config declares sweep axes; use the sweep verb")
+    _check_bound(exp)
     return _run_cells([(0, exp, out_dir)])[0][1]
 
 
@@ -289,9 +307,7 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             for key, val in zip(keys, combo):
                 set_path(cell_cfg, key, val)
             cell_exp = build_experiment(cell_cfg, built)
-            if cell_exp.consts is not None:
-                # a bound column dk_bound refuses fails before any group runs
-                dk_bound(cell_exp.consts, 0.0, 0, cell_exp.sched)
+            _check_bound(cell_exp)
             rest = {k: v for k, v in cell_exp.normalized.items() if k != "attack"}
             groups.setdefault(json.dumps(rest, sort_keys=True), []).append(
                 (idx, cell_cfg, cell_exp, str(stage / f"cell{idx:03d}"))

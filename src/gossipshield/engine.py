@@ -55,9 +55,8 @@ of rows of every copy in one pass when the buffer fills and when the loop
 ends. Every value is bit-equal to its per-row definition
 (consensus_error of the reliable rows, GlobalProblem.f of their mean).
 
-The loop derives no theory constants: a caller that wants the bound
-column passes them in as consts, and bounds decides whether the schedule
-is admissible for them.
+The loop derives and reads no theory constants: a ceiling is a reading of
+a finished log, bounds.dk_bound of its initial disagreement.
 """
 
 from __future__ import annotations
@@ -70,11 +69,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .aggregation import RadiusPlan, ReceiverSums, TauSpec, edge_diffs, scc_edges
 from .attacks import AttackPlan, AttackSpec
-from .bounds import dk_bound, validate_schedule
 from .errors import ConfigError, count, nonnegative
 from .objectives import GlobalProblem, normal_blocks, optimum_gaps
 from .schedules import StepSizeSchedule
-from .topology import Network, TheoryConstants
+from .topology import Network
 
 __all__ = [
     "TauSpec",
@@ -117,7 +115,6 @@ class MetricsLog:
     seed: int
     status: str = "completed"
     diverged_at: int | None = None
-    dk_bound: np.ndarray | None = None
     final_x: np.ndarray | None = None
     traces: np.ndarray | None = None
     half_traces: np.ndarray | None = None
@@ -144,17 +141,10 @@ class EnsembleResult:
     f_bar_mean: np.ndarray
     gap_mean_of_min: np.ndarray
     gap_min_of_mean: np.ndarray
-    dk_bound: np.ndarray | None
     statuses: list
 
     @classmethod
-    def from_logs(
-        cls,
-        logs: list,
-        f_star: float,
-        sched: StepSizeSchedule,
-        consts: TheoryConstants | None = None,
-    ) -> EnsembleResult:
+    def from_logs(cls, logs: list, f_star: float) -> EnsembleResult:
         """The seed averages of the given member logs."""
         rows = min(len(log.k) for log in logs)
         ks = np.arange(rows)
@@ -163,10 +153,6 @@ class EnsembleResult:
         f_bar = np.mean([log.f_bar[:rows] for log in logs], axis=0)
         gap_mean_of_min = np.mean([log.gap[:rows] for log in logs], axis=0)
         gap_min_of_mean = optimal_gap_series(f_bar, f_star)
-        bound = None
-        if consts is not None:
-            d0 = float(np.mean([log.consensus[0] for log in logs]))
-            bound = np.asarray(dk_bound(consts, d0, ks, sched))
         return cls(
             logs=logs,
             k=ks,
@@ -175,7 +161,6 @@ class EnsembleResult:
             f_bar_mean=f_bar,
             gap_mean_of_min=gap_mean_of_min,
             gap_min_of_mean=gap_min_of_mean,
-            dk_bound=bound,
             statuses=[log.status for log in logs],
         )
 
@@ -190,10 +175,13 @@ def consensus_error(models: np.ndarray) -> float:
 
 def _row_disagreement(rows: np.ndarray) -> np.ndarray:
     """consensus_error of each row of models, for rows of shape
-    (n, models, ...); centres and squares rows in place."""
-    rows -= rows.mean(axis=1, keepdims=True)
-    rows *= rows
-    return np.sum(rows, axis=tuple(range(1, rows.ndim)))
+    (n, models, ...); centres and squares rows in place. A row past the
+    float range reads inf or NaN without a warning: the divergence test
+    records its run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows -= rows.mean(axis=1, keepdims=True)
+        rows *= rows
+        return np.sum(rows, axis=tuple(range(1, rows.ndim)))
 
 
 def optimal_gap_series(f_values: np.ndarray, f_star: float) -> np.ndarray:
@@ -393,7 +381,6 @@ def run(
     agg: str = "scc",
     tau: TauSpec | float | None = None,
     x0=None,
-    consts: TheoryConstants | None = None,
     record_traces: bool = False,
 ) -> MetricsLog:
     """Execute the full round loop and collect reliable-set metrics.
@@ -408,16 +395,11 @@ def run(
     which is what makes a labeled-but-honest run comparable with an
     unlabeled one.
 
-    Passing consts adds the theoretical disagreement ceiling as a per-row
-    column. A schedule outside the gap theorems' regime then warns, and a
-    column that dk_bound would refuse raises RegimeError before the first
-    round.
-
     A run is the ensemble loop with a group of one seed.
     """
     return _run_seeds(
         net, prob, sched, n_rounds, [seed], noise=noise, attack=attack, agg=agg,
-        tau=tau, x0=x0, consts=consts, record_traces=record_traces,
+        tau=tau, x0=x0, record_traces=record_traces,
     )[0]
 
 
@@ -433,7 +415,6 @@ def _run_seeds(
     agg: str = "scc",
     tau: TauSpec | float | None = None,
     x0=None,
-    consts: TheoryConstants | None = None,
     record_traces: bool = False,
 ) -> list:
     """Validate every input, then run the seeds in consecutive groups that
@@ -461,16 +442,12 @@ def _run_seeds(
     elif not isinstance(tau, TauSpec):
         tau = TauSpec(kind="manual", value=tau)
 
-    if consts is not None:
-        validate_schedule(sched, consts, strict=False)
-        dk_bound(consts, 0.0, 0, sched)  # refuses here, not after the rounds
-
     per_group = max(1, _GROUP_ELEMENTS // max(1, len(net.recv) * prob.dim))
     logs = []
     for g in range(0, len(seeds), per_group):
         logs += _run_group(
             net, prob, sched, n_rounds, seeds[g : g + per_group],
-            noise, attacks[g : g + per_group], tau, x0, consts, record_traces,
+            noise, attacks[g : g + per_group], tau, x0, record_traces,
         )
     return logs
 
@@ -499,7 +476,6 @@ def _run_group(
     attacks: list,
     tau: TauSpec,
     x0,
-    consts: TheoryConstants | None,
     record_traces: bool,
 ) -> list:
     """One round loop over the disjoint union of one copy of net per seed,
@@ -660,9 +636,6 @@ def _run_group(
         rows = end[s] + 1
         ks = np.arange(rows)
         f_col = col_f[s, :rows]
-        bound_col = None
-        if consts is not None:
-            bound_col = np.asarray(dk_bound(consts, col_consensus[s, 0], ks, sched))
         agents = slice(s * a, (s + 1) * a)
         logs.append(
             MetricsLog(
@@ -675,7 +648,6 @@ def _run_group(
                 seed=seed,
                 status="completed" if live[s] else "diverged",
                 diverged_at=None if live[s] else int(end[s]),
-                dk_bound=bound_col,
                 final_x=final_x[s],
                 traces=None if traces is None else traces[:rows, agents].copy(),
                 half_traces=(
@@ -693,8 +665,6 @@ def run_ensemble(
     sched: StepSizeSchedule,
     n_rounds: int,
     seeds,
-    *,
-    consts: TheoryConstants | None = None,
     **kwargs,
 ) -> EnsembleResult:
     """run() over several seeds plus seed-averaged curves.
@@ -711,12 +681,10 @@ def run_ensemble(
     per attack summarizes each slice of the logs with
     EnsembleResult.from_logs.
 
-    Averages cover the common prefix when some member diverged early. The
-    bound column, when constants are supplied, restarts from the averaged
-    initial disagreement rather than any single seed's.
+    Averages cover the common prefix when some member diverged early.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("need at least one seed")
-    logs = _run_seeds(net, prob, sched, n_rounds, seeds, consts=consts, **kwargs)
-    return EnsembleResult.from_logs(logs, prob.f_star, sched, consts)
+    logs = _run_seeds(net, prob, sched, n_rounds, seeds, **kwargs)
+    return EnsembleResult.from_logs(logs, prob.f_star)

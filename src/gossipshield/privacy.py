@@ -40,9 +40,9 @@ def required_variance_local(
     constant schedule the scale is the step itself, which is conservative
     whenever the run could have used a smaller step.
     """
-    if not 0.0 < eps <= 1.0:
+    if not 0.0 < finite(eps, "epsilon") <= 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1], got {eps}")
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < finite(delta, "delta") < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
     positive(delta_g, "delta_g")
     # squares by *, which overflows to inf (refused below) where ** raises
@@ -66,7 +66,7 @@ class DpBudget:
     renyi_order: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < finite(self.delta, "delta") < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         sensitivity_default(self.grad_bound)  # the gradient bound's one rule
         count(self.batch_size, "batch_size", 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TopologyError, count, finite, nonnegative, positive
+from .errors import ConfigError, TopologyError, count, finite, nonnegative, number, positive
 
 __all__ = [
     "Network",
@@ -245,10 +245,13 @@ def build_network(
     Byzantine ids default to the evenly spaced placement floor(t*n/|B|),
     t = 0..|B|-1, and can be overridden explicitly.
     """
+    try:
+        n_agents, seed = count(n_agents, "n_agents"), count(seed, "seed")
+        byz_fraction, edge_p = number(byz_fraction, "byz_fraction"), number(edge_p, "edge_p")
+    except ConfigError as exc:  # every refusal of a network is a TopologyError
+        raise TopologyError(str(exc)) from None
     if n_agents < 2:
         raise TopologyError("need at least two agents")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise TopologyError(f"seed must be a nonnegative integer, got {seed!r}")
     if byzantine_ids is not None:
         byz = tuple(sorted(set(int(b) for b in byzantine_ids)))
         if byz and (byz[0] < 0 or byz[-1] >= n_agents):

@@ -24,6 +24,7 @@ from gossipshield import (
     TauSpec,
     benchmark_problem,
     build_network,
+    dk_bound,
     family_objective,
     global_epsilon,
     regime_compare,
@@ -214,11 +215,11 @@ def test_disagreement_stays_under_theory_ceiling():
     assert consts.regime_valid
     sched = DecayingSchedule(scale=consts.theta_min, k0=consts.k0)
     ens = run_ensemble(
-        net, prob, sched, 5_000, range(1, 21),
-        consts=consts, noise=1e-6, agg="scc", tau=1e6,
+        net, prob, sched, 5_000, range(1, 21), noise=1e-6, agg="scc", tau=1e6,
     )
     assert all(s == "completed" for s in ens.statuses)
-    frac = float(np.mean(ens.consensus_mean <= ens.dk_bound))
+    d0 = float(np.mean([log.consensus[0] for log in ens.logs]))
+    frac = float(np.mean(ens.consensus_mean <= dk_bound(consts, d0, ens.k, sched)))
     assert frac >= 0.95
 
 

@@ -88,6 +88,11 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         AttackSpec(kind="sign_flip", s_b=float("nan"))
     AttackSpec(kind="sign_flip", s_b=0.0)  # zero deviation allowed
+    # a fixed victim is an agent id: 3.0 failed in the plan, True pinned agent 1
+    for victim in (3.0, True, -1, "2"):
+        with pytest.raises(ConfigError, match="victim"):
+            AttackSpec(kind="perturbed_dup", victim=victim)
+    AttackSpec(kind="perturbed_dup", victim=np.int64(2))
 
 
 def test_spec_refuses_nan_parameters():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,9 @@ from gossipshield import (
     ConfigError,
     ConstantSchedule,
     DecayingSchedule,
-    LocalObjective,
     MetricsLog,
     RegimeError,
-    build_network,
     constants_from_mixing,
-    custom_problem,
-    run,
 )
 from gossipshield.bounds import (
     ConvergenceBoundInputs,
@@ -30,6 +27,7 @@ from gossipshield.bounds import (
     theorem3_rhs,
     validate_schedule,
 )
+from gossipshield.cli import _check_bound
 
 
 def _consts(rho=0.0, noise=0.1, sigma=0.2, zeta=0.3):
@@ -249,28 +247,10 @@ def _refuses(call) -> bool:
     return False
 
 
-def _counting_quad(agent, calls):
-    def sample_gradient(x, rng):
-        calls.append(agent)
-        return 2.0 * x
-
-    return LocalObjective(
-        agent=agent,
-        family="quad",
-        expected_value=lambda x: x * x,
-        expected_gradient=lambda x: 2.0 * x,
-        sample_value=lambda x, u, v: x * x,
-        sample_gradient=sample_gradient,
-    )
-
-
 def test_entry_points_agree_on_the_regime():
     """The strict schedule check refuses exactly where the gap theorems
-    do, and a run with a bound column refuses, before it samples a single
-    gradient, exactly where dk_bound does."""
-    calls = []
-    net = build_network("complete", 4, byz_fraction=0.0, seed=0)
-    prob = custom_problem([_counting_quad(i, calls) for i in range(4)])
+    do. The runner's bound-column check refuses exactly where dk_bound
+    does, and otherwise warns exactly where the strict check refuses."""
     seen = set()
     # rho 0.3 leaves every mixing out of the regime; nu 1000 puts
     # theta_min = 1/nu under theta
@@ -289,14 +269,11 @@ def test_entry_points_agree_on_the_regime():
                 strict = _refuses(lambda: validate_schedule(sched, consts, strict=True))
                 assert strict == _refuses(lambda: gap_rhs(inputs))
                 column = _refuses(lambda: dk_bound(consts, 1.0, 3, sched))
-                calls.clear()
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    refused = _refuses(
-                        lambda: run(net, prob, sched, 2, 1, agg="mean", consts=consts)
-                    )
-                assert refused == column
-                assert len(calls) == (0 if refused else 2 * 4)
+                exp = SimpleNamespace(consts=consts, sched=sched)
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    assert _refuses(lambda: _check_bound(exp)) == column
+                assert len(record) == (strict and not column)
                 seen.add((strict, column))
     # admissible for both; only above theta_min; above theta as well
     assert seen == {(False, False), (True, False), (True, True)}

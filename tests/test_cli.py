@@ -1,13 +1,17 @@
 """Runner artifacts: byte-stable CSVs, sweep plumbing, paired traces."""
 
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import gossipshield
+from gossipshield.bounds import dk_bound
 from gossipshield.cli import main, privacy_trace, run_experiment, sweep_experiment
+from gossipshield.config import build_experiment
 from gossipshield.errors import ConfigError
 from gossipshield.privacy import required_variance_local, sensitivity_default
 from gossipshield.schedules import DecayingSchedule
@@ -395,6 +399,75 @@ def test_main_refused_sweep_leaves_no_directory(tmp_path, capsys, monkeypatch):
     assert ensembles == []
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["case.yaml"]
+
+
+# theta and theta_min of the 50-agent network below, equal there
+_THETA = 0.005565153427786793
+
+
+def _in_regime_cfg(**run):
+    """demos/theory_bound_check.py's regime with a bound column: no
+    Byzantine agents, stepped at the network's theta_min and k0 for this
+    masking variance."""
+    return _cfg(
+        topology={"kind": "random", "n_agents": 50, "byz_fraction": 0.0, "seed": 2, "edge_p": 0.2},
+        schedule={"kind": "decaying", "scale": _THETA, "k0": 13},
+        noise={"variance": 1.0e-6},
+        attack={"kind": "none"},
+        aggregation={"kind": "scc", "tau": {"kind": "manual", "value": 1.0e6}},
+        run={"horizon": 30, "seeds": [1, 2], "bound_column": True, **run},
+    )
+
+
+def _csv_columns(path):
+    """The float columns of a CSV that run wrote, by header name."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    return {name: [float(row[i]) for row in rows] for i, name in enumerate(lines[0].split(","))}
+
+
+def test_bound_columns_are_ceilings_from_the_logs(tmp_path):
+    cfg = _in_regime_cfg()
+    exp = build_experiment(cfg)
+    run_experiment(cfg, tmp_path / "out")
+    k = np.arange(31)
+    d0 = {}
+    for seed in (1, 2):
+        cols = _csv_columns(tmp_path / "out" / f"run_seed{seed}.csv")
+        d0[seed] = cols["D"][0]
+        # each seed's ceiling starts from its own initial disagreement
+        assert cols["dk_bound"] == dk_bound(exp.consts, d0[seed], k, exp.sched).tolist()
+    assert d0[1] != d0[2]
+    # the ensemble's starts from the seeds' mean
+    mean_d0 = float(np.mean([d0[1], d0[2]]))
+    cols = _csv_columns(tmp_path / "out" / "ensemble.csv")
+    assert cols["dk_bound"] == dk_bound(exp.consts, mean_d0, k, exp.sched).tolist()
+
+
+@pytest.mark.parametrize("section", [
+    # a Byzantine neighbour puts rho above rho_bar
+    {"topology": {"kind": "random", "n_agents": 50, "byz_fraction": 0.1, "seed": 2, "edge_p": 0.2}},
+    {"schedule": {"kind": "decaying", "scale": _THETA, "k0": 12}},  # k0 * phi < 2
+    {"schedule": {"kind": "decaying", "scale": 2 * _THETA, "k0": 13}},
+    {"schedule": {"kind": "constant", "scale": 2 * _THETA}},
+], ids=["byzantine", "k0", "decaying", "constant"])
+def test_main_refused_bound_column_runs_no_round(tmp_path, capsys, monkeypatch, section):
+    from gossipshield import cli
+
+    ensembles = _counted(monkeypatch, cli, "run_ensemble")
+    out = tmp_path / "o"
+    argv = ["run", str(_write(tmp_path, {**_in_regime_cfg(), **section})), "--out", str(out)]
+    with warnings.catch_warnings():
+        # the refusal comes first, so no regime warning is raised before it
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "error: disagreement bound undefined outside the regime" in capsys.readouterr().err
+    assert ensembles == []
+    assert not out.exists()
+    # the admissible config runs
+    argv = ["run", str(_write(tmp_path, _in_regime_cfg(horizon=3))), "--out", str(out)]
+    assert main(argv) == 0
+    assert ensembles == [[1, 2]]
 
 
 def test_main_refuses_a_sweep_cell_whose_fixed_victim_is_byzantine(tmp_path, capsys, monkeypatch):

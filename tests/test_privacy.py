@@ -68,12 +68,17 @@ def test_local_requirement_monotone():
 def test_local_requirement_range_checks():
     s = ConstantSchedule(1.0)
     # budget of exactly 1 is allowed for epsilon, not for delta
-    for bad in (0.0, 1.5, 2.0, -0.5):
-        with pytest.raises(ConfigError):
+    for bad in (0.0, 1.5, 2.0, -0.5, math.nan):
+        with pytest.raises(ConfigError, match="epsilon"):
             required_variance_local(bad, 0.5, 1.0, s)
-    for bad in (0.0, 1.0, 2.0, -0.5):
-        with pytest.raises(ConfigError):
+    for bad in (0.0, 1.0, 2.0, -0.5, math.nan):
+        with pytest.raises(ConfigError, match="delta"):
             required_variance_local(0.5, bad, 1.0, s)
+    # read before they are compared, which raised TypeError on a string
+    with pytest.raises(ConfigError, match="epsilon: expected a number"):
+        required_variance_local("x", 0.1, 1.0, s)
+    with pytest.raises(ConfigError, match="delta: expected a number"):
+        required_variance_local(0.5, "x", 1.0, s)
     with pytest.raises(ConfigError):
         required_variance_local(0.5, 0.5, 0.0, s)
 
@@ -172,6 +177,8 @@ def test_global_epsilon_precondition_flags():
 def test_budget_validation():
     with pytest.raises(ConfigError):
         DpBudget(delta=0.0, grad_bound=1.0, total_samples=10, batch_size=1, horizon=1)
+    with pytest.raises(ConfigError, match="delta: expected a number"):
+        DpBudget(delta="x", grad_bound=1.0, total_samples=10, batch_size=1, horizon=1)
     with pytest.raises(ConfigError):
         DpBudget(delta=0.5, grad_bound=1.0, total_samples=5, batch_size=9, horizon=1)
     # config refuses an infinite bound, and so do both entry points

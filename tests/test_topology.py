@@ -83,6 +83,19 @@ def test_seed_must_be_a_nonnegative_integer():
     build_network("random", 10, 0.2, seed=np.int64(7), edge_p=0.3)
 
 
+def test_network_reads_its_inputs_as_numbers():
+    # each escaped as a numpy or comparison TypeError
+    for kwargs, name in (
+        ({"n_agents": 10.5}, "n_agents: expected an integer"),
+        ({"n_agents": True}, "n_agents: expected an integer"),
+        ({"byz_fraction": "0.1"}, "byz_fraction: expected a number"),
+        ({"edge_p": "0.3"}, "edge_p: expected a number"),
+    ):
+        with pytest.raises(TopologyError, match=name):
+            build_network("random", **{"n_agents": 10, **kwargs})
+    assert build_network("random", np.int64(10), np.float32(0.25), edge_p=0.5).n_agents == 10
+
+
 def test_evenly_spaced_placement():
     assert evenly_spaced_byzantine(100, 10) == tuple(range(0, 100, 10))
     assert evenly_spaced_byzantine(10, 2) == (0, 5)

@@ -26,10 +26,12 @@ interleaved; at 100 agents also two layouts in which specs
 recur in separated runs of different lengths (sign flip between ``none``
 and ``silent``; global ALIE and both duplication victims between each
 other and dissensus), with seeds repeating; a 10-d custom problem on 30
-agents; and an ensemble with the theory bound column. Standard output is one
-``sha256  case/field`` line per recorded array, plus each member's status,
-so two trees run the engine byte for byte alike exactly when ``diff``
-finds nothing between their outputs. It takes 12–20 s on a 2-core VM.
+agents; and an ensemble with the theory bound column, which the tool
+computes from the logs with ``dk_bound`` as the runner does. Standard
+output is one ``sha256  case/field`` line per recorded array, plus each
+member's status, so two trees run the engine byte for byte alike exactly
+when ``diff`` finds nothing between their outputs. It takes 12–20 s on a
+2-core VM.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ LOG_FIELDS = (
 )
 ENSEMBLE_FIELDS = (
     "k", "consensus_mean", "pre_agg_mean", "f_bar_mean",
-    "gap_mean_of_min", "gap_min_of_mean", "dk_bound",
+    "gap_mean_of_min", "gap_min_of_mean",
 )
 
 
@@ -60,21 +62,29 @@ def _digest(arr) -> str:
     return h.hexdigest()
 
 
-def _print_log(case: str, log) -> None:
+def _print_log(case: str, log, bound=None) -> None:
+    """The log's arrays; bound, when given, is printed as its dk_bound."""
     print(f"status  {case}/{log.status}/{log.diverged_at}")
     for name in LOG_FIELDS:
-        value = getattr(log, name)
+        value = bound if name == "dk_bound" else getattr(log, name)
         if value is not None:
             print(f"{_digest(value)}  {case}/{name}")
 
 
-def _print_ensemble(case: str, ens) -> None:
+def _print_ensemble(case: str, ens, ceiling=None) -> None:
+    """The ensemble's arrays, then each member log's. ceiling(d0, k), when
+    given, makes the dk_bound columns: the ensemble's from the members'
+    mean initial disagreement, each member's from its own."""
     for name in ENSEMBLE_FIELDS:
         value = getattr(ens, name)
         if value is not None:
             print(f"{_digest(value)}  {case}/{name}")
+    if ceiling is not None:
+        d0 = float(np.mean([log.consensus[0] for log in ens.logs]))
+        print(f"{_digest(ceiling(d0, ens.k))}  {case}/dk_bound")
     for log in ens.logs:
-        _print_log(f"{case}/seed{log.seed}", log)
+        bound = None if ceiling is None else ceiling(log.consensus[0], log.k)
+        _print_log(f"{case}/seed{log.seed}", log, bound)
 
 
 NETWORK_FIELDS = ("recv", "send", "edge_w", "self_w", "indptr", "is_byz")
@@ -346,7 +356,8 @@ def main(argv=None) -> int:
             _print_log(f"members/{name}/{m}/{attack}/seed{seed}", log)
     net, prob, sched, consts = _bound_case(gs)
     _print_ensemble(
-        "ensemble/bound", gs.run_ensemble(net, prob, sched, 25, seeds, consts=consts, agg="mean")
+        "ensemble/bound", gs.run_ensemble(net, prob, sched, 25, seeds, agg="mean"),
+        lambda d0, k: gs.dk_bound(consts, d0, k, sched),
     )
     return 0
 
