@@ -255,12 +255,6 @@ def _strip_sweep(cfg: dict) -> dict:
     return out
 
 
-def _sweep_worker(group):
-    """Build one group's cells in this process and run them as one."""
-    built = {}
-    return _run_cells([(idx, build_experiment(cell_cfg, built), out) for idx, cell_cfg, out in group])
-
-
 def _publish(stage: Path, out_dir: Path) -> None:
     """Move a finished sweep into out_dir: one rename when out_dir is new,
     otherwise file by file over what is there, as writing in place would."""
@@ -282,8 +276,11 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
     constants wherever their sections agree, and cells that are equal
     except for their attack form one group: one run_ensemble call whose
     members are the group's cells times the seeds. Each cell's artifacts
-    are those run_experiment writes for it. The groups run in a pool of
-    min(max_workers or the CPU count, groups) processes, unless that is 1.
+    are those run_experiment writes for it. The groups run through
+    _run_cells in this process, or in a pool of min(max_workers or the CPU
+    count, groups) processes unless that is 1: the pool is sent the
+    groups of experiments built and checked here, pickled, and nothing is
+    rebuilt in a worker.
 
     The cells and the summary are written into a temporary sibling of
     out_dir and moved into place only after every cell has returned, so
@@ -310,23 +307,19 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             _check_bound(cell_exp)
             rest = {k: v for k, v in cell_exp.normalized.items() if k != "attack"}
             groups.setdefault(json.dumps(rest, sort_keys=True), []).append(
-                (idx, cell_cfg, cell_exp, str(stage / f"cell{idx:03d}"))
+                (idx, cell_exp, str(stage / f"cell{idx:03d}"))
             )
         groups = list(groups.values())
 
         workers = min(workers, len(groups))
         if workers == 1:
-            results = [
-                pair for group in groups
-                for pair in _run_cells([(idx, e, out) for idx, _, e, out in group])
-            ]
+            results = [pair for pairs in map(_run_cells, groups) for pair in pairs]
         else:
             # imported here: only a pool loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            jobs = [[(idx, c, out) for idx, c, _, out in group] for group in groups]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = [pair for pairs in pool.map(_sweep_worker, jobs) for pair in pairs]
+                results = [pair for pairs in pool.map(_run_cells, groups) for pair in pairs]
         results.sort(key=lambda pair: pair[0])
 
         n_files = sum(res["n_seed_files"] for _, res in results)

@@ -34,12 +34,17 @@ several copies of the problem laid end to end, as an ensemble's round
 loop runs them, and lets copies of one seed share that seed's streams:
 the benchmark families expand one block draw per round, and an opaque
 sample_gradient draws from a clone of the shared generator per copy.
+
+A benchmark family's callables are module functions bound to its
+coefficients with functools.partial, not closures, so a built problem
+pickles: a sweep's process pool runs the experiments its parent built.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Sequence
@@ -199,27 +204,36 @@ def family_objective(agent: int, family: int) -> LocalObjective:
 
 def _family_callables(family: int, u_std: float, v_std: float) -> tuple:
     """(expected_value, expected_gradient, sample_value, sample_gradient)
-    of one benchmark family; they depend on the family alone, so agents of
-    one family can share them."""
+    of one benchmark family, bound to its coefficients with functools.partial
+    so that they pickle; they depend on the family alone, so agents of one
+    family can share them."""
     count(family, "family", 1, N_FAMILIES)
     cu = _U_COEFFS[family - 1]
     cv = float(_V_COEFFS[family - 1])
+    return (
+        functools.partial(_expected_value, cu),
+        functools.partial(_expected_gradient, cu),
+        functools.partial(_sample_value, cu, cv),
+        functools.partial(_sample_gradient, cu, u_std, v_std),
+    )
 
-    def expected_value(x):
-        return cu @ _basis_values(x)
 
-    def expected_gradient(x):
-        return cu @ _basis_cores(x)
+def _expected_value(cu, x):
+    return cu @ _basis_values(x)
 
-    def sample_value(x, u, v):
-        return u * (cu @ _basis_values(x)) + cv * v
 
-    def sample_gradient(x, rng):
-        u = rng.normal(1.0, u_std)
-        rng.normal(0.0, v_std)  # v draw keeps value/gradient streams aligned
-        return u * (cu @ _basis_cores(x))
+def _expected_gradient(cu, x):
+    return cu @ _basis_cores(x)
 
-    return expected_value, expected_gradient, sample_value, sample_gradient
+
+def _sample_value(cu, cv, x, u, v):
+    return u * (cu @ _basis_values(x)) + cv * v
+
+
+def _sample_gradient(cu, u_std, v_std, x, rng):
+    u = rng.normal(1.0, u_std)
+    rng.normal(0.0, v_std)  # v draw keeps value/gradient streams aligned
+    return u * (cu @ _basis_cores(x))
 
 
 def _block_bounds(fun, xs, slope):

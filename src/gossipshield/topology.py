@@ -140,6 +140,12 @@ class Network:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled network's arrays
+        # are read-only and indptr, is_byz and reliable are derived again
+        return Network, (self.n_agents, self.byzantine, self.recv, self.send,
+                         self.edge_w, self.self_w)
+
     def byzantine_edges(self) -> np.ndarray:
         """Boolean mask over the edge list: True where the sender is Byzantine."""
         return self.is_byz[self.send]
@@ -248,13 +254,14 @@ def build_network(
     try:
         n_agents, seed = count(n_agents, "n_agents"), count(seed, "seed")
         byz_fraction, edge_p = number(byz_fraction, "byz_fraction"), number(edge_p, "edge_p")
+        if byzantine_ids is not None:
+            byz = tuple(sorted({count(b, "byzantine_ids") for b in byzantine_ids}))
     except ConfigError as exc:  # every refusal of a network is a TopologyError
         raise TopologyError(str(exc)) from None
     if n_agents < 2:
         raise TopologyError("need at least two agents")
     if byzantine_ids is not None:
-        byz = tuple(sorted(set(int(b) for b in byzantine_ids)))
-        if byz and (byz[0] < 0 or byz[-1] >= n_agents):
+        if byz and byz[-1] >= n_agents:
             raise TopologyError("byzantine ids out of range")
     else:
         if not 0.0 <= byz_fraction <= 0.5:

@@ -11,7 +11,7 @@ import yaml
 import gossipshield
 from gossipshield.bounds import dk_bound
 from gossipshield.cli import main, privacy_trace, run_experiment, sweep_experiment
-from gossipshield.config import build_experiment
+from gossipshield.config import build_experiment, load_config
 from gossipshield.errors import ConfigError
 from gossipshield.privacy import required_variance_local, sensitivity_default
 from gossipshield.schedules import DecayingSchedule
@@ -119,18 +119,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes()
 
 
-def test_sweep_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, capsys):
-    # an in-process stand-in records the pool size the sweep asks for, so
-    # no process is started; under fork every worker starts at the first
-    # submit, however few groups there are
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An in-process stand-in for the sweep's process pool, so no process
+    is started. It records the pool size the sweep asks for and the
+    function each map runs; the returned dict holds both lists."""
     import concurrent.futures
-    import os
 
-    sizes = []
+    seen = {"sizes": [], "mapped": []}
 
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            seen["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -139,9 +139,19 @@ def test_sweep_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, capsy
             return False
 
         def map(self, fn, jobs):
+            seen["mapped"].append(fn)
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
+def test_sweep_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, capsys, inline_pool):
+    # under fork every worker starts at the first submit, however few
+    # groups there are
+    import os
+
+    sizes = inline_pool["sizes"]
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = _cfg(
         run={"horizon": 3, "seeds": [1]},
@@ -160,6 +170,81 @@ def test_sweep_pool_has_no_more_workers_than_groups(tmp_path, monkeypatch, capsy
     assert main(["sweep", str(path), "--out", str(tmp_path / "cli"), "--workers", "0"]) == 2
     assert "error: max_workers: must be at least 1, got 0" in capsys.readouterr().err
     assert sizes == [3, 3, 2] and not (tmp_path / "refused").exists()
+
+
+def test_sweep_builds_each_cell_once_and_maps_run_cells(tmp_path, monkeypatch, inline_pool):
+    # the pool runs the groups of experiments the parent built and checked:
+    # one build for the base config and one per cell, whatever the pool size
+    from gossipshield import cli
+
+    builds = []
+    inner = cli.build_experiment
+
+    def counted(cfg, built=None):
+        builds.append(cfg)
+        return inner(cfg, built)
+
+    monkeypatch.setattr(cli, "build_experiment", counted)
+    cfg = _cfg(
+        run={"horizon": 3, "seeds": [1]},
+        sweep={"axes": [
+            {"key": "noise.variance", "values": [0.0, 1.0e-4]},
+            {"key": "attack.kind", "values": ["sign_flip", "silent"]},
+        ]},
+    )
+    for workers in (1, 2):
+        builds.clear()
+        sweep_experiment(cfg, tmp_path / f"w{workers}", max_workers=workers)
+        assert len(builds) == 1 + 4, workers
+    assert inline_pool == {"sizes": [2], "mapped": [cli._run_cells]}
+
+
+_RECIPES = sorted((Path(gossipshield.__file__).parent / "recipes").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("recipe", _RECIPES, ids=lambda p: p.stem)
+def test_built_experiments_survive_a_pickle_round_trip(recipe, tmp_path, monkeypatch):
+    # every group _run_cells is given, a run's or each of a sweep's, crosses
+    # a process boundary intact: the unpickled network is derived again by
+    # its constructor, and the copy writes the original's bytes
+    import pickle
+
+    from gossipshield import cli
+
+    inner = cli._run_cells
+    ran = []
+
+    def round_trip(group):
+        clone = pickle.loads(pickle.dumps(group))
+        for (_, exp, _), (_, twin, _) in zip(group, clone):
+            for name in ("recv", "send", "edge_w", "self_w", "indptr", "is_byz"):
+                arr = getattr(twin.net, name)
+                assert not arr.flags.writeable, name
+                assert np.array_equal(arr, getattr(exp.net, name)), name
+            assert twin.net.reliable == exp.net.reliable
+        moved = [(idx, exp, str(tmp_path / "copy" / Path(out).name)) for idx, exp, out in clone]
+        inner(moved)
+        result = inner(group)
+        for (_, _, out), (_, _, twin_out) in zip(group, moved):
+            files = sorted(p.relative_to(out) for p in Path(out).rglob("*"))
+            assert files == sorted(p.relative_to(twin_out) for p in Path(twin_out).rglob("*"))
+            for rel in files:
+                assert (Path(out) / rel).read_bytes() == (Path(twin_out) / rel).read_bytes(), rel
+        ran.append(len(group))
+        return result
+
+    monkeypatch.setattr(cli, "_run_cells", round_trip)
+    cfg = load_config(recipe)
+    # what is pickled does not depend on the horizon, and the digest test
+    # runs every recipe in full
+    cfg["run"]["horizon"] = min(cfg["run"]["horizon"], 50)
+    if "sweep" in cfg:
+        sweep_experiment(cfg, tmp_path / "out", max_workers=1)
+    else:
+        run_experiment(cfg, tmp_path / "out")
+    assert sum(ran) == (
+        np.prod([len(axis["values"]) for axis in cfg["sweep"]["axes"]]) if "sweep" in cfg else 1
+    )
 
 
 def _counted(monkeypatch, module, name):

@@ -90,6 +90,9 @@ def test_network_reads_its_inputs_as_numbers():
         ({"n_agents": True}, "n_agents: expected an integer"),
         ({"byz_fraction": "0.1"}, "byz_fraction: expected a number"),
         ({"edge_p": "0.3"}, "edge_p: expected a number"),
+        # these built Byzantine sets (1, 2) and (1,) through int()
+        ({"byzantine_ids": (2.7, True)}, "byzantine_ids: expected an integer"),
+        ({"byzantine_ids": ("1",)}, "byzantine_ids: expected an integer"),
     ):
         with pytest.raises(TopologyError, match=name):
             build_network("random", **{"n_agents": 10, **kwargs})

@@ -17,9 +17,11 @@ that nothing ran, then one line with their count and the package's total
 ``.py`` line count (as ``wc -l`` counts it); the tests' and the tools' own
 output goes to standard error. The exit status is nonzero when Tier-1 or
 either digest tool fails. Subprocesses are not traced: the sweep pool's
-workers, the fresh interpreters of tests/test_imports.py and the demos
-that tests/test_demos.py runs, so a line that only they reach is listed
-too. The trace checks nothing and claims nothing; it is a starting point
+workers (which run only ``cli._run_cells``, a function the serial sweep
+runs in process too), the digest tools that tests/test_digests.py starts
+(run again here in process), the fresh interpreters of
+tests/test_imports.py and the demos that tests/test_demos.py runs, so a
+line that only they reach is listed too. The trace checks nothing and claims nothing; it is a starting point
 for asking whether a branch is ever exercised before removing it, and
 takes a few minutes on a 2-core VM.
 """
