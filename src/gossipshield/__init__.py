@@ -16,9 +16,7 @@ from .errors import (
 )
 from .topology import (
     Network,
-    TheoryConstants,
     build_network,
-    constants_from_mixing,
     mixing_sq,
     rho_upper_bound,
     theory_constants,
@@ -64,6 +62,8 @@ from .bounds import (
     BoundTerm,
     ConvergenceBoundInputs,
     RegimeComparison,
+    TheoryConstants,
+    constants_from_mixing,
     dk_bound,
     format_comparison_table,
     lemma2_rhs,

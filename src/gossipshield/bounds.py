@@ -1,9 +1,14 @@
-"""Every theory ceiling, and the one rule for where they hold.
+"""The theory constants, every ceiling, and the one rule for where they hold.
 
-The ceilings are the disagreement bound behind a run's bound column, the
-pre-aggregation disagreement inequality, and the decaying- and
-constant-step optimal-gap bounds. They hold only inside one regime,
-which `_violations` alone decides; callers differ only in the step cap.
+`constants_from_mixing` turns a network's mixing rate and contraction
+budget (computed in `topology`) and the problem's landscape constants
+into `TheoryConstants`, and decides `regime_valid`. The ceilings are the
+disagreement bound behind a run's bound column, the pre-aggregation
+disagreement inequality, and the decaying- and constant-step optimal-gap
+bounds. They hold only inside one regime, which `_violations` alone
+decides; callers differ only in the step cap. The config builder checks
+every run against that regime, through `dk_bound` and
+`validate_schedule`, before its first round.
 
 Every gap right-hand side is assembled from independent term functions
 and the reported total is literally the sum of the parts, so the
@@ -22,26 +27,100 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, count, nonnegative
+from .errors import ConfigError, RegimeError, count, finite, nonnegative, positive
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
-from .topology import TheoryConstants
 
 if TYPE_CHECKING:
     from .engine import MetricsLog
 
 __all__ = [
-    "BoundTerm",
-    "BoundBreakdown",
-    "ConvergenceBoundInputs",
-    "RegimeComparison",
-    "dk_bound",
-    "validate_schedule",
-    "lemma2_rhs",
-    "theorem2_rhs",
-    "theorem3_rhs",
-    "regime_compare",
+    "TheoryConstants", "constants_from_mixing", "BoundTerm", "BoundBreakdown",
+    "ConvergenceBoundInputs", "RegimeComparison", "dk_bound", "validate_schedule",
+    "lemma2_rhs", "theorem2_rhs", "theorem3_rhs", "regime_compare",
     "format_comparison_table",
 ]
+
+
+@dataclasses.dataclass(frozen=True)
+class TheoryConstants:
+    """Derived constants of the disagreement/convergence analysis.
+
+    All fields follow the analysis' greek names. regime_valid is True only
+    when 0 <= rho < rho_bar, which makes varphi, eta, phi all land in (0, 1).
+    """
+
+    rho: float
+    rho_bar: float
+    mixing_sq: float
+    n_reliable: int
+    dim: int
+    smoothness: float
+    pl_constant: float
+    grad_variance: float
+    heterogeneity: float
+    noise_var: float
+    varphi: float
+    eta: float
+    phi: float
+    vartheta: float
+    theta: float
+    k0: int
+    theta_min: float
+    iota: float
+    regime_valid: bool
+
+
+def constants_from_mixing(
+    mixing_sq: float,
+    n_reliable: int,
+    rho: float,
+    smoothness: float,
+    pl_constant: float,
+    grad_variance: float,
+    heterogeneity: float,
+    noise_var: float,
+    dim: int,
+) -> TheoryConstants:
+    """Assemble the constant cluster from a known mixing rate.
+
+    varphi = mixing - 4*rho*sqrt(|R|), eta = varphi/2, phi = varphi/(4-varphi),
+    vartheta = 4|R|(dim*noise + 4(sigma^2+zeta^2))/phi, theta = phi/(4*sqrt(3)*L),
+    k0 = smallest integer exceeding 2/phi, theta_min = min(theta, 1/nu),
+    iota = (1 + 1/k0)^2. Outside the regime the downstream bounds refuse to
+    evaluate; the fields are still populated for reporting.
+    """
+    lam = finite(mixing_sq, "mixing_sq")
+    r = count(n_reliable, "n_reliable", 1)
+    rho = finite(rho, "rho")
+    smoothness = positive(smoothness, "smoothness")
+    pl_constant = positive(pl_constant, "pl_constant")  # the gap ceilings divide by it
+    grad_variance = nonnegative(grad_variance, "grad_variance")
+    heterogeneity = nonnegative(heterogeneity, "heterogeneity")
+    noise_var = nonnegative(noise_var, "noise_var")
+    dim = count(dim, "dim", 1)
+    varphi = lam - 4.0 * rho * math.sqrt(r)
+    eta = varphi / 2.0
+    phi = varphi / (4.0 - varphi) if varphi != 4.0 else math.inf
+    rho_bar = lam / (4.0 * math.sqrt(r))
+    regime = (0.0 <= rho < rho_bar) and 0.0 < varphi < 1.0 and 0.0 < eta < 1.0 and 0.0 < phi < 1.0
+    if phi > 0:
+        vartheta = 4.0 * r * (dim * noise_var + 4.0 * (grad_variance + heterogeneity)) / phi
+        theta = finite(phi / (4.0 * math.sqrt(3.0) * smoothness), "theta")
+        k0 = int(math.floor(2.0 / phi)) + 1
+    else:
+        vartheta = math.inf
+        theta = 0.0
+        k0 = 0
+    theta_min = min(theta, 1.0 / pl_constant)
+    iota = (1.0 + 1.0 / k0) ** 2 if k0 > 0 else math.inf
+    return TheoryConstants(
+        rho=rho, rho_bar=float(rho_bar), mixing_sq=lam, n_reliable=r, dim=dim,
+        smoothness=smoothness, pl_constant=pl_constant, grad_variance=grad_variance,
+        heterogeneity=heterogeneity, noise_var=noise_var,
+        varphi=float(varphi), eta=float(eta), phi=float(phi), vartheta=float(vartheta),
+        theta=float(theta), k0=k0, theta_min=float(theta_min), iota=float(iota),
+        regime_valid=bool(regime),
+    )
 
 
 def _violations(

@@ -18,14 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs, validate_schedule,
-)
+from .bounds import ConvergenceBoundInputs, dk_bound, theorem2_rhs, theorem3_rhs
 from .config import apply_overrides, build_experiment, load_config, set_path
 from .engine import EnsembleResult, run_ensemble
 from .errors import ConfigError, GossipShieldError, count
 from .objectives import benchmark_problem
-from .privacy import global_epsilon, required_variance_local, sensitivity_default
+from .privacy import global_epsilon
 from .schedules import DecayingSchedule
 
 __all__ = ["main", "run_experiment", "sweep_experiment", "privacy_trace"]
@@ -59,15 +57,6 @@ def _rows(k, columns):
     ]
     for row in zip(map(str, np.asarray(k).tolist()), *cells):
         yield ",".join(row)
-
-
-def _check_bound(exp) -> None:
-    """Refuse a bound column that dk_bound leaves undefined, before any
-    round runs; then warn if the schedule is outside the gap theorems'
-    regime."""
-    if exp.consts is not None:
-        dk_bound(exp.consts, 0.0, 0, exp.sched)
-        validate_schedule(exp.sched, exp.consts, strict=False)
 
 
 def _bound(exp, d0: float, k):
@@ -133,17 +122,11 @@ def _privacy_block(exp):
     source = "derived from local budget" if exp.noise_derived else "configured"
     yield f"  masking variance={_fmt(exp.noise)} ({source})"
     if exp.local_dp is not None:
-        need = required_variance_local(
-            exp.local_dp["epsilon"],
-            exp.local_dp["delta"],
-            sensitivity_default(exp.local_dp["grad_bound"]),
-            exp.sched,
-        )
-        ok = exp.noise >= need * (1.0 - 1e-12)
+        need = exp.local_variance
         yield (
             f"  local budget (eps={_fmt(exp.local_dp['epsilon'])}, "
             f"delta={_fmt(exp.local_dp['delta'])}): required variance={_fmt(need)} "
-            f"met={ok}"
+            f"met={exp.noise >= need * (1.0 - 1e-12)}"
         )
     if exp.budget is not None:
         report = global_epsilon(exp.budget, exp.noise)
@@ -238,15 +221,19 @@ def _run_cells(cells) -> list:
     return results
 
 
+def _build_one(cfg: dict):
+    """The built experiment of a config that declares no sweep axes."""
+    exp = build_experiment(cfg)
+    if exp.sweep_axes:
+        raise ConfigError("config declares sweep axes; use the sweep verb")
+    return exp
+
+
 def run_experiment(cfg: dict, out_dir: Path) -> dict:
     """Execute one config: per-seed CSVs, ensemble CSV, summary. Returns
     a small result dict used by sweep summaries. A config that fails to
     build or run leaves no output directory behind."""
-    exp = build_experiment(cfg)
-    if exp.sweep_axes:
-        raise ConfigError("config declares sweep axes; use the sweep verb")
-    _check_bound(exp)
-    return _run_cells([(0, exp, out_dir)])[0][1]
+    return _run_cells([(0, _build_one(cfg), out_dir)])[0][1]
 
 
 def _strip_sweep(cfg: dict) -> dict:
@@ -304,7 +291,6 @@ def sweep_experiment(cfg: dict, out_dir: Path, max_workers: int | None = None) -
             for key, val in zip(keys, combo):
                 set_path(cell_cfg, key, val)
             cell_exp = build_experiment(cell_cfg, built)
-            _check_bound(cell_exp)
             rest = {k: v for k, v in cell_exp.normalized.items() if k != "attack"}
             groups.setdefault(json.dumps(rest, sort_keys=True), []).append(
                 (idx, cell_exp, str(stage / f"cell{idx:03d}"))
@@ -367,7 +353,7 @@ def privacy_trace(cfg: dict, out_dir: Path) -> dict:
     trajectory CSVs for both variants plus the largest per-round deviation
     an observer of the traces would see.
     """
-    exp = build_experiment(cfg)
+    exp = _build_one(cfg)
     if exp.trace_swap is None:
         raise ConfigError(
             "privacy-trace needs a privacy_trace section with "

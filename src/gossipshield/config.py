@@ -10,6 +10,10 @@ result is its normalized form, a canonical primitive dict: the runtime
 objects are built from it, and its JSON hash stamps all artifacts,
 making re-runs verifiable. A new key is one spec entry.
 
+`build_experiment` is also where a config meets the theory regime: every
+config that is not a sweep template is checked against it once, before
+any round runs, so `run`, `sweep` and `privacy-trace` refuse alike.
+
 YAML reads `1e-6` as a number here, as it reads `1.0e-6`. `null` stands
 for an absent key under problem.family_of, attack.victim, privacy.local
 and privacy.global, and is an error everywhere else.
@@ -30,18 +34,12 @@ import yaml
 
 from .aggregation import ORACLE_KINDS, TauSpec
 from .attacks import ATTACK_KINDS, AttackSpec
-from .bounds import validate_schedule
+from .bounds import TheoryConstants, dk_bound, validate_schedule
 from .errors import ConfigError, count, finite, nonnegative, number, positive, real
 from .objectives import N_FAMILIES, GlobalProblem, benchmark_problem
 from .privacy import DpBudget, required_variance_local, sensitivity_default
 from .schedules import ConstantSchedule, DecayingSchedule, StepSizeSchedule
-from .topology import (
-    Network,
-    TheoryConstants,
-    build_network,
-    rho_upper_bound,
-    theory_constants,
-)
+from .topology import Network, build_network, rho_upper_bound, theory_constants
 
 __all__ = ["Experiment", "load_config", "build_experiment", "config_hash"]
 
@@ -349,6 +347,7 @@ class Experiment:
     sweep_axes: list
     budget: DpBudget | None
     local_dp: dict | None
+    local_variance: float | None  # the variance local_dp requires
     trace_swap: tuple | None
     noise_derived: bool
 
@@ -461,7 +460,9 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
     built, when given, is a dict shared by the builds of one sweep: the
     network, problem and theory constants are taken from it wherever an
     earlier build used the same arguments, and added to it otherwise.
-    Every section is still parsed and checked.
+    Every section is still parsed and checked. A config that is not a
+    sweep template is then checked against the theory regime, the one
+    check before any round, whichever verb runs it.
     """
     normalized = _fields(cfg, "", _CONFIG)
     topo = normalized["topology"]
@@ -491,10 +492,11 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         (axis["key"], axis["values"]) for axis in normalized.get("sweep", {}).get("axes", [])
     ]
     privacy = normalized.get("privacy", {})
+    local_variance = None
     if "local" in privacy:
-        # the summary prints its variance: refused here, not after the rounds
+        # the summary prints it: computed, and refused, before any round
         dp = privacy["local"]
-        required_variance_local(
+        local_variance = required_variance_local(
             dp["epsilon"], dp["delta"], sensitivity_default(dp["grad_bound"]), sched
         )
     budget = None
@@ -522,13 +524,18 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
             variance,
             prob.dim,
         ))
-        if run["theory_mode"] and not sweep_axes:
-            # a sweep's base config is only a template; its cells are checked
-            validate_schedule(sched, consts, strict=True)
     if not sweep_axes:
-        # so a sweep refuses a cell whose fixed victim is Byzantine before
-        # any cell runs
+        # a sweep's base config is only a template; its cells are checked
+        # here, so a sweep refuses a cell whose fixed victim is Byzantine,
+        # or that is outside the regime, before any cell runs. Theory mode
+        # refuses outside the gap theorems' regime; otherwise a bound
+        # column dk_bound leaves undefined is refused, and the gap
+        # theorems' regime only warns.
         attack.check_victim(net.reliable)
+        if consts is not None:
+            if not run["theory_mode"]:
+                dk_bound(consts, 0.0, 0, sched)
+            validate_schedule(sched, consts, strict=run["theory_mode"])
 
     return Experiment(
         normalized=normalized,
@@ -546,6 +553,7 @@ def build_experiment(cfg: dict, built: dict | None = None) -> Experiment:
         sweep_axes=sweep_axes,
         budget=budget,
         local_dp=privacy.get("local"),
+        local_variance=local_variance,
         trace_swap=trace_swap,
         noise_derived=local is not None,
     )

@@ -2,8 +2,10 @@
 
 Builds star / random / complete communication graphs over a set of agents,
 marks a subset of them Byzantine, assigns Metropolis-Hastings mixing weights,
-and derives the spectral quantities (mixing rate, contraction budget) that
-the disagreement bounds consume.
+and derives the graph quantities the theory consumes: the mixing rate
+(`mixing_sq`) and the contraction budget (`rho_upper_bound`). The theory
+constants and the regime they decide live in `bounds`;
+`theory_constants` only feeds them this network's quantities.
 
 A network is its directed edge list, never an (A, A) matrix: every kind
 emits upper-triangle pairs, one shared step turns them into sorted
@@ -17,12 +19,12 @@ edges) are out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TopologyError, count, finite, nonnegative, number, positive
+from .bounds import TheoryConstants, constants_from_mixing
+from .errors import ConfigError, TopologyError, count, number
 
 __all__ = [
     "Network",
@@ -364,101 +366,6 @@ def rho_upper_bound(net: Network) -> float:
     return 4.0 * float(np.max(np.sqrt(w_rel[rel] * w_byz[rel]), initial=0.0))
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Derived constants of the disagreement/convergence analysis.
-
-    All fields follow the analysis' greek names. regime_valid is True only
-    when 0 <= rho < rho_bar, which makes varphi, eta, phi all land in (0, 1).
-    """
-
-    rho: float
-    rho_bar: float
-    mixing_sq: float
-    n_reliable: int
-    dim: int
-    smoothness: float
-    pl_constant: float
-    grad_variance: float
-    heterogeneity: float
-    noise_var: float
-    varphi: float
-    eta: float
-    phi: float
-    vartheta: float
-    theta: float
-    k0: int
-    theta_min: float
-    iota: float
-    regime_valid: bool
-
-
-def constants_from_mixing(
-    mixing_sq: float,
-    n_reliable: int,
-    rho: float,
-    smoothness: float,
-    pl_constant: float,
-    grad_variance: float,
-    heterogeneity: float,
-    noise_var: float,
-    dim: int,
-) -> TheoryConstants:
-    """Assemble the constant cluster from a known mixing rate.
-
-    varphi = mixing - 4*rho*sqrt(|R|), eta = varphi/2, phi = varphi/(4-varphi),
-    vartheta = 4|R|(dim*noise + 4(sigma^2+zeta^2))/phi, theta = phi/(4*sqrt(3)*L),
-    k0 = smallest integer exceeding 2/phi, theta_min = min(theta, 1/nu),
-    iota = (1 + 1/k0)^2. Outside the regime the downstream bounds refuse to
-    evaluate; the fields are still populated for reporting.
-    """
-    lam = finite(mixing_sq, "mixing_sq")
-    r = count(n_reliable, "n_reliable", 1)
-    rho = finite(rho, "rho")
-    smoothness = positive(smoothness, "smoothness")
-    pl_constant = positive(pl_constant, "pl_constant")  # the gap ceilings divide by it
-    grad_variance = nonnegative(grad_variance, "grad_variance")
-    heterogeneity = nonnegative(heterogeneity, "heterogeneity")
-    noise_var = nonnegative(noise_var, "noise_var")
-    dim = count(dim, "dim", 1)
-    varphi = lam - 4.0 * rho * math.sqrt(r)
-    eta = varphi / 2.0
-    phi = varphi / (4.0 - varphi) if varphi != 4.0 else math.inf
-    rho_bar = lam / (4.0 * math.sqrt(r))
-    regime = (0.0 <= rho < rho_bar) and 0.0 < varphi < 1.0 and 0.0 < eta < 1.0 and 0.0 < phi < 1.0
-    if phi > 0:
-        vartheta = 4.0 * r * (dim * noise_var + 4.0 * (grad_variance + heterogeneity)) / phi
-        theta = finite(phi / (4.0 * math.sqrt(3.0) * smoothness), "theta")
-        k0 = int(math.floor(2.0 / phi)) + 1
-    else:
-        vartheta = math.inf
-        theta = 0.0
-        k0 = 0
-    theta_min = min(theta, 1.0 / pl_constant)
-    iota = (1.0 + 1.0 / k0) ** 2 if k0 > 0 else math.inf
-    return TheoryConstants(
-        rho=rho,
-        rho_bar=float(rho_bar),
-        mixing_sq=lam,
-        n_reliable=r,
-        dim=dim,
-        smoothness=smoothness,
-        pl_constant=pl_constant,
-        grad_variance=grad_variance,
-        heterogeneity=heterogeneity,
-        noise_var=noise_var,
-        varphi=float(varphi),
-        eta=float(eta),
-        phi=float(phi),
-        vartheta=float(vartheta),
-        theta=float(theta),
-        k0=k0,
-        theta_min=float(theta_min),
-        iota=float(iota),
-        regime_valid=bool(regime),
-    )
-
-
 def theory_constants(
     net: Network,
     rho: float,
@@ -469,16 +376,9 @@ def theory_constants(
     noise_var: float,
     dim: int,
 ) -> TheoryConstants:
-    """Constant cluster for a concrete network; the mixing rate comes from
-    mixing_sq."""
+    """Constant cluster for a concrete network: bounds.constants_from_mixing
+    with the mixing rate from mixing_sq and the reliable count."""
     return constants_from_mixing(
-        mixing_sq(net),
-        len(net.reliable),
-        rho,
-        smoothness,
-        pl_constant,
-        grad_variance,
-        heterogeneity,
-        noise_var,
-        dim,
+        mixing_sq(net), len(net.reliable), rho, smoothness, pl_constant,
+        grad_variance, heterogeneity, noise_var, dim,
     )

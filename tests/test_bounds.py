@@ -3,7 +3,6 @@
 import itertools
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from gossipshield import (
     RegimeError,
     constants_from_mixing,
 )
+from gossipshield import config
 from gossipshield.bounds import (
     ConvergenceBoundInputs,
     dk_bound,
@@ -27,7 +27,6 @@ from gossipshield.bounds import (
     theorem3_rhs,
     validate_schedule,
 )
-from gossipshield.cli import _check_bound
 
 
 def _consts(rho=0.0, noise=0.1, sigma=0.2, zeta=0.3):
@@ -247,15 +246,33 @@ def _refuses(call) -> bool:
     return False
 
 
-def test_entry_points_agree_on_the_regime():
+def _build(sched, theory_mode: bool):
+    """Build a small config with sched and a bound column, in or out of
+    theory mode."""
+    schedule = {"kind": sched.kind, "scale": sched.scale}
+    if sched.kind == "decaying":
+        schedule["k0"] = sched.k0
+    return config.build_experiment({
+        "topology": {"kind": "complete", "n_agents": 10},
+        "schedule": schedule,
+        "aggregation": {"kind": "mean"},
+        "run": {"horizon": 1, "seeds": [1], "bound_column": True, "theory_mode": theory_mode},
+    })
+
+
+def test_entry_points_agree_on_the_regime(monkeypatch):
     """The strict schedule check refuses exactly where the gap theorems
-    do. The runner's bound-column check refuses exactly where dk_bound
-    does, and otherwise warns exactly where the strict check refuses."""
+    do. Building a config with a bound column refuses exactly where
+    dk_bound does, and otherwise warns exactly where the strict check
+    refuses; in theory mode it refuses exactly where the strict check
+    does."""
     seen = set()
     # rho 0.3 leaves every mixing out of the regime; nu 1000 puts
     # theta_min = 1/nu under theta
     for lam, rho, nu in itertools.product((0.2, 0.5, 0.9), (0.0, 0.02, 0.3), (1.0, 1e3)):
         consts = constants_from_mixing(lam, 4, rho, 2.0, nu, 0.2, 0.3, 0.1, 1)
+        # the build derives these constants, whatever its network
+        monkeypatch.setattr(config, "theory_constants", lambda *args, c=consts: c)
         caps = {consts.theta, consts.theta_min} if consts.theta > 0 else {1e-3}
         # k0 around 2/phi: floor(2/phi) has k0 * phi <= 2, consts.k0 is the first above
         k0s = {max(1, consts.k0 - 1), consts.k0 or 10, consts.k0 + 1}
@@ -269,11 +286,11 @@ def test_entry_points_agree_on_the_regime():
                 strict = _refuses(lambda: validate_schedule(sched, consts, strict=True))
                 assert strict == _refuses(lambda: gap_rhs(inputs))
                 column = _refuses(lambda: dk_bound(consts, 1.0, 3, sched))
-                exp = SimpleNamespace(consts=consts, sched=sched)
                 with warnings.catch_warnings(record=True) as record:
                     warnings.simplefilter("always")
-                    assert _refuses(lambda: _check_bound(exp)) == column
+                    assert _refuses(lambda: _build(sched, theory_mode=False)) == column
                 assert len(record) == (strict and not column)
+                assert _refuses(lambda: _build(sched, theory_mode=True)) == strict
                 seen.add((strict, column))
     # admissible for both; only above theta_min; above theta as well
     assert seen == {(False, False), (True, False), (True, True)}

@@ -381,6 +381,29 @@ def test_privacy_trace_refuses_a_byzantine_swap_agent(tmp_path, capsys):
         main(argv + ["--swap", "3"])
 
 
+_ADJACENT = Path(gossipshield.__file__).parent / "recipes" / "adjacent_trace.yaml"
+
+
+def test_main_privacy_trace_refuses_sweep_axes(tmp_path, capsys):
+    cfg = load_config(_ADJACENT)
+    cfg["sweep"] = {"axes": [{"key": "noise.variance", "values": [1.0e-2, 1.0e-1]}]}
+    out = tmp_path / "x"
+    assert main(["privacy-trace", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "config declares sweep axes; use the sweep verb" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_privacy_trace_refuses_an_undefined_bound_column(tmp_path, capsys):
+    # the recipe's step scale 1.0 is far above its theta (about 1e-33)
+    out = tmp_path / "x"
+    argv = ["privacy-trace", str(_ADJACENT), "--out", str(out), "--set", "run.bound_column=true"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "error: disagreement bound undefined outside the regime" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_run_and_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GOSSIPSHIELD_OUT", str(tmp_path / "root"))
     path = _write(tmp_path, _cfg())

@@ -351,11 +351,20 @@ def test_topology_byzantine_ids():
         build_experiment(cfg)
 
 
+# under theta (about 4.2e-3) and 2/phi (about 17.0) of _base_cfg's network
+# without its Byzantine agent
+_IN_REGIME = {"kind": "decaying", "scale": 0.004, "k0": 17}
+
+
 def test_bound_column_builds_constants():
     cfg = _base_cfg()
     cfg["topology"]["byz_fraction"] = 0.0
     cfg["attack"] = {"kind": "none"}
     cfg["run"]["bound_column"] = True
+    # the base schedule leaves the bound column undefined: refused at build
+    with pytest.raises(RegimeError, match="disagreement bound undefined"):
+        build_experiment(cfg)
+    cfg["schedule"] = dict(_IN_REGIME)
     exp = build_experiment(cfg)
     assert exp.consts is not None
     assert exp.consts.rho == 0.0
@@ -568,7 +577,8 @@ _ACCEPTED = [
     ([("aggregation", {"kind": "scc", "allow_oracle": True, "tau": {"kind": "corollary1", "value": 1000}})], "3a609a0161d61cd2c0d05afe47e152e4a61392230110c20dc40cb9ee2dd445e3"),
     ([("aggregation", {"kind": "scc", "allow_oracle": True, "tau": {"kind": "remark4", "value": {"kind": "constant", "scale": 10}}})], "78bd66b3d3e5bf8692c21bb6c144c50cfb39d287f126e02c43e9e427a29775e3"),
     ([("aggregation", {"kind": "scc", "allow_oracle": False, "tau": {"kind": "manual", "value": 1.0e3}})], "27e58c1be525341b33c86ffb0cfafad811e18f2725d3801cc2b30563b886b70c"),
-    ([("topology.byz_fraction", 0.0), ("attack", {"kind": "none"}), ("run.bound_column", True), ("run.theory_mode", False)], "4a6924a6229cbc630d386ac9a87848057cb5920c34a66fffa67f623593c30d14"),
+    # a bound column is checked at build, so this one runs inside the regime
+    ([("topology.byz_fraction", 0.0), ("attack", {"kind": "none"}), ("run.bound_column", True), ("run.theory_mode", False), ("schedule", _IN_REGIME)], "32f6ceae55e8ad5ae9727a83746abbb264901d19e192ae8caca26293c692866d"),
     ([("run.theory_mode", True), ("sweep", {"axes": [{"key": "attack.s_b", "values": [0.5, 1.0]}]})], "e28eaaef04925e27f927d57cdfbc483bc25298f8603c8ea176654f1b8272638d"),
     ([("sweep", {"axes": _AXES})], "504f3ce5456be891f1a61f1bb44c3c9303503d5941b9b941d9a53f8988ebf619"),
     ([("sweep", {})], "ae330a10a81576e17a6c6421ba17c91993e85c41163dc671d6d428f6e59b0bf3"),
@@ -705,6 +715,8 @@ _REFUSED = [
     # the network, not the reader, refuses these, as it did before the readers
     ([("topology.byz_fraction", float("nan"))], TopologyError, "byz_fraction must lie in"),
     ([("topology.edge_p", float("inf"))], TopologyError, "edge_p must lie in"),
+    # a bound column that dk_bound leaves undefined is refused at build
+    ([("topology.byz_fraction", 0.0), ("attack", {"kind": "none"}), ("run.bound_column", True), ("run.theory_mode", False)], RegimeError, "disagreement bound undefined outside the regime"),
 ]
 
 _FULL = _edited([
